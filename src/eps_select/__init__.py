@@ -10,22 +10,14 @@ from .csp import (
     Model,
     NotEqual,
     Objective,
-    SearchState,
     VariableDecl,
-    assign,
-    propagate,
-    root_state,
     var_range,
 )
 from .strategies import (
     ALL_STRATEGIES,
     CounterState,
     StrategyId,
-    on_constraint_failure,
-    on_propagation_event,
     parse_strategy,
-    select_value,
-    select_variable,
 )
 from .search import (
     Incumbent,
@@ -82,13 +74,11 @@ from .baselines import (
     PortfolioReport,
     RewardConfig,
     mab_on_oracle,
-    mab_run,
     portfolio_on_oracle,
-    portfolio_run,
     reward,
     ucb1_select,
 )
-from .runner import CostLedger, TaskResult, run_pool
+from .runner import CostLedger, TaskFailed, TaskResult, raise_failures, run_pool
 from .benchmarks import GENERATORS, generate
 from .modelio import ModelFormatError, load_json, model_from_dict, model_to_dict, save_json
 

@@ -21,11 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .csp import Model
-from .decomposition import DecompositionConfig, decompose
-from .search import TimeMode
-from .selection import ModelOracle, Observation, warm_start_cost
-from .strategies import ALL_STRATEGIES, StrategyId
+from .selection import Observation, warm_start_cost
+from .strategies import StrategyId
 
 
 @dataclass
@@ -148,19 +145,6 @@ def mab_on_oracle(oracle, strategies: Optional[Sequence[StrategyId]] = None) -> 
     )
 
 
-def mab_run(
-    model: Model,
-    cfg: Optional[DecompositionConfig] = None,
-    strategies: Sequence[StrategyId] = ALL_STRATEGIES,
-    time_mode: TimeMode = TimeMode.WORK,
-    oracle: Optional[ModelOracle] = None,
-) -> MabReport:
-    if oracle is None:
-        decomp = decompose(model, cfg if cfg is not None else DecompositionConfig())
-        oracle = ModelOracle(model, decomp.subproblems, strategies, time_mode=time_mode)
-    return mab_on_oracle(oracle, strategies)
-
-
 @dataclass
 class PortfolioReport:
     total_cost: float
@@ -207,15 +191,3 @@ def portfolio_on_oracle(oracle, strategies: Sequence[StrategyId]) -> PortfolioRe
         warm_start_cost=warm,
     )
 
-
-def portfolio_run(
-    model: Model,
-    strategies: Sequence[StrategyId],
-    cfg: Optional[DecompositionConfig] = None,
-    time_mode: TimeMode = TimeMode.WORK,
-    oracle: Optional[ModelOracle] = None,
-) -> PortfolioReport:
-    if oracle is None:
-        decomp = decompose(model, cfg if cfg is not None else DecompositionConfig())
-        oracle = ModelOracle(model, decomp.subproblems, tuple(strategies), time_mode=time_mode)
-    return portfolio_on_oracle(oracle, strategies)

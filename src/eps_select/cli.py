@@ -14,14 +14,21 @@ import json
 import logging
 import os
 import sys
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .baselines import mab_on_oracle, portfolio_on_oracle
+from .baselines import MabReport, PortfolioReport, mab_on_oracle, portfolio_on_oracle
 from .benchmarks import GENERATORS, generate
 from .csp import InconsistentProblem, Model
-from .decomposition import DecompositionConfig, decompose, sample_size_rule, srs_sample
+from .decomposition import (
+    Decomposition,
+    DecompositionConfig,
+    decompose,
+    sample_size_rule,
+    srs_sample,
+)
 from .modelio import ModelFormatError, load_json
-from .runner import run_pool
+from .runner import TaskFailed, raise_failures, run_pool
 from .search import SolveMode, TimeMode, solve
 from .selection import (
     ModelOracle,
@@ -177,6 +184,58 @@ def _csv_rows(problem: str, totals: dict[str, float], winner: Optional[str], cen
     return rows
 
 
+@dataclass
+class Comparison:
+    """Every single strategy, PSS, MAB and portfolio-x4 on one decomposition."""
+
+    model: Model
+    decomposition: Decomposition
+    cache: dict  # the oracle memo all methods share
+    singles: dict[StrategyId, float]  # whole-problem cost, ALL_STRATEGIES order
+    pss: SelectionReport
+    mab: MabReport
+    portfolio: PortfolioReport
+    best4: tuple[StrategyId, ...]  # the portfolio: the four cheapest singles
+
+
+def compare(model: Model, cfg: PssConfig) -> Comparison:
+    """Run every method of :class:`Comparison` on one decomposition.
+
+    Each single strategy solves every subproblem in its own task pool, one
+    pool per strategy in ``ALL_STRATEGIES`` order; PSS, the bandit and the
+    portfolio then read the same oracle cache. A failed task raises
+    :class:`~eps_select.runner.TaskFailed`.
+    """
+    time_mode = cfg.race.time_mode
+    decomp = decompose(model, cfg.decomposition)
+    cache: dict = {}
+
+    def oracle(strategies: Sequence[StrategyId] = ALL_STRATEGIES) -> ModelOracle:
+        return ModelOracle(
+            model, decomp.subproblems, strategies, time_mode=time_mode, shared_cache=cache
+        )
+
+    singles: dict[StrategyId, float] = {}
+    for sid in ALL_STRATEGIES:
+        single = oracle()
+        results, _ = run_pool(
+            single.sub_ids,
+            cfg.decomposition.worker_count,
+            lambda sub: single.full(sub, sid),
+            time_mode=time_mode,
+            cost_fn=lambda obs: obs.value,
+        )
+        raise_failures(results)
+        singles[sid] = sum(r.result.value for r in results)
+        log.info("single %s total=%s", sid.token, singles[sid])
+
+    pss = pss_select(model, cfg, oracle=oracle(), decomposition=decomp)
+    mab = mab_on_oracle(oracle())
+    best4 = tuple(sorted(ALL_STRATEGIES, key=singles.get)[:4])
+    portfolio = portfolio_on_oracle(oracle(best4), best4)
+    return Comparison(model, decomp, cache, singles, pss, mab, portfolio, best4)
+
+
 def _print_selection_report(model: Model, rep: SelectionReport) -> None:
     print(f"model: {model.name}   population: {rep.population} subproblems "
           f"(prefix {rep.prefix_len}), sample: {len(rep.sample_ids)} (seed {rep.sample_seed})")
@@ -222,7 +281,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ModelFormatError, InconsistentProblem, ValueError, OSError) as exc:
+    except (ModelFormatError, InconsistentProblem, ValueError, OSError, TaskFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -313,61 +372,36 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "compare":
-        return _compare(args, model, cfg)
+        _print_comparison(args, compare(model, cfg))
+        return 0
 
     raise ValueError(f"unknown command {args.command!r}")
 
 
-def _compare(args, model: Model, cfg: PssConfig) -> int:
-    """Single strategies, PSS, MAB and portfolio-x4 on one decomposition."""
-    time_mode = cfg.race.time_mode
-    decomp = decompose(model, cfg.decomposition)
-    cache: dict = {}
-    singles: dict[StrategyId, float] = {}
-    for sid in ALL_STRATEGIES:
-        oracle = ModelOracle(model, decomp.subproblems, time_mode=time_mode, shared_cache=cache)
-        results, _ = run_pool(
-            oracle.sub_ids,
-            cfg.decomposition.worker_count,
-            lambda sub, _s=sid, _o=oracle: _o.full(sub, _s),
-            time_mode=time_mode,
-            cost_fn=lambda obs: obs.value,
-        )
-        singles[sid] = sum(r.result.value for r in results if not r.failed)
-        log.info("single %s total=%s", sid.token, singles[sid])
-
-    pss_oracle = ModelOracle(model, decomp.subproblems, time_mode=time_mode, shared_cache=cache)
-    rep = pss_select(model, cfg, oracle=pss_oracle, decomposition=decomp)
-
-    mab_oracle = ModelOracle(model, decomp.subproblems, time_mode=time_mode, shared_cache=cache)
-    mab = mab_on_oracle(mab_oracle)
-
-    best4 = tuple(sorted(ALL_STRATEGIES, key=lambda s: singles[s])[:4])
-    pf_oracle = ModelOracle(model, decomp.subproblems, best4, time_mode=time_mode, shared_cache=cache)
-    pf = portfolio_on_oracle(pf_oracle, best4)
-
+def _print_comparison(args, cmp: Comparison) -> None:
+    model = cmp.model
+    singles = cmp.singles
     totals: dict[str, float] = {s.token: singles[s] for s in ALL_STRATEGIES}
-    totals["pss"] = rep.total_cost
-    totals["mab"] = mab.total_cost
-    totals[f"portfolio-x4({','.join(s.token for s in best4)})"] = pf.total_cost
+    totals["pss"] = cmp.pss.total_cost
+    totals["mab"] = cmp.mab.total_cost
+    totals[f"portfolio-x4({','.join(s.token for s in cmp.best4)})"] = cmp.portfolio.total_cost
     best = min(totals.values())
     rows = [
         (label, _fmt(total), f"{total / best:.2f}" if best > 0 else "1.00")
         for label, total in totals.items()
     ]
-    print(f"model: {model.name}   {len(decomp)} subproblems, sample {len(rep.sample_ids)}")
+    print(f"model: {model.name}   {len(cmp.decomposition)} subproblems, "
+          f"sample {len(cmp.pss.sample_ids)}")
     print(_table(("method", "total work", "ratio"), rows))
-    print(f"pss winner: {rep.winner.token} (true best: "
-          f"{min(singles, key=lambda s: (singles[s], ALL_STRATEGIES.index(s))).token})")
+    print(f"pss winner: {cmp.pss.winner.token} (true best: {min(singles, key=singles.get).token})")
     _write_out(args, {
         "model": model.name,
         "singles": {s.token: singles[s] for s in ALL_STRATEGIES},
-        "pss": rep.to_dict(),
-        "mab": mab.to_dict(),
-        "portfolio_x4": pf.to_dict(),
+        "pss": cmp.pss.to_dict(),
+        "mab": cmp.mab.to_dict(),
+        "portfolio_x4": cmp.portfolio.to_dict(),
     })
-    _write_csv(args, _csv_rows(model.name, totals, rep.winner.token))
-    return 0
+    _write_csv(args, _csv_rows(model.name, totals, cmp.pss.winner.token))
 
 
 def cli() -> None:

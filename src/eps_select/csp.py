@@ -121,7 +121,7 @@ class Model:
     """Immutable problem description plus precomputed propagation tables.
 
     A Model is built once and shared read-only by every worker; all mutable
-    search state lives in the domain-mask lists handed to :func:`propagate`.
+    search state lives in the domain-mask lists handed to :func:`_propagate`.
     """
 
     def __init__(
@@ -223,51 +223,6 @@ class Model:
             out.append(low.bit_length() - 1 + base)
             mask ^= low
         return tuple(out)
-
-
-@dataclass
-class SearchState:
-    """Domains of one search node. Restoration is by copy; exact by design."""
-
-    model: Model
-    masks: list[int]
-    failed: bool = False
-
-    def domains(self) -> list[tuple[int, ...]]:
-        return [self.model.decode(m) for m in self.masks]
-
-    def domain(self, var: int) -> tuple[int, ...]:
-        return self.model.decode(self.masks[var])
-
-    def is_assigned(self, var: int) -> bool:
-        d = self.masks[var]
-        return d != 0 and d & (d - 1) == 0
-
-
-def root_state(model: Model) -> SearchState:
-    return SearchState(model, list(model.initial_masks))
-
-
-def assign(state: SearchState, var: int, value: int) -> SearchState:
-    """Fix ``var`` to ``value`` without propagating (caller composes)."""
-    bit = state.model.value_bit(value)
-    if not state.masks[var] & bit:
-        raise ValueError(
-            f"value {value} not in the domain of {state.model.names[var]}"
-        )
-    masks = list(state.masks)
-    masks[var] = bit
-    return SearchState(state.model, masks, state.failed)
-
-
-def propagate(state: SearchState, model: Optional[Model] = None) -> SearchState:
-    """Run all propagators to fixpoint; returns a new state, maybe failed."""
-    m = model if model is not None else state.model
-    if state.failed:
-        return SearchState(m, list(state.masks), True)
-    masks = list(state.masks)
-    fail, _ = _propagate(m, masks, range(len(m.constraints)), [])
-    return SearchState(m, masks, fail >= 0)
 
 
 def _propagate(

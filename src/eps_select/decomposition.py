@@ -4,7 +4,7 @@ The decomposition fixes a prefix of the variables in declaration order and
 enumerates every instantiation of that prefix that survives propagation --
 no search strategy is involved. The prefix is deepened one variable at a
 time (re-enumerating from scratch) until the subproblem count reaches the
-target or the prefix cap; mutually exclusive and exhaustive prefixes make
+target or every variable is in the prefix; mutually exclusive and exhaustive prefixes make
 the subproblems a partition of the root's solution space.
 """
 
@@ -29,7 +29,6 @@ class DecompositionConfig:
     """``target_count`` defaults to 30 subproblems per worker."""
 
     target_count: Optional[int] = None
-    max_prefix: Optional[int] = None
     worker_count: int = 1
 
     def effective_target(self) -> int:
@@ -43,7 +42,7 @@ class DecompositionConfig:
 class Decomposition:
     subproblems: list[Subproblem]
     prefix_len: int
-    shortfall: bool  # prefix cap hit before reaching the target count
+    shortfall: bool  # no prefix length reaches the target count
     work: int  # enumeration assignments spent building it
 
     def __len__(self) -> int:
@@ -52,9 +51,6 @@ class Decomposition:
 
 def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
     target = cfg.effective_target()
-    max_prefix = cfg.max_prefix if cfg.max_prefix is not None else model.n
-    if not 0 <= max_prefix <= model.n:
-        raise ValueError("max_prefix out of range")
 
     root = list(model.initial_masks)
     fail, _ = _propagate(model, root, range(len(model.constraints)), [])
@@ -66,7 +62,7 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
     prefixes: list[tuple[tuple[int, int], ...]] = [()]
     best = prefixes
     best_depth = 0
-    while len(prefixes) < target and depth < max_prefix:
+    while len(prefixes) < target and depth < model.n:
         depth += 1
         prefixes, w = _consistent_prefixes(model, root, depth)
         total_work += w

@@ -1,23 +1,25 @@
 """Master-worker execution: a pull-based task queue with per-worker accounting.
 
-In work-units mode the pool executes tasks sequentially in queue order (the
-outcome of every task is deterministic, so scheduling cannot change results)
-while a min-clock simulation assigns each task to the virtual worker that
-would have pulled it, giving meaningful per-worker loads. In wall-clock mode
-real threads pull from a shared queue and the ledger holds measured time. A
-task that raises is re-queued once and then reported as failed.
+Every task runs in the calling thread, one after another in queue order. A
+min-clock simulation assigns each task to the virtual worker that would have
+pulled it (the least loaded one), giving meaningful per-worker loads: the
+ledger charges ``cost_fn(result)`` in work-units mode and the measured
+milliseconds of the task in wall-clock mode. Results do not depend on the
+worker count. A task that raises is re-queued once and then reported as
+failed; :func:`raise_failures` turns a failed task into an error.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from time import perf_counter
 from typing import Any, Callable, Optional, Sequence
 
 from .search import TimeMode
 
-_THREAD_STACK = 64 * 1024 * 1024  # deep DFS recursion needs room
+
+class TaskFailed(RuntimeError):
+    """A task raised on its retry too; the original exception is the cause."""
 
 
 @dataclass
@@ -32,14 +34,10 @@ class TaskResult:
 @dataclass
 class CostLedger:
     per_worker: list[float]
-    phases: dict[str, float] = field(default_factory=dict)
 
     @property
     def grand_total(self) -> float:
         return sum(self.per_worker)
-
-    def add_phase(self, name: str, amount: float) -> None:
-        self.phases[name] = self.phases.get(name, 0.0) + amount
 
     def load_balance(self) -> tuple[float, float, float]:
         """(max load, mean load, max/mean ratio) across workers."""
@@ -61,19 +59,27 @@ def run_pool(
     if cost_fn is None:
         cost_fn = lambda r: float(getattr(r, "work_used", 0.0))
 
-    if time_mode is TimeMode.WALL and worker_count > 1:
-        return _run_threaded(tasks, worker_count, executor)
-
     ledger = CostLedger(per_worker=[0.0] * worker_count)
     clocks = ledger.per_worker
     results: list[TaskResult] = []
     for idx, task in enumerate(tasks):
         w = min(range(worker_count), key=clocks.__getitem__)
+        t0 = perf_counter()
         result, failed = _attempt(executor, task)
-        cost = 0.0 if failed else cost_fn(result)
-        clocks[w] += cost
+        if time_mode is TimeMode.WALL:
+            clocks[w] += (perf_counter() - t0) * 1000.0
+        elif not failed:
+            clocks[w] += cost_fn(result)
         results.append(TaskResult(idx, task, result, w, failed))
     return results, ledger
+
+
+def raise_failures(results: Sequence[TaskResult]) -> None:
+    """Raise :class:`TaskFailed` for the first failed task, if any, so that no
+    failed subproblem silently drops out of a total."""
+    for r in results:
+        if r.failed:
+            raise TaskFailed(f"task {r.task!r} failed: {r.result!r}") from r.result
 
 
 def _attempt(executor: Callable[[Any], Any], task: Any) -> tuple[Any, bool]:
@@ -84,42 +90,3 @@ def _attempt(executor: Callable[[Any], Any], task: Any) -> tuple[Any, bool]:
             return executor(task), False  # one retry
         except Exception as exc:
             return exc, True
-
-
-def _run_threaded(
-    tasks: Sequence[Any], worker_count: int, executor: Callable[[Any], Any]
-) -> tuple[list[TaskResult], CostLedger]:
-    from time import perf_counter
-
-    q: queue.Queue = queue.Queue()
-    for idx, task in enumerate(tasks):
-        q.put((idx, task))
-    results: list[Optional[TaskResult]] = [None] * len(tasks)
-    ledger = CostLedger(per_worker=[0.0] * worker_count)
-    lock = threading.Lock()
-
-    def worker(wid: int) -> None:
-        while True:
-            try:
-                idx, task = q.get_nowait()
-            except queue.Empty:
-                return
-            t0 = perf_counter()
-            result, failed = _attempt(executor, task)
-            elapsed = (perf_counter() - t0) * 1000.0
-            with lock:
-                ledger.per_worker[wid] += elapsed
-                results[idx] = TaskResult(idx, task, result, wid, failed)
-            q.task_done()
-
-    old_stack = threading.stack_size()
-    try:
-        threading.stack_size(_THREAD_STACK)
-        threads = [threading.Thread(target=worker, args=(i,), daemon=True) for i in range(worker_count)]
-    finally:
-        threading.stack_size(old_stack)
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return [r for r in results if r is not None], ledger

@@ -2,21 +2,23 @@
 
 Branching is binary: left branch ``var = value``, right branch
 ``var != value``, with the variable and value picked by the strategy and the
-variable re-selected after every branch. One work unit is one committed
-branch; a failed propagation adds one more. The budget is tested before every
-branch, so a run can overshoot its limit by at most one fixpoint -- and
-``BudgetExhausted`` always implies ``work_used >= limit``.
+variable re-selected after every branch. The value is the minimum of the
+chosen domain, or the maximum for ``wdegM``. Every call starts fresh
+activity and weighted-degree counters, which never decay. One work unit is
+one committed branch; a failed propagation adds one more. The budget is
+tested before every branch, so a run can overshoot its limit by at most one
+fixpoint -- and ``BudgetExhausted`` always implies ``work_used >= limit``.
 
 The work counter is the primary "time" measure: identical inputs give
 identical outcomes, which is what makes races and the statistics on top of
 them exactly reproducible. Wall-clock limits are available for realistic
-runs and are inherently non-deterministic.
+runs and are inherently non-deterministic. A solve runs in the calling
+thread; nothing in the package starts threads.
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from time import perf_counter
@@ -62,21 +64,19 @@ class SolveOutcome:
 
 
 class Incumbent:
-    """Thread-safe monotone best-objective holder shared across workers."""
+    """Monotone best-objective holder shared by the oracles of one run."""
 
     def __init__(self, maximize: bool = False, value: Optional[int] = None):
         self.maximize = maximize
         self.value = value
-        self._lock = threading.Lock()
 
     def propose(self, value: Optional[int]) -> bool:
         if value is None:
             return False
-        with self._lock:
-            if self.value is None or (value > self.value if self.maximize else value < self.value):
-                self.value = value
-                return True
-            return False
+        if self.value is None or (value > self.value if self.maximize else value < self.value):
+            self.value = value
+            return True
+        return False
 
 
 def solve(
@@ -86,8 +86,6 @@ def solve(
     mode: SolveMode = SolveMode.ALL_SOLUTIONS,
     budget: Optional[int] = None,
     bound: Optional[int] = None,
-    counters: Optional[CounterState] = None,
-    activity_decay: float = 1.0,
     wall_limit_ms: Optional[float] = None,
 ) -> SolveOutcome:
     """Solve the model under a partial assignment with one strategy.
@@ -113,8 +111,7 @@ def solve(
             )
         masks[var] = bit
 
-    if counters is None:
-        counters = CounterState(n, decay=activity_decay)
+    counters = CounterState(n)
 
     t0 = perf_counter()
     pruned: list[int] = []
@@ -141,7 +138,6 @@ def solve(
         wake_obj = None
     chooser = variable_chooser(model, sid, counters)
     pick_max = sid is StrategyId.WDEG_MAX
-    has_decay = counters.decay < 1.0
     first_only = mode is SolveMode.FIRST_SOLUTION
 
     limit = _NO_LIMIT if budget is None else budget
@@ -190,8 +186,6 @@ def solve(
             d2 = doms[:]
             d2[var] = (d & ~vbit) if right else vbit
             decisions += 1
-            if has_decay:
-                counters.apply_decay()
             ok = True
             wake = watchers[var]
             if optimizing and cur_bound is not None:

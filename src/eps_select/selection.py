@@ -42,7 +42,7 @@ from .decomposition import (
     sample_size_rule,
     srs_sample,
 )
-from .runner import run_pool
+from .runner import raise_failures, run_pool
 from .search import Incumbent, SolveMode, SolveOutcome, TimeMode, solve
 from .strategies import ALL_STRATEGIES, StrategyId
 from .wsr import (
@@ -116,7 +116,6 @@ class PssConfig:
     race: RaceConfig = field(default_factory=RaceConfig)
     sample_size: Optional[int] = None
     strategies: tuple[StrategyId, ...] = ALL_STRATEGIES
-    persist_counters: bool = False
 
 
 @dataclass
@@ -204,14 +203,13 @@ class ModelOracle:
         strategies: Sequence[StrategyId] = ALL_STRATEGIES,
         time_mode: TimeMode = TimeMode.WORK,
         shared_cache: Optional[dict] = None,
-        persist_counters: bool = False,
     ):
         self.model = model
         self.subs = {s.id: s for s in subproblems}
         self.sub_ids = [s.id for s in subproblems]
         self.strategies = tuple(strategies)
         self.time_mode = time_mode
-        self.has_true_costs = time_mode is TimeMode.WORK and not persist_counters
+        self.has_true_costs = time_mode is TimeMode.WORK
         self.incumbent = (
             Incumbent(model.objective.maximize) if model.objective is not None else None
         )
@@ -219,8 +217,6 @@ class ModelOracle:
             SolveMode.OPTIMIZE if model.objective is not None else SolveMode.ALL_SOLUTIONS
         )
         self._cache = shared_cache if shared_cache is not None else {}
-        self._persist = persist_counters
-        self._counters: dict[StrategyId, object] = {}
 
     def current_bound(self) -> Optional[int]:
         return self.incumbent.value if self.incumbent is not None else None
@@ -253,32 +249,20 @@ class ModelOracle:
         self.merge_objectives(obs.values())
         return sum(o.value for o in obs.values())
 
-    def _solve(self, sub: int, sid: StrategyId, bound, budget=None, wall_ms=None):
-        counters = None
-        if self._persist:
-            from .strategies import CounterState
-
-            counters = self._counters.setdefault(sid, CounterState(self.model.n))
+    def _solve(self, sub: int, sid: StrategyId, bound, wall_ms=None):
         return solve(
-            self.model,
-            self.subs[sub].assignment,
-            sid,
-            self.mode,
-            budget=budget,
-            bound=bound,
-            counters=counters,
-            wall_limit_ms=wall_ms,
+            self.model, self.subs[sub].assignment, sid, self.mode,
+            bound=bound, wall_limit_ms=wall_ms,
         )
 
     def full(self, sub: int, sid: StrategyId, bound=_LIVE) -> Observation:
         live = bound is _LIVE
         b = self.current_bound() if live else bound
         key = (sub, sid, b)
-        obs = self._cache.get(key) if not self._persist else None
+        obs = self._cache.get(key)
         if obs is None:
             obs = _observe(self._solve(sub, sid, b), self.time_mode)
-            if not self._persist:
-                self._cache[key] = obs
+            self._cache[key] = obs
         if live:
             self.merge_objectives((obs,))
         return obs
@@ -290,11 +274,7 @@ class ModelOracle:
             if obs.value <= limit:
                 return obs
             return Observation(value=limit, censored=True, censor_limit=limit)
-        if self.time_mode is TimeMode.WORK:
-            out = self._solve(sub, sid, b, budget=int(limit))
-        else:
-            out = self._solve(sub, sid, b, wall_ms=limit)
-        return _observe(out, self.time_mode, limit)
+        return _observe(self._solve(sub, sid, b, wall_ms=limit), self.time_mode, limit)
 
 
 class _RootDives:
@@ -719,13 +699,7 @@ def pss_select(
     k = cfg.sample_size if cfg.sample_size is not None else sample_size_rule(population)
     sample: Sample = srs_sample(population, k, rc.sample_seed)
     if oracle is None:
-        oracle = ModelOracle(
-            model,
-            subs,
-            cfg.strategies,
-            time_mode=rc.time_mode,
-            persist_counters=cfg.persist_counters,
-        )
+        oracle = ModelOracle(model, subs, cfg.strategies, time_mode=rc.time_mode)
 
     out = select_strategy(oracle, rc, sample.indices, cfg.strategies)
     winner = out.winner
@@ -739,14 +713,15 @@ def pss_select(
         time_mode=rc.time_mode,
         cost_fn=lambda obs: obs.value,
     )
-    solve_cost = sum(r.result.value for r in results if not r.failed)
+    raise_failures(results)
+    solve_cost = sum(r.result.value for r in results)
 
     solutions = None
     best_objective = None
     if model.objective is None:
         # sampled subproblems: exact counts from the uncensored best's column
         solutions = sum(out.matrix.get(s, out.best_strategy).solutions for s in out.matrix.sub_ids)
-        solutions += sum(r.result.solutions for r in results if not r.failed)
+        solutions += sum(r.result.solutions for r in results)
     else:
         best_objective = oracle.current_bound()
 

@@ -3,15 +3,16 @@
 Variable choice is a pure function of the current domains and the counter
 state; all ties break toward the smallest variable index. Every strategy
 assigns the minimum value of the chosen domain except ``wdegM``, which
-assigns the maximum.
+assigns the maximum; :func:`eps_select.search.solve` makes that value choice.
+The counters never decay.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
-from .csp import Model, SearchState
+from .csp import Model
 
 
 class StrategyId(Enum):
@@ -51,29 +52,20 @@ class CounterState:
     ``wdeg[v]`` goes up by one whenever a constraint containing ``v`` fails.
     ``activity[v]`` goes up by at most one per branching decision, when
     propagation pruned ``v`` under that decision. Counters reset at the start
-    of every subproblem solve. An optional multiplicative decay (default 1.0,
-    i.e. none) can be applied once per decision.
+    of every subproblem solve.
     """
 
-    __slots__ = ("activity", "wdeg", "decay", "_last_bump")
+    __slots__ = ("activity", "wdeg", "_last_bump")
 
-    def __init__(self, n: int, decay: float = 1.0):
-        if not 0.0 < decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
+    def __init__(self, n: int):
         self.activity = [0.0] * n
         self.wdeg = [0] * n
-        self.decay = decay
         self._last_bump = [-1] * n
 
     def on_failure(self, scope: Iterable[int]) -> None:
         wdeg = self.wdeg
         for v in scope:
             wdeg[v] += 1
-
-    def on_pruned(self, var: int, decision_index: int) -> None:
-        if self._last_bump[var] != decision_index:
-            self._last_bump[var] = decision_index
-            self.activity[var] += 1.0
 
     def bump_pruned_many(self, pruned: Iterable[int], decision_index: int) -> None:
         last = self._last_bump
@@ -82,21 +74,6 @@ class CounterState:
             if last[v] != decision_index:
                 last[v] = decision_index
                 act[v] += 1.0
-
-    def apply_decay(self) -> None:
-        if self.decay < 1.0:
-            g = self.decay
-            self.activity = [a * g for a in self.activity]
-
-
-def on_constraint_failure(counters: CounterState, scope: Iterable[int]) -> CounterState:
-    counters.on_failure(scope)
-    return counters
-
-
-def on_propagation_event(counters: CounterState, var: int, decision_index: int) -> CounterState:
-    counters.on_pruned(var, decision_index)
-    return counters
 
 
 def variable_chooser(
@@ -212,25 +189,3 @@ def variable_chooser(
 
     return choose
 
-
-def select_variable(
-    state: SearchState,
-    model: Optional[Model],
-    sid: StrategyId,
-    counters: CounterState,
-) -> Optional[int]:
-    """Pick the next branching variable, or None when all are assigned."""
-    m = model if model is not None else state.model
-    v = variable_chooser(m, sid, counters)(state.masks)
-    return None if v < 0 else v
-
-
-def select_value(state: SearchState, var: int, sid: StrategyId) -> int:
-    """Minimum of the domain for every strategy except wdegM (maximum)."""
-    d = state.masks[var]
-    if d == 0:
-        raise ValueError("empty domain")
-    base = state.model.lo
-    if sid is StrategyId.WDEG_MAX:
-        return d.bit_length() - 1 + base
-    return (d & -d).bit_length() - 1 + base

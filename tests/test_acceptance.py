@@ -7,7 +7,6 @@ expect a few minutes of solver time on the first touch.
 
 import itertools
 import random
-from dataclasses import dataclass
 
 import pytest
 
@@ -18,6 +17,7 @@ from eps_select.baselines import (
     reward,
 )
 from eps_select.benchmarks import allinterval, golomb, latin, magicsquare, nqueens
+from eps_select.cli import compare
 from eps_select.decomposition import DecompositionConfig, decompose, srs_sample
 from eps_select.search import SolveMode, solve
 from eps_select.selection import (
@@ -25,7 +25,6 @@ from eps_select.selection import (
     ModelOracle,
     PssConfig,
     RaceConfig,
-    pss_select,
     select_on_matrix,
     select_strategy,
     selection_cost_bound,
@@ -64,55 +63,18 @@ FIXTURES = {
 }
 
 
-@dataclass
-class LabResult:
-    name: str
-    model: object
-    decomposition: object
-    cache: dict
-    singles: dict  # StrategyId -> full-problem work
-    pss: object  # SelectionReport
-    mab_total: float
-    portfolio_total: float
-    portfolio_strategies: tuple
-
-
-def _build_lab(name, build, target):
-    model = build()
-    decomp = decompose(model, DecompositionConfig(target_count=target))
-    cache: dict = {}
-    singles = {}
-    for sid in S:
-        oracle = ModelOracle(model, decomp.subproblems, shared_cache=cache)
-        singles[sid] = sum(oracle.full(sub, sid).value for sub in oracle.sub_ids)
-    pss_oracle = ModelOracle(model, decomp.subproblems, shared_cache=cache)
-    cfg = PssConfig(
-        decomposition=DecompositionConfig(target_count=target),
-        race=RaceConfig(alpha=0.01, sample_seed=0),
-        sample_size=30,
-    )
-    rep = pss_select(model, cfg, oracle=pss_oracle, decomposition=decomp)
-    mab = mab_on_oracle(ModelOracle(model, decomp.subproblems, shared_cache=cache))
-    best4 = tuple(sorted(S, key=lambda s: (singles[s], S.index(s)))[:4])
-    pf = portfolio_on_oracle(
-        ModelOracle(model, decomp.subproblems, best4, shared_cache=cache), best4
-    )
-    return LabResult(
-        name=name,
-        model=model,
-        decomposition=decomp,
-        cache=cache,
-        singles=singles,
-        pss=rep,
-        mab_total=mab.total_cost,
-        portfolio_total=pf.total_cost,
-        portfolio_strategies=best4,
-    )
-
-
 @pytest.fixture(scope="session")
 def lab():
-    return {name: _build_lab(name, build, target) for name, (build, target) in FIXTURES.items()}
+    """One :func:`eps_select.cli.compare` run per fixture, on one worker."""
+    out = {}
+    for name, (build, target) in FIXTURES.items():
+        cfg = PssConfig(
+            decomposition=DecompositionConfig(target_count=target, worker_count=1),
+            race=RaceConfig(alpha=0.01, sample_seed=0),
+            sample_size=30,
+        )
+        out[name] = compare(build(), cfg)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +248,9 @@ def test_criterion_09_mab_baseline(lab):
     details = []
     misses = []
     for name, L in lab.items():
-        line = f"{name}: pss {L.pss.total_cost:.0f} vs mab {L.mab_total:.0f}"
+        line = f"{name}: pss {L.pss.total_cost:.0f} vs mab {L.mab.total_cost:.0f}"
         details.append(line)
-        if L.pss.total_cost > L.mab_total:
+        if L.pss.total_cost > L.mab.total_cost:
             misses.append(line)
     if misses:
         spreads = []
@@ -323,10 +285,10 @@ def test_criterion_10_portfolio_baseline(lab):
 
     details = []
     for name, L in lab.items():
-        assert L.pss.total_cost < L.portfolio_total, (
-            f"{name}: pss {L.pss.total_cost} >= portfolio {L.portfolio_total}"
+        assert L.pss.total_cost < L.portfolio.total_cost, (
+            f"{name}: pss {L.pss.total_cost} >= portfolio {L.portfolio.total_cost}"
         )
-        details.append(f"{name}: pss {L.pss.total_cost:.0f} < x4 {L.portfolio_total:.0f}")
+        details.append(f"{name}: pss {L.pss.total_cost:.0f} < x4 {L.portfolio.total_cost:.0f}")
     _ok(10, "golden fixture portfolio total 14841 exact; " + "; ".join(details))
 
 

@@ -115,6 +115,41 @@ def test_compare_command(tmp_path, capsys):
     assert all(v >= best for v in doc["singles"].values())
 
 
+def test_compare_report_independent_of_worker_count(tmp_path, capsys):
+    reports = []
+    for workers in ("1", "2"):
+        out_path = tmp_path / f"cmp-{workers}.json"
+        rc = main(
+            [
+                "compare",
+                "--model", "nqueens", "--n", "6",
+                "--target-subproblems", "15",
+                "--sample-size", "10",
+                "--workers", workers,
+                "--out", str(out_path),
+            ]
+        )
+        assert rc == 0
+        reports.append(out_path.read_text())
+    assert reports[0] == reports[1]
+
+
+def test_failed_subproblem_exits_1(monkeypatch, capsys):
+    import eps_select.cli as cli_module
+
+    class BrokenOracle(cli_module.ModelOracle):
+        def full(self, sub, *args):
+            if sub == 3:
+                raise RuntimeError("solver crashed")
+            return super().full(sub, *args)
+
+    monkeypatch.setattr(cli_module, "ModelOracle", BrokenOracle)
+    rc = main(["compare", "--model", "nqueens", "--n", "6", "--target-subproblems", "15"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "solver crashed" in err
+
+
 def test_json_model_input(tmp_path, capsys):
     from eps_select.benchmarks import nqueens
     from eps_select.modelio import save_json

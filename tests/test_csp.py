@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 from eps_select.csp import (
     AbsDiff,
     AllDifferent,
+    InconsistentProblem,
     LinearEq,
     LinearLe,
     Model,
     NotEqual,
     VariableDecl,
-    assign,
-    propagate,
-    root_state,
+    _propagate,
 )
+from eps_select.search import solve
 
 from bruteforce import assignment_space, brute_solutions, satisfies
 
@@ -25,63 +25,71 @@ def _model(domains, constraints, name="m"):
     return Model(name, decls, constraints)
 
 
+def _fixpoint(m, masks=None):
+    """Propagate every constraint of ``m`` from ``masks`` (default: the root);
+    returns the propagated masks, or None when propagation fails."""
+    doms = list(m.initial_masks if masks is None else masks)
+    fail, _ = _propagate(m, doms, range(len(m.constraints)), [])
+    return None if fail >= 0 else doms
+
+
+def _domains(m, masks):
+    return [m.decode(d) for d in masks]
+
+
 def test_alldiff_two_singletons_inconsistent():
     m = _model([(1,), (1,)], [AllDifferent((0, 1))])
-    st_ = propagate(root_state(m))
-    assert st_.failed
+    assert _fixpoint(m) is None
 
 
 def test_alldiff_chain_fixpoint():
     m = _model([(1,), (1, 2), (1, 2, 3)], [AllDifferent((0, 1, 2))])
-    st_ = propagate(root_state(m))
-    assert not st_.failed
-    assert st_.domain(1) == (2,)
-    assert st_.domain(2) == (3,)
+    doms = _fixpoint(m)
+    assert doms is not None
+    assert _domains(m, doms)[1:] == [(2,), (3,)]
 
 
 def test_linear_eq_bounds():
     m = _model([(1, 2, 3), (1, 2, 3)], [LinearEq((1, 1), (0, 1), 5)])
-    st_ = propagate(root_state(m))
-    assert st_.domain(0) == (2, 3)
-    assert st_.domain(1) == (2, 3)
+    assert _domains(m, _fixpoint(m)) == [(2, 3), (2, 3)]
 
 
 def test_linear_le_prunes_upper():
     m = _model([(0, 1, 2, 3), (2, 3)], [LinearLe((1, 1), (0, 1), 3)])
-    st_ = propagate(root_state(m))
-    assert st_.domain(0) == (0, 1)
+    assert _domains(m, _fixpoint(m))[0] == (0, 1)
 
 
 def test_absdiff_supports():
     # z = |x - y| with x in {0,5}, y in {0}: z must be 0 or 5
     m = _model([(0, 5), (0,), (0, 1, 2, 3, 4, 5)], [AbsDiff(0, 1, 2)])
-    st_ = propagate(root_state(m))
-    assert st_.domain(2) == (0, 5)
+    assert _domains(m, _fixpoint(m))[2] == (0, 5)
 
 
 def test_notequal_offset():
     m = _model([(1, 2, 3), (2,)], [NotEqual(0, 1, offset=1)])  # v0 != v1 + 1
-    st_ = propagate(root_state(m))
-    assert st_.domain(0) == (1, 2)
+    assert _domains(m, _fixpoint(m))[0] == (1, 2)
 
 
 def test_assign_then_propagate_alldiff():
     m = _model([(1, 2, 3), (2,)], [AllDifferent((0, 1))])
-    s = assign(root_state(m), 0, 2)
-    assert s.domain(0) == (2,)
-    assert propagate(s).failed
+    masks = list(m.initial_masks)
+    masks[0] = m.value_bit(2)
+    assert m.decode(masks[0]) == (2,)
+    assert _fixpoint(m, masks) is None
+    with pytest.raises(InconsistentProblem):
+        solve(m, [(0, 2)])
 
 
 def test_assign_outside_domain_raises():
     m = _model([(1, 2, 3)], [])
-    with pytest.raises(ValueError):
-        assign(root_state(m), 0, 9)
+    with pytest.raises(InconsistentProblem):
+        solve(m, [(0, 9)])
 
 
 def test_assign_singleton_idempotent():
     m = _model([(5,)], [])
-    s = assign(root_state(m), 0, 5)
-    assert s.domain(0) == (5,)
+    out = solve(m, [(0, 5)])
+    assert out.complete and out.solutions_found == 1 and out.work_used == 0
 
 
 def _random_model(rng: random.Random) -> Model:
@@ -122,12 +130,12 @@ def test_propagate_never_removes_solutions(seed):
     rng = random.Random(seed)
     m = _random_model(rng)
     assert assignment_space(m) <= 10**5
-    st_ = propagate(root_state(m))
+    masks = _fixpoint(m)
     solutions = list(brute_solutions(m))
-    if st_.failed:
+    if masks is None:
         assert solutions == []
         return
-    doms = [set(st_.domain(v)) for v in range(m.n)]
+    doms = [set(d) for d in _domains(m, masks)]
     for sol in solutions:
         for v, val in enumerate(sol):
             assert val in doms[v], f"seed {seed}: lost solution {sol}"
@@ -137,28 +145,25 @@ def test_propagate_never_removes_solutions(seed):
 def test_propagate_monotone_idempotent_deterministic(seed):
     rng = random.Random(1000 + seed)
     m = _random_model(rng)
-    s0 = root_state(m)
-    s1 = propagate(s0)
-    if s1.failed:
-        assert propagate(s0).failed
+    s1 = _fixpoint(m)
+    if s1 is None:
+        assert _fixpoint(m) is None
         return
     # monotone: pruned domains are subsets of the originals
-    for v in range(m.n):
-        assert set(s1.domain(v)) <= set(s0.domain(v))
+    for d1, d0 in zip(s1, m.initial_masks):
+        assert d1 & ~d0 == 0
     # idempotent and deterministic
-    s2 = propagate(s1)
-    assert s2.masks == s1.masks and not s2.failed
-    s1b = propagate(s0)
-    assert s1b.masks == s1.masks
+    assert _fixpoint(m, s1) == s1
+    assert _fixpoint(m) == s1
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_propagate_fixpoint_property(seed):
     m = _random_model(random.Random(seed))
-    s1 = propagate(root_state(m))
-    if not s1.failed:
-        assert propagate(s1).masks == s1.masks
+    s1 = _fixpoint(m)
+    if s1 is not None:
+        assert _fixpoint(m, s1) == s1
 
 
 def test_model_validates_references():
@@ -176,11 +181,12 @@ def test_assigned_fixpoint_is_a_solution():
     found = 0
     for _ in range(200):
         m = _random_model(rng)
-        st_ = propagate(root_state(m))
-        if st_.failed:
+        masks = _fixpoint(m)
+        if masks is None:
             continue
-        if all(st_.is_assigned(v) for v in range(m.n)):
-            values = tuple(st_.domain(v)[0] for v in range(m.n))
+        doms = _domains(m, masks)
+        if all(len(d) == 1 for d in doms):
+            values = tuple(d[0] for d in doms)
             assert satisfies(m, values)
             found += 1
     assert found > 0

@@ -22,9 +22,11 @@ def test_target_one_gives_empty_prefix():
 
 
 def test_forced_depth_one_nqueens4():
-    # nqueens(4) at prefix 1: one unary assignment per consistent first value
+    # nqueens(4) at prefix 1 (four prefixes reach the target of two): one
+    # unary assignment per consistent first value
     m = nqueens(4)
-    d = decompose(m, DecompositionConfig(target_count=2, max_prefix=1))
+    d = decompose(m, DecompositionConfig(target_count=2))
+    assert d.prefix_len == 1
     values = []
     for v in range(4):
         try:

@@ -1,9 +1,10 @@
 import random
+import threading
 from dataclasses import dataclass
 
 import pytest
 
-from eps_select.runner import CostLedger, run_pool
+from eps_select.runner import TaskFailed, raise_failures, run_pool
 from eps_select.search import TimeMode
 
 
@@ -81,20 +82,20 @@ def test_persistent_failure_reported():
     assert len(failed) == 1 and failed[0].task == 2
     assert isinstance(failed[0].result, RuntimeError)
     assert ledger.grand_total == 3.0
+    with pytest.raises(TaskFailed) as exc:
+        raise_failures(results)
+    assert exc.value.__cause__ is failed[0].result
+    raise_failures(results[:2])  # no failed task: no error
 
 
-def test_wall_mode_threads_complete_everything():
-    results, ledger = run_pool(
-        list(range(30)), 4, lambda t: FakeResult(t), time_mode=TimeMode.WALL
-    )
-    assert len(results) == 30
-    assert sorted(r.task for r in results) == list(range(30))
+def test_wall_mode_runs_tasks_in_calling_thread_in_order():
+    seen = []
+
+    def record(t):
+        seen.append((t, threading.get_ident()))
+        return FakeResult(t)
+
+    results, ledger = run_pool(list(range(30)), 4, record, time_mode=TimeMode.WALL)
+    assert seen == [(t, threading.get_ident()) for t in range(30)]  # once each
+    assert [r.task for r in results] == list(range(30))
     assert ledger.grand_total > 0  # measured milliseconds
-
-
-def test_phase_bookkeeping():
-    ledger = CostLedger(per_worker=[0.0])
-    ledger.add_phase("decompose", 5.0)
-    ledger.add_phase("race", 2.0)
-    ledger.add_phase("race", 3.0)
-    assert ledger.phases == {"decompose": 5.0, "race": 5.0}

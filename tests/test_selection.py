@@ -404,21 +404,29 @@ def test_wall_mode_oracle_race_structure():
             assert o.value == o.censor_limit
 
 
-def test_persistent_counters_accumulate_across_subproblems():
-    from eps_select.benchmarks import allinterval
-    from eps_select.decomposition import DecompositionConfig, decompose
-    from eps_select.selection import ModelOracle
-    from eps_select.strategies import StrategyId
+def test_failed_remainder_task_raises():
+    # a subproblem the winner cannot solve must stop the run, not vanish
+    # from the solve cost and the solution count
+    from eps_select.benchmarks import nqueens
+    from eps_select.decomposition import DecompositionConfig, decompose, srs_sample
+    from eps_select.runner import TaskFailed
+    from eps_select.selection import ModelOracle, PssConfig, pss_select
 
-    model = allinterval(7)
-    decomp = decompose(model, DecompositionConfig(target_count=20))
-    oracle = ModelOracle(
-        model, decomp.subproblems, (StrategyId.WDEG_MIN,), persist_counters=True
-    )
-    for sub in oracle.sub_ids[:6]:
-        oracle.full(sub, StrategyId.WDEG_MIN)
-    counters = oracle._counters[StrategyId.WDEG_MIN]
-    assert sum(counters.wdeg) > 0  # failures carried across subproblem solves
+    model = nqueens(6)
+    decomp = decompose(model, DecompositionConfig(target_count=16))
+    sample = srs_sample(len(decomp), 4, 0).indices
+    bad = next(s.id for s in decomp.subproblems if s.id not in sample)
+
+    class BrokenOracle(ModelOracle):
+        def full(self, sub, *args):
+            if sub == bad:
+                raise RuntimeError("solver crashed")
+            return super().full(sub, *args)
+
+    oracle = BrokenOracle(model, decomp.subproblems)
+    with pytest.raises(TaskFailed) as exc:
+        pss_select(model, PssConfig(sample_size=4), oracle=oracle, decomposition=decomp)
+    assert str(exc.value.__cause__) == "solver crashed"
 
 
 def test_warm_start_seeds_the_incumbent_at_the_root():

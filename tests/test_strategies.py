@@ -1,27 +1,27 @@
 import pytest
 
-from eps_select.csp import AllDifferent, Model, NotEqual, VariableDecl, propagate, root_state
+from eps_select.csp import AllDifferent, Model, NotEqual, Objective, VariableDecl, _propagate
+from eps_select.search import SolveMode, solve
 from eps_select.strategies import (
     ALL_STRATEGIES,
     CounterState,
     StrategyId,
-    on_constraint_failure,
-    on_propagation_event,
     parse_strategies,
     parse_strategy,
-    select_value,
-    select_variable,
+    variable_chooser,
 )
 
 
-def _model(domains, constraints=()):
+def _model(domains, constraints=(), objective=None):
     decls = [VariableDecl(f"v{i}", tuple(d)) for i, d in enumerate(domains)]
-    return Model("m", decls, list(constraints))
+    return Model("m", decls, list(constraints), objective)
 
 
-def _state(domains, constraints=()):
+def _choose(sid, domains, constraints=(), counters=None):
+    """The chooser's pick on the root domains; -1 when all are assigned."""
     m = _model(domains, constraints)
-    return m, root_state(m)
+    c = counters if counters is not None else CounterState(m.n)
+    return variable_chooser(m, sid, c)(list(m.initial_masks))
 
 
 def test_tokens_roundtrip():
@@ -36,104 +36,99 @@ def test_tokens_roundtrip():
 
 
 def test_ff_unique_minimum():
-    m, st = _state([(1, 2, 3), (1, 2), (1, 2, 3, 4, 5)])
-    assert select_variable(st, m, StrategyId.FF, CounterState(3)) == 1
+    assert _choose(StrategyId.FF, [(1, 2, 3), (1, 2), (1, 2, 3, 4, 5)]) == 1
 
 
 def test_mregret():
-    m, st = _state([(1, 4, 9), (2, 3)])
-    assert select_variable(st, m, StrategyId.MREGRET, CounterState(2)) == 0
+    assert _choose(StrategyId.MREGRET, [(1, 4, 9), (2, 3)]) == 0
 
 
 def test_dwdeg_ratio():
-    m, st = _state([(1, 2, 3, 4), (1, 2, 3, 4, 5, 6)])
     c = CounterState(2)
     c.wdeg = [2, 1]
     # ratios 4/2=2 vs 6/1=6
-    assert select_variable(st, m, StrategyId.DWDEG, c) == 0
+    assert _choose(StrategyId.DWDEG, [(1, 2, 3, 4), (1, 2, 3, 4, 5, 6)], counters=c) == 0
 
 
 def test_dwdeg_zero_wdeg_clamped():
-    m, st = _state([(1, 2, 3), (1, 2)])
-    assert select_variable(st, m, StrategyId.DWDEG, CounterState(2)) == 1
+    assert _choose(StrategyId.DWDEG, [(1, 2, 3), (1, 2)]) == 1
 
 
 def test_mostc_static_degree():
-    m, st = _state(
-        [(1, 2), (1, 2), (1, 2)],
-        [NotEqual(0, 1), NotEqual(1, 2), AllDifferent((1, 2))],
-    )
-    assert select_variable(st, m, StrategyId.MOSTC, CounterState(3)) == 1
+    doms = [(1, 2), (1, 2), (1, 2)]
+    cons = [NotEqual(0, 1), NotEqual(1, 2), AllDifferent((1, 2))]
+    assert _choose(StrategyId.MOSTC, doms, cons) == 1
 
 
 def test_act_and_wdeg_argmax():
-    m, st = _state([(1, 2), (1, 2), (1, 2)])
+    doms = [(1, 2), (1, 2), (1, 2)]
     c = CounterState(3)
     c.activity = [0.0, 3.0, 1.0]
     c.wdeg = [0, 1, 4]
-    assert select_variable(st, m, StrategyId.ACT, c) == 1
-    assert select_variable(st, m, StrategyId.WDEG_MIN, c) == 2
-    assert select_variable(st, m, StrategyId.WDEG_MAX, c) == 2
+    assert _choose(StrategyId.ACT, doms, counters=c) == 1
+    assert _choose(StrategyId.WDEG_MIN, doms, counters=c) == 2
+    assert _choose(StrategyId.WDEG_MAX, doms, counters=c) == 2
 
 
 def test_all_assigned_sentinel():
-    m, st = _state([(5,), (2,)])
     for sid in ALL_STRATEGIES:
-        assert select_variable(st, m, sid, CounterState(2)) is None
+        assert _choose(sid, [(5,), (2,)]) == -1
 
 
 def test_tie_break_smallest_index():
-    m, st = _state([(1, 2), (1, 2), (1, 2)])
     for sid in ALL_STRATEGIES:
-        assert select_variable(st, m, sid, CounterState(3)) == 0
+        assert _choose(sid, [(1, 2), (1, 2), (1, 2)]) == 0
 
 
-def test_select_value_min_max():
-    m, st = _state([(3, 7, 9)])
+def test_value_choice_min_max():
+    # the objective is the only variable, so a first solution reports the
+    # value the strategy assigned
+    m = _model([(3, 7, 9)], objective=Objective(0))
     for sid in ALL_STRATEGIES:
         expect = 9 if sid is StrategyId.WDEG_MAX else 3
-        assert select_value(st, 0, sid) == expect
-    m, st = _state([(5,)])
+        assert solve(m, (), sid, SolveMode.FIRST_SOLUTION).best_objective == expect
+    m = _model([(5,)], objective=Objective(0))
     for sid in ALL_STRATEGIES:
-        assert select_value(st, 0, sid) == 5
+        assert solve(m, (), sid, SolveMode.FIRST_SOLUTION).best_objective == 5
 
 
-def test_on_constraint_failure_increments_scope():
+def test_failure_bumps_wdeg_of_scope():
     c = CounterState(4)
-    on_constraint_failure(c, (0, 1, 2))
+    c.on_failure((0, 1, 2))
     assert c.wdeg == [1, 1, 1, 0]
-    on_constraint_failure(c, (0, 1))
-    on_constraint_failure(c, (0, 1))
+    c.on_failure((0, 1))
+    c.on_failure((0, 1))
     assert c.wdeg == [3, 3, 1, 0]
-    on_constraint_failure(c, (2,))
+    c.on_failure((2,))
     assert c.wdeg == [3, 3, 2, 0]
 
 
-def test_on_propagation_event_dedup_per_decision():
+def test_activity_bumped_once_per_decision():
     c = CounterState(2)
-    for _ in range(3):  # pruned three times within one decision's fixpoint
-        on_propagation_event(c, 0, decision_index=1)
+    c.bump_pruned_many([0, 0, 0], decision_index=1)  # pruned thrice in one fixpoint
     assert c.activity[0] == 1.0
-    on_propagation_event(c, 0, decision_index=2)
+    c.bump_pruned_many([0], decision_index=1)  # a later event of the same decision
+    assert c.activity[0] == 1.0
+    c.bump_pruned_many([0], decision_index=2)
     assert c.activity[0] == 2.0
     assert c.activity[1] == 0.0
 
 
 def test_selection_pure_function():
-    m, st = _state([(1, 2, 3), (1, 2)])
-    c = CounterState(2)
-    picks = {select_variable(st, m, sid, c) for sid in (StrategyId.FF,) for _ in range(5)}
+    m = _model([(1, 2, 3), (1, 2)])
+    choose = variable_chooser(m, StrategyId.FF, CounterState(2))
+    picks = {choose(list(m.initial_masks)) for _ in range(5)}
     assert picks == {1}
 
 
 def test_wdeg_scaling_invariance():
-    m, st = _state([(1, 2, 3, 4), (1, 2, 3), (1, 2)])
+    doms = [(1, 2, 3, 4), (1, 2, 3), (1, 2)]
     c1 = CounterState(3)
     c1.wdeg = [2, 3, 1]
     c2 = CounterState(3)
     c2.wdeg = [20, 30, 10]
     for sid in (StrategyId.WDEG_MIN, StrategyId.WDEG_MAX, StrategyId.DWDEG):
-        assert select_variable(st, m, sid, c1) == select_variable(st, m, sid, c2)
+        assert _choose(sid, doms, counters=c1) == _choose(sid, doms, counters=c2)
 
 
 def test_static_criteria_ignore_constraint_order():
@@ -141,11 +136,7 @@ def test_static_criteria_ignore_constraint_order():
     cons_a = [NotEqual(0, 1), AllDifferent((0, 1, 2))]
     cons_b = list(reversed(cons_a))
     for sid in (StrategyId.FF, StrategyId.MOSTC):
-        ma, sa = _state(doms, cons_a)
-        mb, sb = _state(doms, cons_b)
-        assert select_variable(sa, ma, sid, CounterState(3)) == select_variable(
-            sb, mb, sid, CounterState(3)
-        )
+        assert _choose(sid, doms, cons_a) == _choose(sid, doms, cons_b)
 
 
 def test_activity_counted_once_per_fixpoint_integration():
@@ -155,8 +146,6 @@ def test_activity_counted_once_per_fixpoint_integration():
         [(1, 2), (1, 2, 3), (1, 2, 3)],
         [AllDifferent((0, 1)), AllDifferent((0, 2)), NotEqual(1, 2, 0)],
     )
-    from eps_select.csp import _propagate
-
     doms = list(m.initial_masks)
     doms[0] = m.value_bit(1)
     c = CounterState(3)
