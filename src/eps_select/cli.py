@@ -166,16 +166,20 @@ def _write_csv(args, rows: Sequence[dict]) -> None:
     print(f"csv rows appended to {args.csv_path}")
 
 
-def _csv_rows(problem: str, totals: dict[str, float], winner: Optional[str], censored: Optional[dict[str, int]] = None) -> list[dict]:
+def _csv_rows(problem: str, totals: dict[str, float], winner: Optional[str], time_mode: TimeMode,
+              censored: Optional[dict[str, int]] = None) -> list[dict]:
+    """One row per label; a total goes under ``wall_ms`` in wall-clock mode and
+    under ``total_work`` in work-units mode, and the other column stays empty."""
     best = min(totals.values()) if totals else 0.0
+    wall = time_mode is TimeMode.WALL
     rows = []
     for label, total in totals.items():
         rows.append(
             {
                 "problem": problem,
                 "strategy_or_mode": label,
-                "total_work": total,
-                "wall_ms": "",
+                "total_work": "" if wall else total,
+                "wall_ms": total if wall else "",
                 "ratio": f"{total / best:.4f}" if best > 0 else "1.0",
                 "censored_count": censored.get(label, "") if censored else "",
                 "winner_flag": 1 if label == winner else 0,
@@ -342,7 +346,7 @@ def _dispatch(args) -> int:
         _print_selection_report(model, rep)
         _write_out(args, {"model": model.name, "pss": rep.to_dict()})
         totals = {s.token: rep.sample_totals[s] for s in rep.strategies}
-        _write_csv(args, _csv_rows(model.name, totals, rep.winner.token,
+        _write_csv(args, _csv_rows(model.name, totals, rep.winner.token, time_mode,
                                    {s.token: c for s, c in rep.race_censored_counts.items()}))
         return 0
 
@@ -401,7 +405,7 @@ def _print_comparison(args, cmp: Comparison) -> None:
         "mab": cmp.mab.to_dict(),
         "portfolio_x4": cmp.portfolio.to_dict(),
     })
-    _write_csv(args, _csv_rows(model.name, totals, cmp.pss.winner.token))
+    _write_csv(args, _csv_rows(model.name, totals, cmp.pss.winner.token, TimeMode(args.time_mode)))
 
 
 def cli() -> None:

@@ -23,6 +23,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 
+# Largest value span (max value - min value + 1) a model may have: every
+# domain mask is that many bits wide, so a wider span is refused before any
+# mask or value tuple is built.
+MAX_DOMAIN_WIDTH = 1 << 16
+
+
 class InconsistentProblem(ValueError):
     """Raised when an input required to be propagation-consistent is not."""
 
@@ -42,7 +48,16 @@ class VariableDecl:
 def var_range(name: str, lo: int, hi: int) -> VariableDecl:
     if lo > hi:
         raise ValueError(f"variable {name!r}: empty range [{lo}, {hi}]")
+    check_domain_width(f"variable {name!r}", lo, hi)
     return VariableDecl(name, tuple(range(lo, hi + 1)))
+
+
+def check_domain_width(what: str, lo: int, hi: int) -> None:
+    """Refuse values spanning [lo, hi] if that is wider than MAX_DOMAIN_WIDTH."""
+    if hi - lo + 1 > MAX_DOMAIN_WIDTH:
+        raise ValueError(
+            f"{what}: values span [{lo}, {hi}], wider than MAX_DOMAIN_WIDTH={MAX_DOMAIN_WIDTH}"
+        )
 
 
 @dataclass(frozen=True)
@@ -146,6 +161,7 @@ class Model:
 
         self.lo = min(v.values[0] for v in variables)
         hi = max(v.values[-1] for v in variables)
+        check_domain_width(f"model {name!r}", self.lo, hi)
         self.ubits = hi - self.lo + 1
 
         base = self.lo

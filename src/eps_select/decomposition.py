@@ -2,10 +2,16 @@
 
 The decomposition fixes a prefix of the variables in declaration order and
 enumerates every instantiation of that prefix that survives propagation --
-no search strategy is involved. The prefix is deepened one variable at a
-time (re-enumerating from scratch) until the subproblem count reaches the
-target or every variable is in the prefix; mutually exclusive and exhaustive prefixes make
-the subproblems a partition of the root's solution space.
+no search strategy is involved. It keeps the frontier of consistent prefixes
+together with the domains their propagation left, and deepens it one
+variable at a time: each frontier entry is extended by every remaining value
+of the next variable, in ascending order, and propagated from its parent's
+domains. The frontier thus stays in lexicographic order, every enumeration
+assignment is made once, and no recursion is involved. Deepening stops when
+the subproblem count reaches the target or every variable is in the prefix;
+if the target is never reached, the largest frontier seen is returned.
+Mutually exclusive and exhaustive prefixes make the subproblems a partition
+of the root's solution space.
 """
 
 from __future__ import annotations
@@ -57,63 +63,45 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
     if fail >= 0:
         raise InconsistentProblem("root problem is inconsistent")
 
+    watchers = model.watchers
+    base = model.lo
     total_work = 0
     depth = 0
-    prefixes: list[tuple[tuple[int, int], ...]] = [()]
-    best = prefixes
+    # the depth-d frontier: each consistent prefix of variables 0..d-1 with
+    # the domain masks its propagation left
+    frontier: list[tuple[tuple[tuple[int, int], ...], list[int]]] = [((), root)]
+    best = frontier
     best_depth = 0
-    while len(prefixes) < target and depth < model.n:
+    while len(frontier) < target and depth < model.n:
+        extended = []
+        for prefix, doms in frontier:
+            d = doms[depth]
+            while d:
+                low = d & -d
+                d ^= low
+                d2 = doms[:]
+                d2[depth] = low
+                total_work += 1
+                fc, _ = _propagate(model, d2, watchers[depth], [])
+                if fc < 0:
+                    extended.append((prefix + ((depth, low.bit_length() - 1 + base),), d2))
+        frontier = extended
         depth += 1
-        prefixes, w = _consistent_prefixes(model, root, depth)
-        total_work += w
-        if len(prefixes) > len(best):
-            best = prefixes
+        if len(frontier) > len(best):
+            best = frontier
             best_depth = depth
-    if len(prefixes) < target:
+    if len(frontier) < target:
         # the target is unreachable at any prefix: deeper prefixes eventually
         # collapse toward the solution set, so keep the largest set seen
-        prefixes, depth = best, best_depth
+        frontier, depth = best, best_depth
 
-    subs = [Subproblem(i, a) for i, a in enumerate(prefixes)]
+    subs = [Subproblem(i, prefix) for i, (prefix, _) in enumerate(frontier)]
     return Decomposition(
         subproblems=subs,
         prefix_len=depth,
         shortfall=len(subs) < target,
         work=total_work,
     )
-
-
-def _consistent_prefixes(
-    model: Model, root: list[int], depth: int
-) -> tuple[list[tuple[tuple[int, int], ...]], int]:
-    """All propagation-consistent instantiations of variables 0..depth-1."""
-    watchers = model.watchers
-    base = model.lo
-    out: list[tuple[tuple[int, int], ...]] = []
-    work = 0
-    partial: list[tuple[int, int]] = []
-
-    def go(i: int, doms: list[int]) -> None:
-        nonlocal work
-        if i == depth:
-            out.append(tuple(partial))
-            return
-        d = doms[i]
-        while d:
-            low = d & -d
-            d ^= low
-            val = low.bit_length() - 1 + base
-            d2 = doms[:]
-            d2[i] = low
-            work += 1
-            fc, _ = _propagate(model, d2, watchers[i], [])
-            if fc < 0:
-                partial.append((i, val))
-                go(i + 1, d2)
-                partial.pop()
-
-    go(0, root)
-    return out, work
 
 
 @dataclass

@@ -21,7 +21,8 @@ Schema:
 
 A two-element list is read as a range; a two-value set that is not a range
 must use the explicit ``{"values": [...]}`` form (emission picks it
-automatically when needed).
+automatically when needed). A model whose values span more than
+``csp.MAX_DOMAIN_WIDTH`` is refused before its domains are built.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .csp import (
     NotEqual,
     Objective,
     VariableDecl,
+    check_domain_width,
 )
 
 
@@ -63,6 +65,10 @@ def _domain_values(dom, vid: str) -> tuple[int, ...]:
         lo, hi = dom
         if lo > hi:
             raise ModelFormatError(f"variable {vid!r}: empty range [{lo}, {hi}]")
+        try:
+            check_domain_width(f"variable {vid!r}", lo, hi)
+        except ValueError as exc:
+            raise ModelFormatError(str(exc)) from None
         return tuple(range(lo, hi + 1))
     return tuple(dom)
 

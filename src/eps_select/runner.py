@@ -5,8 +5,9 @@ min-clock simulation assigns each task to the virtual worker that would have
 pulled it (the least loaded one), giving meaningful per-worker loads: the
 ledger charges ``cost_fn(result)`` in work-units mode and the measured
 milliseconds of the task in wall-clock mode. Results do not depend on the
-worker count. A task that raises is re-queued once and then reported as
-failed; :func:`raise_failures` turns a failed task into an error.
+worker count. Every task is deterministic, so a task that raises is run
+once and reported as failed; :func:`raise_failures` turns a failed task into
+an error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .search import TimeMode
 
 
 class TaskFailed(RuntimeError):
-    """A task raised on its retry too; the original exception is the cause."""
+    """A task raised; the original exception is the cause."""
 
 
 @dataclass
@@ -85,8 +86,5 @@ def raise_failures(results: Sequence[TaskResult]) -> None:
 def _attempt(executor: Callable[[Any], Any], task: Any) -> tuple[Any, bool]:
     try:
         return executor(task), False
-    except Exception:
-        try:
-            return executor(task), False  # one retry
-        except Exception as exc:
-            return exc, True
+    except Exception as exc:
+        return exc, True

@@ -3,7 +3,10 @@
 Deliberately does NOT reuse the propagation engine: constraints are checked
 semantically on full assignments, and enumeration is plain itertools.product
 over the declared domains (or a problem-specific enumeration where the
-product space is too large).
+product space is too large). The one exception is the decomposition
+reference, because propagation consistency is defined by the engine: it asks
+``solve`` whether each whole prefix, applied at once to the root, survives
+propagation.
 """
 
 from __future__ import annotations
@@ -14,11 +17,16 @@ from typing import Iterator, Optional
 from eps_select.csp import (
     AbsDiff,
     AllDifferent,
+    InconsistentProblem,
     LinearEq,
     LinearLe,
     Model,
     NotEqual,
 )
+from eps_select.search import SolveMode, solve
+from eps_select.strategies import StrategyId
+
+Prefix = tuple[tuple[int, int], ...]
 
 
 def satisfies(model: Model, values: tuple[int, ...]) -> bool:
@@ -102,3 +110,40 @@ def golomb_optimum(n: int, maxlen: int) -> int:
                 best = length
     assert best is not None
     return best
+
+
+def consistent_prefixes(model: Model, depth: int) -> list[Prefix]:
+    """Every instantiation of variables 0..depth-1 that ``solve`` accepts as a
+    subproblem, in lexicographic order of the values."""
+    out: list[Prefix] = []
+
+    def go(prefix: Prefix) -> None:
+        i = len(prefix)
+        if i == depth:
+            out.append(prefix)
+            return
+        for val in model.variables[i].values:
+            longer = prefix + ((i, val),)
+            try:
+                solve(model, longer, StrategyId.FF, SolveMode.ALL_SOLUTIONS, budget=0)
+            except InconsistentProblem:
+                continue
+            go(longer)
+
+    go(())
+    return out
+
+
+def reference_decomposition(model: Model, target: int) -> tuple[list[Prefix], int]:
+    """(subproblem prefixes, prefix length) by the decomposition rule: the
+    shallowest depth with at least ``target`` consistent prefixes, else the
+    shallowest depth with the most of them."""
+    best: list[Prefix] = [()]
+    best_depth = 0
+    for depth in range(1, model.n + 1):
+        if len(best) >= target:
+            break
+        prefixes = consistent_prefixes(model, depth)
+        if len(prefixes) >= target or len(prefixes) > len(best):
+            best, best_depth = prefixes, depth
+    return best, best_depth

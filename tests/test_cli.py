@@ -1,8 +1,12 @@
+import csv
 import json
 
 import pytest
 
+from eps_select.benchmarks import nqueens
 from eps_select.cli import main
+
+from bruteforce import reference_decomposition
 
 
 def test_solve_nqueens(capsys):
@@ -75,6 +79,29 @@ def test_pss_end_to_end_json_and_csv(tmp_path, capsys):
     assert len(lines) == 1 + 7
 
 
+def test_wall_mode_csv_rows_hold_milliseconds(tmp_path, capsys):
+    csv_path = tmp_path / "rows.csv"
+    rc = main(
+        [
+            "pss",
+            "--model", "nqueens", "--n", "6",
+            "--target-subproblems", "15",
+            "--sample-size", "10",
+            "--time-mode", "wall",
+            "--csv", str(csv_path),
+        ]
+    )
+    assert rc == 0
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "problem,strategy_or_mode,total_work,wall_ms,ratio,censored_count,winner_flag"
+    rows = list(csv.DictReader(lines))
+    assert len(rows) == 7
+    for row in rows:
+        assert row["total_work"] == ""
+        assert float(row["wall_ms"]) > 0
+    assert sum(int(row["winner_flag"]) for row in rows) == 1
+
+
 def test_mab_command(capsys):
     rc = main(["mab", "--model", "nqueens", "--n", "6", "--target-subproblems", "20"])
     assert rc == 0
@@ -132,6 +159,31 @@ def test_compare_report_independent_of_worker_count(tmp_path, capsys):
         assert rc == 0
         reports.append(out_path.read_text())
     assert reports[0] == reports[1]
+
+
+def test_decompose_report_matches_reference_at_any_worker_count(tmp_path, capsys):
+    m = nqueens(8)
+    prefixes, depth = reference_decomposition(m, 100)
+    expected = [[[m.names[v], val] for v, val in p] for p in prefixes]
+    docs = []
+    for workers in ("1", "2"):
+        out_path = tmp_path / f"decomp-{workers}.json"
+        rc = main(
+            [
+                "decompose",
+                "--model", "nqueens", "--n", "8",
+                "--target-subproblems", "100",
+                "--workers", workers,
+                "--out", str(out_path),
+            ]
+        )
+        assert rc == 0
+        docs.append(json.loads(out_path.read_text()))
+    for doc in docs:
+        assert [s["assignment"] for s in doc["subproblems"]] == expected
+        assert [s["id"] for s in doc["subproblems"]] == list(range(len(expected)))
+        assert doc["prefix_len"] == depth
+    assert docs[0]["subproblems"] == docs[1]["subproblems"]
 
 
 def test_failed_subproblem_exits_1(monkeypatch, capsys):

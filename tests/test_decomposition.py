@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from eps_select.benchmarks import allinterval, latin, magicsquare, nqueens
+from eps_select.benchmarks import allinterval, golomb, latin, magicsquare, nqueens
 from eps_select.csp import AllDifferent, InconsistentProblem, Model, VariableDecl
 from eps_select.decomposition import (
     DecompositionConfig,
@@ -12,6 +12,8 @@ from eps_select.decomposition import (
 )
 from eps_select.search import SolveMode, solve
 from eps_select.strategies import ALL_STRATEGIES, StrategyId
+
+from bruteforce import consistent_prefixes, reference_decomposition
 
 
 def test_target_one_gives_empty_prefix():
@@ -73,18 +75,38 @@ def test_shortfall_flag():
 def test_shortfall_returns_peak_depth():
     # the consistent-prefix count of nqueens(7) peaks below full depth; an
     # unreachable target must return the peak, not the solution set
-    from eps_select.csp import _propagate
-    from eps_select.decomposition import _consistent_prefixes
-
     m = nqueens(7)
-    root = list(m.initial_masks)
-    _propagate(m, root, range(len(m.constraints)), [])
-    counts = [len(_consistent_prefixes(m, root, d)[0]) for d in range(1, 8)]
+    counts = [len(consistent_prefixes(m, d)) for d in range(1, 8)]
     assert max(counts) > counts[-1]  # the peak is strictly above full depth
     d = decompose(m, DecompositionConfig(target_count=10**9))
     assert d.shortfall
     assert len(d) == max(counts)
     assert d.prefix_len == 1 + counts.index(max(counts))
+
+
+@pytest.mark.parametrize("target", [1, 10, 50])
+@pytest.mark.parametrize(
+    "model_fn", [lambda: nqueens(7), lambda: allinterval(6), lambda: latin(3), lambda: golomb(5)]
+)
+def test_decompose_matches_reference_enumeration(model_fn, target):
+    m = model_fn()
+    prefixes, depth = reference_decomposition(m, target)
+    d = decompose(m, DecompositionConfig(target_count=target))
+    assert [s.assignment for s in d.subproblems] == prefixes
+    assert [s.id for s in d.subproblems] == list(range(len(prefixes)))
+    assert d.prefix_len == depth
+    assert d.shortfall == (len(prefixes) < target)
+
+
+def test_nqueens10_pinned():
+    # the target is never reached, so deepening goes on to depth 10 and the
+    # largest frontier (depth 5) is returned; each enumeration assignment of
+    # depths 1-10 is counted once
+    d = decompose(nqueens(10), DecompositionConfig(target_count=3000))
+    assert len(d) == 1978
+    assert d.prefix_len == 5
+    assert d.shortfall
+    assert d.work == 13688
 
 
 def test_root_inconsistent_raises():

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+import tracemalloc
+
 from eps_select.benchmarks import allinterval, generate, golomb, latin, magicsquare, nqueens
+from eps_select.csp import MAX_DOMAIN_WIDTH, Model, VariableDecl, var_range
 from eps_select.modelio import (
     ModelFormatError,
     load_json,
@@ -140,6 +143,47 @@ def test_malformed_json_reports_location(tmp_path):
 def test_empty_domain_rejected():
     with pytest.raises(ModelFormatError):
         model_from_dict({"name": "m", "variables": [{"id": "x", "domain": [5, 1]}]})
+
+
+def test_range_just_above_width_cap_refused_before_building():
+    doc = {"name": "wide", "variables": [{"id": "x", "domain": [0, MAX_DOMAIN_WIDTH]}]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelFormatError, match="MAX_DOMAIN_WIDTH"):
+            model_from_dict(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the refused range would be a tuple of 65537 ints (over 2 MB)
+    assert peak < 100_000
+    with pytest.raises(ValueError, match="MAX_DOMAIN_WIDTH"):
+        var_range("x", 0, MAX_DOMAIN_WIDTH)
+
+
+def test_singletons_just_above_width_cap_refused():
+    # two one-value domains still make every mask as wide as their span
+    far = [VariableDecl("a", (0,)), VariableDecl("b", (MAX_DOMAIN_WIDTH,))]
+    with pytest.raises(ValueError, match="MAX_DOMAIN_WIDTH"):
+        Model("far", far, [])
+    doc = {
+        "name": "far",
+        "variables": [
+            {"id": "a", "domain": {"values": [0]}},
+            {"id": "b", "domain": {"values": [MAX_DOMAIN_WIDTH]}},
+        ],
+    }
+    with pytest.raises(ModelFormatError, match="MAX_DOMAIN_WIDTH"):
+        model_from_dict(doc)
+
+
+def test_models_exactly_at_width_cap_accepted():
+    m = model_from_dict(
+        {"name": "cap", "variables": [{"id": "x", "domain": [0, MAX_DOMAIN_WIDTH - 1]}]}
+    )
+    assert len(m.variables[0].values) == MAX_DOMAIN_WIDTH
+    m = Model("cap", [VariableDecl("a", (0,)), VariableDecl("b", (MAX_DOMAIN_WIDTH - 1,))], [])
+    assert m.ubits == MAX_DOMAIN_WIDTH
+    assert count_all(m).solutions_found == 1
 
 
 def test_objective_roundtrip(tmp_path):
