@@ -57,7 +57,6 @@ class BanditState:
     arms: int
     counts: list[int] = field(default_factory=list)
     reward_sums: list[float] = field(default_factory=list)
-    history: list[tuple[int, float]] = field(default_factory=list)
 
     def __post_init__(self):
         if self.arms < 1:
@@ -74,7 +73,6 @@ class BanditState:
     def record(self, arm: int, r: float) -> None:
         self.counts[arm] += 1
         self.reward_sums[arm] += r
-        self.history.append((arm, r))
 
 
 def ucb1_select(bs: BanditState) -> int:
@@ -98,7 +96,6 @@ def ucb1_select(bs: BanditState) -> int:
 class MabReport:
     total_cost: float
     pulls: dict[StrategyId, int]
-    bandit: BanditState
     solutions_found: Optional[int] = None
     best_objective: Optional[int] = None
     warm_start_cost: float = 0.0  # included in total_cost
@@ -138,7 +135,6 @@ def mab_on_oracle(oracle, strategies: Optional[Sequence[StrategyId]] = None) -> 
     return MabReport(
         total_cost=total,
         pulls=pulls,
-        bandit=bs,
         solutions_found=None if best_obj is not None else solutions,
         best_objective=best_obj,
         warm_start_cost=warm,

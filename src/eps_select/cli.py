@@ -261,6 +261,7 @@ def _print_selection_report(model: Model, rep: SelectionReport) -> None:
     if rep.survivors_tiebreak:
         print("tie-break among:", ", ".join(s.token for s in rep.survivors_tiebreak))
     measured, bound = selection_cost_bound(rep)
+    no_timeouts = rep.race_cost_without_timeouts  # unknown in wall-clock mode
     print(
         f"winner: {rep.winner.token}   confidence: {rep.overall_confidence:.4f} "
         f"({rep.comparisons} comparisons at alpha={rep.alpha})"
@@ -268,7 +269,7 @@ def _print_selection_report(model: Model, rep: SelectionReport) -> None:
     print(
         f"costs: selection={_fmt(rep.selection_cost)} "
         f"(race={_fmt(rep.race_cost)} <= bound {_fmt(bound)}; "
-        f"without timeouts it would be {_fmt(rep.race_cost_without_timeouts)}; "
+        f"without timeouts it would be {'unknown' if no_timeouts is None else _fmt(no_timeouts)}; "
         f"uncensor={_fmt(rep.uncensor_cost)}, resolve={_fmt(rep.resolve_cost)}, "
         f"warm start={_fmt(rep.warm_start_cost)}), "
         f"solve={_fmt(rep.solve_cost)}, decompose={_fmt(rep.decompose_work)}"

@@ -37,11 +37,14 @@ class DecompositionConfig:
     target_count: Optional[int] = None
     worker_count: int = 1
 
-    def effective_target(self) -> int:
-        t = self.target_count if self.target_count is not None else 30 * self.worker_count
-        if t < 1:
+    def __post_init__(self):
+        if self.worker_count < 1:
+            raise ValueError("worker_count must be >= 1")
+        if self.target_count is not None and self.target_count < 1:
             raise ValueError("target_count must be >= 1")
-        return t
+
+    def effective_target(self) -> int:
+        return self.target_count if self.target_count is not None else 30 * self.worker_count
 
 
 @dataclass

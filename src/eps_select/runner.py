@@ -6,8 +6,8 @@ pulled it (the least loaded one), giving meaningful per-worker loads: the
 ledger charges ``cost_fn(result)`` in work-units mode and the measured
 milliseconds of the task in wall-clock mode. Results do not depend on the
 worker count. Every task is deterministic, so a task that raises is run
-once and reported as failed; :func:`raise_failures` turns a failed task into
-an error.
+once and reported as failed, and the pool stops there: no later task runs.
+:func:`raise_failures` turns the failed task into an error.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ def run_pool(
     time_mode: TimeMode = TimeMode.WORK,
     cost_fn: Optional[Callable[[Any], float]] = None,
 ) -> tuple[list[TaskResult], CostLedger]:
-    """Run every task exactly once; results come back in task order."""
+    """Run the tasks once each, in order, up to and including the first that
+    fails; results come back in task order."""
     if worker_count < 1:
         raise ValueError("worker_count must be >= 1")
     if cost_fn is None:
@@ -72,6 +73,8 @@ def run_pool(
         elif not failed:
             clocks[w] += cost_fn(result)
         results.append(TaskResult(idx, task, result, w, failed))
+        if failed:
+            break
     return results, ledger
 
 

@@ -2,11 +2,12 @@
 
 Per sampled subproblem every live strategy is raced under a relative timeout
 of ``timeout_factor`` times the first finisher's cost; unfinished runs are
-recorded censored at that limit. In work-units mode the race is derived from
-full deterministic runs (memoized), which is exactly equivalent to the
-idealized parallel race and also yields the no-timeout cost for reporting.
-In wall mode the first finisher is discovered by exponentially doubling a
-shared budget.
+recorded censored at that limit. The first finisher is found by doubling a
+budget shared by all strategies, in both time modes. In work-units mode a
+budgeted run is the memoized full deterministic run plus a limit check, so
+each (subproblem, strategy) pair is solved once however many budgets the
+race tries, and the race's cost without timeouts is known for reporting.
+In wall mode runs are stopped by elapsed time, and that cost is unknown.
 
 On a model with an objective, a first-solution race at the root runs before
 the sample race (the warm start): every strategy dives on the whole model
@@ -60,12 +61,12 @@ _LIVE = object()  # sentinel: use the oracle's current incumbent
 
 @dataclass(frozen=True)
 class Observation:
+    """One run; a censored run's ``value`` is the limit it was stopped at."""
+
     value: float
     censored: bool
-    censor_limit: Optional[float] = None
     solutions: int = 0
     objective: Optional[int] = None
-    work: Optional[float] = None  # true cost when known (uncensored: == value)
 
 
 class RuntimeMatrix:
@@ -82,9 +83,6 @@ class RuntimeMatrix:
 
     def get(self, sub: int, sid: StrategyId) -> Observation:
         return self.entries[(sub, sid)]
-
-    def column(self, sid: StrategyId) -> list[Observation]:
-        return [self.entries[(sub, sid)] for sub in self.sub_ids]
 
     def column_total(self, sid: StrategyId) -> float:
         return sum(self.entries[(sub, sid)].value for sub in self.sub_ids)
@@ -121,7 +119,7 @@ class PssConfig:
 @dataclass
 class PhaseCosts:
     race: float = 0.0
-    race_without_to: float = 0.0
+    race_without_to: Optional[float] = 0.0  # None when full costs are unknown
     uncensor: float = 0.0
     resolve: float = 0.0
     warm_start: float = 0.0  # root first-solution race; not part of ``race``
@@ -138,15 +136,18 @@ class PhaseCosts:
 def _observe(out: SolveOutcome, time_mode: TimeMode, limit: Optional[float] = None) -> Observation:
     """A solver run as an observation; an unfinished run is censored at ``limit``."""
     if not out.complete:
-        return Observation(value=limit, censored=True, censor_limit=limit)
-    value = out.work_used if time_mode is TimeMode.WORK else out.wall_ms
+        return Observation(value=limit, censored=True)
     return Observation(
-        value=value,
+        value=out.work_used if time_mode is TimeMode.WORK else out.wall_ms,
         censored=False,
         solutions=out.solutions_found,
         objective=out.best_objective,
-        work=value,
     )
+
+
+def _cut(obs: Observation, limit: float) -> Observation:
+    """A full run as a run stopped at ``limit``: itself, or censored there."""
+    return obs if obs.value <= limit else Observation(value=limit, censored=True)
 
 
 def warm_start_cost(oracle) -> float:
@@ -176,22 +177,18 @@ class MatrixOracle:
         pass
 
     def full(self, sub: int, sid: StrategyId, bound=_LIVE) -> Observation:
-        w = self.costs[sid][sub]
-        return Observation(value=w, censored=False, work=w)
+        return Observation(value=self.costs[sid][sub], censored=False)
 
     def limited(self, sub: int, sid: StrategyId, limit: float, bound=_LIVE) -> Observation:
-        w = self.costs[sid][sub]
-        if w <= limit:
-            return Observation(value=w, censored=False, work=w)
-        return Observation(value=limit, censored=True, censor_limit=limit)
+        return _cut(self.full(sub, sid), limit)
 
 
 class ModelOracle:
     """Runs the real solver on decomposed subproblems, memoizing full runs.
 
-    Work mode exposes true costs (deterministic), so races are computed
-    analytically from memoized full runs; wall mode measures elapsed time
-    and cannot promise true costs cheaply. The optimization incumbent lives
+    Work mode exposes true costs (deterministic), so a budgeted run is the
+    memoized full run plus a limit check; wall mode measures elapsed time
+    and stops a run at its budget. The optimization incumbent lives
     here; races pin a bound explicitly so all paired runs see the same one.
     :meth:`warm_start` seeds it before the first race.
     """
@@ -270,18 +267,13 @@ class ModelOracle:
     def limited(self, sub: int, sid: StrategyId, limit: float, bound=_LIVE) -> Observation:
         b = self.current_bound() if bound is _LIVE else bound
         if self.has_true_costs:
-            obs = self.full(sub, sid, b)
-            if obs.value <= limit:
-                return obs
-            return Observation(value=limit, censored=True, censor_limit=limit)
+            return _cut(self.full(sub, sid, b), limit)
         return _observe(self._solve(sub, sid, b, wall_ms=limit), self.time_mode, limit)
 
 
 class _RootDives:
     """First-solution dives on the whole model, as an oracle :func:`race`
-    can drive (by doubling budgets: a dive's full cost may be huge)."""
-
-    has_true_costs = False
+    can drive (a dive's full cost may be huge, so it is never run unbudgeted)."""
 
     def __init__(self, model: Model, time_mode: TimeMode):
         self.model = model
@@ -309,42 +301,36 @@ def race(
 ) -> dict[StrategyId, Observation]:
     """Race all live strategies on one subproblem under the relative timeout.
 
-    The first finisher (cost t*) is always uncensored; everyone still running
-    at ``timeout_factor * t*`` is stopped and recorded censored at that value.
+    The first finisher (cost t*) is found by doubling a budget shared by all
+    strategies and is always uncensored; everyone still running at
+    ``timeout_factor * t*`` is stopped and recorded censored at that value.
     Censored runs contribute no objective improvements.
     """
     if not alive:
         raise ValueError("need at least one strategy")
-    factor = cfg.timeout_factor
-    if getattr(oracle, "has_true_costs", False):
-        full = {s: oracle.full(sub, s, bound) for s in alive}
-        tstar = min(o.value for o in full.values())
-        limit = factor * tstar
-        out = {}
-        for s, o in full.items():
-            if o.value <= limit:
-                out[s] = o
-            else:
-                out[s] = Observation(value=limit, censored=True, censor_limit=limit)
-        return out
-    # discover the first finisher by doubling a shared budget
     budget = 1.0
     while True:
         runs = {s: oracle.limited(sub, s, budget, bound) for s in alive}
-        finishers = {s: o for s, o in runs.items() if not o.censored}
-        if finishers:
+        finished = [o.value for o in runs.values() if not o.censored]
+        if finished:
             break
         budget *= 2.0
-    tstar = min(o.value for o in finishers.values())
-    limit = factor * tstar
-    out = {}
-    for s in alive:
-        o = runs[s]
-        if not o.censored and o.value <= limit:
-            out[s] = o
-        else:
-            out[s] = oracle.limited(sub, s, limit, bound)
-    return out
+    limit = cfg.timeout_factor * min(finished)
+    return {
+        s: o if not o.censored and o.value <= limit else oracle.limited(sub, s, limit, bound)
+        for s, o in runs.items()
+    }
+
+
+def _uncensor(matrix: RuntimeMatrix, oracle, race_bounds: dict, sid: StrategyId) -> float:
+    """Re-solve every censored entry of ``sid`` with no timeout, under the
+    bound its subproblem was raced with; return the cost of the re-solves."""
+    cost = 0.0
+    for sub in matrix.censored_subs(sid):
+        obs = oracle.full(sub, sid, race_bounds.get(sub, _LIVE))
+        matrix.set(sub, sid, obs)
+        cost += obs.value
+    return cost
 
 
 def find_uncensored_best(
@@ -359,13 +345,9 @@ def find_uncensored_best(
     """
     while True:
         sb = min(matrix.strategies, key=lambda s: (matrix.column_total(s), _ord(matrix, s)))
-        censored = matrix.censored_subs(sb)
-        if not censored:
+        if not matrix.censored_subs(sb):
             return sb
-        for sub in censored:
-            obs = oracle.full(sub, sb, race_bounds.get(sub, _LIVE))
-            matrix.set(sub, sb, obs)
-            costs.uncensor += obs.value
+        costs.uncensor += _uncensor(matrix, oracle, race_bounds, sb)
 
 
 def _ord(matrix: RuntimeMatrix, sid: StrategyId) -> int:
@@ -411,7 +393,7 @@ def eliminate(
         need = [
             (s, to)
             for s, o, to in zip(subs, obs_i, plan.thresholds)
-            if o.censored and o.censor_limit < to
+            if o.censored and o.value < to
         ]
         if not need:
             break
@@ -420,7 +402,6 @@ def eliminate(
             matrix.set(sub, s_i, obs)
             costs.resolve += obs.value
 
-    obs_i = [matrix.get(s, s_i) for s in subs]
     pd = PairedDiffs(
         tuple(tb - o.value for tb, o in zip(t_b, obs_i)),
         tuple(o.censored for o in obs_i),
@@ -430,10 +411,7 @@ def eliminate(
         return ElimResult(ElimKind.ELIMINATED, result, plan)
     if result.decision is Decision.SECOND_BETTER:
         # remove the timeouts of s_i entirely, then let a t-test decide
-        for sub in matrix.censored_subs(s_i):
-            obs = oracle.full(sub, s_i, race_bounds.get(sub, _LIVE))
-            matrix.set(sub, s_i, obs)
-            costs.resolve += obs.value
+        costs.resolve += _uncensor(matrix, oracle, race_bounds, s_i)
         t_i = [matrix.get(s, s_i).value for s in subs]
         verdict = paired_ttest(t_b, t_i, cfg.alpha)
         if verdict is Decision.SECOND_BETTER:
@@ -443,118 +421,16 @@ def eliminate(
 
 
 @dataclass
-class SelectionOutcome:
-    winner: StrategyId
-    best_strategy: StrategyId  # the s_b anchor of the final elimination pass
-    eliminated: list[tuple[StrategyId, WsrResult]]
-    survivors: list[StrategyId]
-    matrix: RuntimeMatrix
-    costs: PhaseCosts
-    comparisons: int
-    reversals: int
-    sample_totals: dict[StrategyId, float]
-    race_censored_counts: dict[StrategyId, int]
-
-
-def select_strategy(
-    oracle,
-    cfg: RaceConfig,
-    sample_ids: Sequence[int],
-    strategies: Optional[Sequence[StrategyId]] = None,
-    initial_best: Optional[StrategyId] = None,
-) -> SelectionOutcome:
-    """Run the full selection phase on an oracle over the given sample.
-
-    ``initial_best`` forces the anchor of the first elimination pass (testing
-    hook for the reversal path); by default it is found by
-    :func:`find_uncensored_best`.
-    """
-    strategies = tuple(strategies if strategies is not None else oracle.strategies)
-    matrix = RuntimeMatrix(strategies, sorted(sample_ids))
-    costs = PhaseCosts(warm_start=warm_start_cost(oracle))
-    race_bounds: dict[int, object] = {}
-
-    for sub in matrix.sub_ids:
-        bound = oracle.current_bound()
-        obs = race(oracle, sub, strategies, cfg, bound)
-        race_bounds[sub] = bound
-        oracle.merge_objectives(obs.values())
-        for s, o in obs.items():
-            matrix.set(sub, s, o)
-            costs.race += o.value
-            if o.work is not None:
-                costs.race_without_to += o.work
-            elif getattr(oracle, "has_true_costs", False):
-                costs.race_without_to += oracle.full(sub, s, bound).value
-    race_censored = matrix.censored_counts()
-
-    if initial_best is None:
-        s_b = find_uncensored_best(matrix, oracle, race_bounds, costs)
-    else:
-        s_b = initial_best
-        for sub in matrix.censored_subs(s_b):
-            obs = oracle.full(sub, s_b, race_bounds.get(sub, _LIVE))
-            matrix.set(sub, s_b, obs)
-            costs.uncensor += obs.value
-
-    eliminated: list[tuple[StrategyId, WsrResult]] = []
-    survivors: list[StrategyId] = []
-    comparisons = 0
-    reversals = 0
-    alive = [s for s in strategies if s is not s_b]
-    while True:
-        # cheapest comparisons first: ascending censored totals
-        alive.sort(key=lambda s: (matrix.column_total(s), _ord(matrix, s)))
-        restarted = False
-        pending = list(alive)
-        survivors = []
-        for s_i in pending:
-            res = eliminate(matrix, oracle, race_bounds, s_b, s_i, cfg, costs)
-            comparisons += 1
-            if res.kind is ElimKind.ELIMINATED:
-                eliminated.append((s_i, res.wsr))
-                alive.remove(s_i)
-            elif res.kind is ElimKind.REVERSAL:
-                # the former best is out; restart the pass against the rest
-                eliminated.append((s_b, res.wsr))
-                alive.remove(s_i)
-                s_b = s_i
-                reversals += 1
-                restarted = True
-                break
-            else:
-                survivors.append(s_i)
-        if not restarted:
-            break
-
-    totals = {s: matrix.column_total(s) for s in strategies}
-    pool = [s_b] + survivors
-    winner = min(pool, key=lambda s: (totals[s], strategies.index(s)))
-
-    return SelectionOutcome(
-        winner=winner,
-        best_strategy=s_b,
-        eliminated=eliminated,
-        survivors=survivors,
-        matrix=matrix,
-        costs=costs,
-        comparisons=comparisons,
-        reversals=reversals,
-        sample_totals=totals,
-        race_censored_counts=race_censored,
-    )
-
-
-@dataclass
 class SelectionReport:
+    """What a selection run decided and what it cost. :func:`pss_select` and
+    :func:`select_on_matrix` fill in the fields after ``matrix``."""
+
     winner: StrategyId
     eliminated: list[tuple[StrategyId, WsrResult]]
     survivors_tiebreak: Optional[list[StrategyId]]
-    overall_confidence: float
     selection_cost: float
-    solve_cost: float
     race_cost: float
-    race_cost_without_timeouts: float
+    race_cost_without_timeouts: Optional[float]  # None when full costs are unknown
     uncensor_cost: float
     resolve_cost: float
     warm_start_cost: float
@@ -562,18 +438,33 @@ class SelectionReport:
     reversals: int
     alpha: float
     timeout_factor: float
-    sample_ids: list[int]
     sample_seed: int
-    population: int
-    prefix_len: int
-    decompose_work: float
-    best_strategy: StrategyId
-    best_total: float
+    best_strategy: StrategyId  # the s_b anchor of the final elimination pass
     sample_totals: dict[StrategyId, float]
     race_censored_counts: dict[StrategyId, int]
-    solutions_found: Optional[int]
-    best_objective: Optional[int]
-    strategies: tuple[StrategyId, ...]
+    matrix: RuntimeMatrix  # the sample's observations after selection
+    population: int = 0
+    prefix_len: int = 0
+    decompose_work: float = 0.0
+    solve_cost: float = 0.0
+    solutions_found: Optional[int] = None
+    best_objective: Optional[int] = None
+
+    @property
+    def sample_ids(self) -> list[int]:
+        return list(self.matrix.sub_ids)
+
+    @property
+    def strategies(self) -> tuple[StrategyId, ...]:
+        return self.matrix.strategies
+
+    @property
+    def overall_confidence(self) -> float:
+        return (1.0 - self.alpha) ** self.comparisons
+
+    @property
+    def best_total(self) -> float:
+        return self.matrix.column_total(self.best_strategy)
 
     @property
     def total_cost(self) -> float:
@@ -611,7 +502,7 @@ class SelectionReport:
             "reversals": self.reversals,
             "alpha": self.alpha,
             "timeout_factor": self.timeout_factor,
-            "sample_size": len(self.sample_ids),
+            "sample_size": len(self.matrix.sub_ids),
             "sample_seed": self.sample_seed,
             "population": self.population,
             "prefix_len": self.prefix_len,
@@ -628,44 +519,93 @@ class SelectionReport:
         }
 
 
-def _report_from_outcome(
-    out: SelectionOutcome,
+def select_strategy(
+    oracle,
     cfg: RaceConfig,
-    population: int,
-    prefix_len: int,
-    decompose_work: float,
-    solve_cost: float = 0.0,
-    solutions: Optional[int] = None,
-    best_objective: Optional[int] = None,
+    sample_ids: Sequence[int],
+    strategies: Optional[Sequence[StrategyId]] = None,
+    initial_best: Optional[StrategyId] = None,
 ) -> SelectionReport:
+    """Run the full selection phase on an oracle over the given sample.
+
+    ``initial_best`` forces the anchor of the first elimination pass (testing
+    hook for the reversal path); by default it is found by
+    :func:`find_uncensored_best`. The no-timeout race cost is reported only
+    for oracles with true costs (``has_true_costs``).
+    """
+    strategies = tuple(strategies if strategies is not None else oracle.strategies)
+    matrix = RuntimeMatrix(strategies, sorted(sample_ids))
+    true_costs = getattr(oracle, "has_true_costs", False)
+    costs = PhaseCosts(
+        race_without_to=0.0 if true_costs else None, warm_start=warm_start_cost(oracle)
+    )
+    race_bounds: dict[int, object] = {}
+
+    for sub in matrix.sub_ids:
+        bound = oracle.current_bound()
+        obs = race(oracle, sub, strategies, cfg, bound)
+        race_bounds[sub] = bound
+        oracle.merge_objectives(obs.values())
+        for s, o in obs.items():
+            matrix.set(sub, s, o)
+            costs.race += o.value
+            if true_costs:
+                costs.race_without_to += oracle.full(sub, s, bound).value if o.censored else o.value
+    race_censored = matrix.censored_counts()
+
+    if initial_best is None:
+        s_b = find_uncensored_best(matrix, oracle, race_bounds, costs)
+    else:
+        s_b = initial_best
+        costs.uncensor += _uncensor(matrix, oracle, race_bounds, s_b)
+
+    eliminated: list[tuple[StrategyId, WsrResult]] = []
+    comparisons = 0
+    reversals = 0
+    alive = [s for s in strategies if s is not s_b]
+    while True:
+        # cheapest comparisons first: ascending censored totals
+        alive.sort(key=lambda s: (matrix.column_total(s), _ord(matrix, s)))
+        survivors: list[StrategyId] = []
+        for s_i in list(alive):
+            res = eliminate(matrix, oracle, race_bounds, s_b, s_i, cfg, costs)
+            comparisons += 1
+            if res.kind is ElimKind.ELIMINATED:
+                eliminated.append((s_i, res.wsr))
+                alive.remove(s_i)
+            elif res.kind is ElimKind.REVERSAL:
+                # the former best is out; restart the pass against the rest
+                eliminated.append((s_b, res.wsr))
+                alive.remove(s_i)
+                s_b = s_i
+                reversals += 1
+                break
+            else:
+                survivors.append(s_i)
+        else:
+            break
+
+    totals = {s: matrix.column_total(s) for s in strategies}
+    winner = min([s_b] + survivors, key=lambda s: (totals[s], strategies.index(s)))
     return SelectionReport(
-        winner=out.winner,
-        eliminated=out.eliminated,
-        survivors_tiebreak=out.survivors if out.survivors else None,
-        overall_confidence=(1.0 - cfg.alpha) ** out.comparisons,
-        selection_cost=out.costs.selection,
-        solve_cost=solve_cost,
-        race_cost=out.costs.race,
-        race_cost_without_timeouts=out.costs.race_without_to,
-        uncensor_cost=out.costs.uncensor,
-        resolve_cost=out.costs.resolve,
-        warm_start_cost=out.costs.warm_start,
-        comparisons=out.comparisons,
-        reversals=out.reversals,
+        winner=winner,
+        eliminated=eliminated,
+        survivors_tiebreak=survivors or None,
+        selection_cost=costs.selection,
+        race_cost=costs.race,
+        race_cost_without_timeouts=costs.race_without_to,
+        uncensor_cost=costs.uncensor,
+        resolve_cost=costs.resolve,
+        warm_start_cost=costs.warm_start,
+        comparisons=comparisons,
+        reversals=reversals,
         alpha=cfg.alpha,
         timeout_factor=cfg.timeout_factor,
-        sample_ids=list(out.matrix.sub_ids),
         sample_seed=cfg.sample_seed,
-        population=population,
-        prefix_len=prefix_len,
-        decompose_work=decompose_work,
-        best_strategy=out.best_strategy,
-        best_total=out.matrix.column_total(out.best_strategy),
-        sample_totals=out.sample_totals,
-        race_censored_counts=out.race_censored_counts,
-        solutions_found=solutions,
-        best_objective=best_objective,
-        strategies=out.matrix.strategies,
+        best_strategy=s_b,
+        sample_totals=totals,
+        race_censored_counts=race_censored,
+        matrix=matrix,
     )
 
 
@@ -679,8 +619,9 @@ def select_on_matrix(
     cfg = cfg if cfg is not None else RaceConfig()
     oracle = MatrixOracle(costs)
     ids = list(sample_ids) if sample_ids is not None else list(oracle.sub_ids)
-    out = select_strategy(oracle, cfg, ids, initial_best=initial_best)
-    return _report_from_outcome(out, cfg, population=len(oracle.sub_ids), prefix_len=0, decompose_work=0.0)
+    rep = select_strategy(oracle, cfg, ids, initial_best=initial_best)
+    rep.population = len(oracle.sub_ids)
+    return rep
 
 
 def pss_select(
@@ -701,8 +642,8 @@ def pss_select(
     if oracle is None:
         oracle = ModelOracle(model, subs, cfg.strategies, time_mode=rc.time_mode)
 
-    out = select_strategy(oracle, rc, sample.indices, cfg.strategies)
-    winner = out.winner
+    rep = select_strategy(oracle, rc, sample.indices, cfg.strategies)
+    winner = rep.winner
 
     sampled = set(sample.indices)
     remainder = [s.id for s in subs if s.id not in sampled]
@@ -714,27 +655,18 @@ def pss_select(
         cost_fn=lambda obs: obs.value,
     )
     raise_failures(results)
-    solve_cost = sum(r.result.value for r in results)
 
-    solutions = None
-    best_objective = None
+    rep.population = population
+    rep.prefix_len = decomposition.prefix_len
+    rep.decompose_work = decomposition.work
+    rep.solve_cost = sum(r.result.value for r in results)
     if model.objective is None:
         # sampled subproblems: exact counts from the uncensored best's column
-        solutions = sum(out.matrix.get(s, out.best_strategy).solutions for s in out.matrix.sub_ids)
-        solutions += sum(r.result.solutions for r in results)
+        solutions = sum(rep.matrix.get(s, rep.best_strategy).solutions for s in rep.sample_ids)
+        rep.solutions_found = solutions + sum(r.result.solutions for r in results)
     else:
-        best_objective = oracle.current_bound()
-
-    return _report_from_outcome(
-        out,
-        rc,
-        population=population,
-        prefix_len=decomposition.prefix_len,
-        decompose_work=decomposition.work,
-        solve_cost=solve_cost,
-        solutions=solutions,
-        best_objective=best_objective,
-    )
+        rep.best_objective = oracle.current_bound()
+    return rep
 
 
 def selection_cost_bound(report: SelectionReport) -> tuple[float, float]:

@@ -63,10 +63,6 @@ class PairedDiffs:
         object.__setattr__(self, "diffs", diffs)
         object.__setattr__(self, "censor_flags", flags)
 
-    @staticmethod
-    def uncensored(diffs: Sequence[float]) -> "PairedDiffs":
-        return PairedDiffs(tuple(diffs), tuple(False for _ in diffs))
-
 
 @dataclass(frozen=True)
 class WsrResult:

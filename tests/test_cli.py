@@ -81,6 +81,7 @@ def test_pss_end_to_end_json_and_csv(tmp_path, capsys):
 
 def test_wall_mode_csv_rows_hold_milliseconds(tmp_path, capsys):
     csv_path = tmp_path / "rows.csv"
+    out_path = tmp_path / "report.json"
     rc = main(
         [
             "pss",
@@ -89,9 +90,13 @@ def test_wall_mode_csv_rows_hold_milliseconds(tmp_path, capsys):
             "--sample-size", "10",
             "--time-mode", "wall",
             "--csv", str(csv_path),
+            "--out", str(out_path),
         ]
     )
     assert rc == 0
+    # wall-clock runs stopped at a limit have no known full cost
+    assert json.loads(out_path.read_text())["pss"]["race_cost_without_timeouts"] is None
+    assert "without timeouts it would be unknown;" in capsys.readouterr().out
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "problem,strategy_or_mode,total_work,wall_ms,ratio,censored_count,winner_flag"
     rows = list(csv.DictReader(lines))
@@ -200,6 +205,18 @@ def test_failed_subproblem_exits_1(monkeypatch, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "solver crashed" in err
+
+
+def test_bad_worker_count_rejected_before_any_work(monkeypatch, capsys):
+    import eps_select.cli as cli_module
+
+    calls = []
+    monkeypatch.setattr(cli_module, "pss_select", lambda *a, **k: calls.append(a))
+    for target in (["--target-subproblems", "3000"], []):
+        rc = main(["pss", "--model", "latin", "--n", "5", "--workers", "0", *target])
+        assert rc == 1
+        assert "worker_count must be >= 1" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_json_model_input(tmp_path, capsys):

@@ -58,7 +58,8 @@ def test_statistical_load_balance():
 
 
 def test_failed_task_runs_once():
-    # tasks are deterministic: a task that raises is not run again
+    # tasks are deterministic: a task that raises is not run again, and the
+    # pool stops at it
     calls = []
 
     def broken(t):
@@ -68,8 +69,8 @@ def test_failed_task_runs_once():
         return FakeResult(1.0)
 
     results, _ = run_pool([0, 1, 2], 1, broken)
-    assert calls == [0, 1, 2]
-    assert [r.failed for r in results] == [False, True, False]
+    assert calls == [0, 1]
+    assert [r.failed for r in results] == [False, True]
 
 
 def test_persistent_failure_reported():
@@ -79,10 +80,11 @@ def test_persistent_failure_reported():
         return FakeResult(1.0)
 
     results, ledger = run_pool(list(range(4)), 2, broken)
+    assert len(results) == 3  # task 3 never runs
     failed = [r for r in results if r.failed]
     assert len(failed) == 1 and failed[0].task == 2
     assert isinstance(failed[0].result, RuntimeError)
-    assert ledger.grand_total == 3.0
+    assert ledger.grand_total == 2.0
     with pytest.raises(TaskFailed) as exc:
         raise_failures(results)
     assert exc.value.__cause__ is failed[0].result

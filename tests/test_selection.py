@@ -70,7 +70,7 @@ def test_race_keeps_one_uncensored_per_subproblem():
         for s in S:
             o = matrix.get(sub, s)
             if o.censored:
-                assert o.value == o.censor_limit
+                assert o.value == 2 * min(costs[t][sub] for t in S)
 
 
 def test_find_uncensored_best_golden():
@@ -277,8 +277,8 @@ def test_report_winner_not_among_eliminated():
 
 
 class _NoTrueCostOracle:
-    """Deterministic oracle that refuses the analytic path, so race() has to
-    discover the first finisher by doubling budgets."""
+    """Deterministic oracle that does not claim true costs and counts its
+    budgeted runs."""
 
     has_true_costs = False
 
@@ -302,15 +302,30 @@ class _NoTrueCostOracle:
         return self.inner.limited(sub, sid, limit)
 
 
+def _reference_race(costs, sub, factor):
+    """The race rule stated directly: t* is the row minimum, a run is censored
+    iff its cost exceeds factor * t*, and a censored run's value is that limit."""
+    limit = factor * min(column[sub] for column in costs.values())
+    return {
+        s: (limit, True) if column[sub] > limit else (column[sub], False)
+        for s, column in costs.items()
+    }
+
+
 def test_race_doubling_path_matches_analytic():
-    costs = golden_matrix()
+    rng = random.Random(3)
+    matrices = [
+        golden_matrix(),
+        {s: [rng.uniform(0.01, 500.0) for _ in range(25)] for s in S},
+    ]
     cfg = RaceConfig(alpha=0.05)
-    for sub in range(10):
-        analytic = race(MatrixOracle(costs), sub, S[:4], cfg)
-        doubling = race(_NoTrueCostOracle(costs), sub, S[:4], cfg)
-        for s in S[:4]:
-            assert doubling[s].value == analytic[s].value
-            assert doubling[s].censored == analytic[s].censored
+    for costs in matrices:
+        for oracle in (MatrixOracle(costs), _NoTrueCostOracle(costs)):
+            for sub in oracle.sub_ids:
+                got = race(oracle, sub, oracle.strategies, cfg)
+                assert {s: (o.value, o.censored) for s, o in got.items()} == _reference_race(
+                    costs, sub, cfg.timeout_factor
+                )
 
 
 def test_select_strategy_on_doubling_oracle():
@@ -318,6 +333,32 @@ def test_select_strategy_on_doubling_oracle():
     out = select_strategy(oracle, RaceConfig(alpha=0.05), oracle.sub_ids)
     assert out.winner is S[0]
     assert oracle.limited_calls > 0
+    assert out.race_cost_without_timeouts is None  # no true costs to add up
+
+
+def test_work_mode_race_solves_each_pair_once(monkeypatch):
+    # doubling budgets on a work-mode oracle are memo lookups, not solves
+    from eps_select import selection
+    from eps_select.benchmarks import nqueens
+    from eps_select.decomposition import DecompositionConfig, decompose
+    from eps_select.selection import ModelOracle
+
+    calls = []
+    real_solve = selection.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[2])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "solve", counting_solve)
+    model = nqueens(7)
+    decomp = decompose(model, DecompositionConfig(target_count=10))
+    oracle = ModelOracle(model, decomp.subproblems)
+    sub = decomp.subproblems[0].id
+    race(oracle, sub, ALL_STRATEGIES, RaceConfig())
+    assert len(calls) == len(set(calls)) == 7  # one solve per strategy
+    race(oracle, sub, ALL_STRATEGIES, RaceConfig())
+    assert len(calls) == 7  # the second race only reads the memo
 
 
 def test_pss_select_end_to_end_satisfaction():
@@ -384,7 +425,7 @@ def test_pss_select_reproducible():
 def test_wall_mode_oracle_race_structure():
     # wall timings are noisy, so only the structural race guarantees are
     # asserted: every strategy observed, at least one uncensored finisher,
-    # censored entries recorded at their limit
+    # censored entries recorded at one limit of at least factor x the fastest
     from eps_select.benchmarks import nqueens
     from eps_select.decomposition import DecompositionConfig, decompose
     from eps_select.search import TimeMode
@@ -398,10 +439,12 @@ def test_wall_mode_oracle_race_structure():
     obs = race(oracle, decomp.subproblems[0].id, S[:3], cfg)
     assert set(obs) == set(S[:3])
     assert any(not o.censored for o in obs.values())
+    fastest = min(o.value for o in obs.values() if not o.censored)
+    assert len({o.value for o in obs.values() if o.censored}) <= 1
     for o in obs.values():
         assert o.value > 0
         if o.censored:
-            assert o.value == o.censor_limit
+            assert o.value >= cfg.timeout_factor * fastest
 
 
 def test_failed_remainder_task_raises():
