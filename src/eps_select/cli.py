@@ -24,7 +24,6 @@ from .decomposition import (
     Decomposition,
     DecompositionConfig,
     decompose,
-    sample_size_rule,
     srs_sample,
 )
 from .modelio import ModelFormatError, load_json
@@ -321,8 +320,7 @@ def _dispatch(args) -> int:
 
     if args.command == "decompose":
         decomp = decompose(model, cfg.decomposition)
-        k = args.sample_size or sample_size_rule(len(decomp))
-        sample = srs_sample(len(decomp), min(k, len(decomp)), args.seed)
+        sample = srs_sample(len(decomp), cfg.sample_size_for(len(decomp)), args.seed)
         print(
             f"{model.name}: {len(decomp)} subproblems at prefix {decomp.prefix_len}"
             + (" (shortfall)" if decomp.shortfall else "")

@@ -22,7 +22,10 @@ Schema:
 A two-element list is read as a range; a two-value set that is not a range
 must use the explicit ``{"values": [...]}`` form (emission picks it
 automatically when needed). A model whose values span more than
-``csp.MAX_DOMAIN_WIDTH`` is refused before its domains are built.
+``csp.MAX_DOMAIN_WIDTH`` is refused before its domains are built. Every
+entry must be an object and every collection a list; domain values,
+``coeffs``, ``rhs`` and ``offset`` must be integers, and JSON booleans are
+not. A document that breaks any of this raises ``ModelFormatError``.
 """
 
 from __future__ import annotations
@@ -49,17 +52,34 @@ class ModelFormatError(ValueError):
     pass
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; ``bool`` is an ``int`` subclass but not one here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _object(v, what: str) -> dict:
+    if not isinstance(v, dict):
+        raise ModelFormatError(f"{what} must be a JSON object")
+    return v
+
+
+def _list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise ModelFormatError(f"{what} must be a list")
+    return v
+
+
 def _domain_values(dom, vid: str) -> tuple[int, ...]:
     if isinstance(dom, dict):
         vals = dom.get("values")
         if not isinstance(vals, list) or not vals:
             raise ModelFormatError(f"variable {vid!r}: domain.values must be a non-empty list")
-        if not all(isinstance(v, int) for v in vals):
+        if not all(_is_int(v) for v in vals):
             raise ModelFormatError(f"variable {vid!r}: domain values must be integers")
         return tuple(vals)
     if not isinstance(dom, list) or not dom:
         raise ModelFormatError(f"variable {vid!r}: domain must be a non-empty list")
-    if not all(isinstance(v, int) for v in dom):
+    if not all(_is_int(v) for v in dom):
         raise ModelFormatError(f"variable {vid!r}: domain values must be integers")
     if len(dom) == 2:
         lo, hi = dom
@@ -83,7 +103,7 @@ def model_from_dict(data: dict) -> Model:
     decls = []
     index: dict[str, int] = {}
     for i, rv in enumerate(raw_vars):
-        vid = rv.get("id")
+        vid = _object(rv, f"variable #{i}").get("id")
         if not isinstance(vid, str) or not vid:
             raise ModelFormatError(f"variable #{i} is missing a string 'id'")
         if vid in index:
@@ -92,23 +112,26 @@ def model_from_dict(data: dict) -> Model:
         index[vid] = i
 
     def ref(vid, where: str) -> int:
-        if vid not in index:
+        if not isinstance(vid, str) or vid not in index:
             raise ModelFormatError(f"{where} references undeclared variable id {vid!r}")
         return index[vid]
 
     cons: list[Constraint] = []
-    for ci, rc in enumerate(data.get("constraints", [])):
-        kind = rc.get("kind")
+    for ci, rc in enumerate(_list(data.get("constraints", []), "'constraints'")):
+        kind = _object(rc, f"constraint #{ci}").get("kind")
         where = f"constraint #{ci} ({kind})"
         if kind == "all_different":
-            cons.append(AllDifferent(tuple(ref(v, where) for v in rc.get("vars", []))))
+            vs = _list(rc.get("vars", []), f"{where}: vars")
+            cons.append(AllDifferent(tuple(ref(v, where) for v in vs)))
         elif kind in ("linear_eq", "linear_le"):
             coeffs = rc.get("coeffs")
             vs = rc.get("vars")
             rhs = rc.get("rhs")
             if not isinstance(coeffs, list) or not isinstance(vs, list) or len(coeffs) != len(vs):
                 raise ModelFormatError(f"{where}: coeffs and vars must be aligned lists")
-            if not isinstance(rhs, int):
+            if not all(_is_int(a) for a in coeffs):
+                raise ModelFormatError(f"{where}: coeffs must be integers")
+            if not _is_int(rhs):
                 raise ModelFormatError(f"{where}: rhs must be an integer")
             cls = LinearEq if kind == "linear_eq" else LinearLe
             cons.append(cls(tuple(coeffs), tuple(ref(v, where) for v in vs), rhs))
@@ -118,7 +141,7 @@ def model_from_dict(data: dict) -> Model:
             )
         elif kind == "not_equal":
             off = rc.get("offset", 0)
-            if not isinstance(off, int):
+            if not _is_int(off):
                 raise ModelFormatError(f"{where}: offset must be an integer")
             cons.append(NotEqual(ref(rc.get("x"), where), ref(rc.get("y"), where), off))
         else:
@@ -127,7 +150,7 @@ def model_from_dict(data: dict) -> Model:
     objective = None
     raw_obj = data.get("objective")
     if raw_obj is not None:
-        sense = raw_obj.get("sense", "minimize")
+        sense = _object(raw_obj, "'objective'").get("sense", "minimize")
         if sense not in ("minimize", "maximize"):
             raise ModelFormatError(f"objective sense must be minimize or maximize, got {sense!r}")
         objective = Objective(ref(raw_obj.get("variable"), "objective"), sense == "maximize")

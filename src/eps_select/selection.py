@@ -115,6 +115,14 @@ class PssConfig:
     sample_size: Optional[int] = None
     strategies: tuple[StrategyId, ...] = ALL_STRATEGIES
 
+    def __post_init__(self):
+        if self.sample_size is not None and self.sample_size < 1:
+            raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
+
+    def sample_size_for(self, population: int) -> int:
+        """The given sample size, else ``sample_size_rule(population)``."""
+        return self.sample_size if self.sample_size is not None else sample_size_rule(population)
+
 
 @dataclass
 class PhaseCosts:
@@ -637,8 +645,7 @@ def pss_select(
         decomposition = decompose(model, cfg.decomposition)
     subs = decomposition.subproblems
     population = len(subs)
-    k = cfg.sample_size if cfg.sample_size is not None else sample_size_rule(population)
-    sample: Sample = srs_sample(population, k, rc.sample_seed)
+    sample: Sample = srs_sample(population, cfg.sample_size_for(population), rc.sample_seed)
     if oracle is None:
         oracle = ModelOracle(model, subs, cfg.strategies, time_mode=rc.time_mode)
 

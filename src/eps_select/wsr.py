@@ -10,6 +10,11 @@ over the 2^n equiprobable sign vectors) whenever there are no ties and
 n <= EXACT_N_CAP, and from a Normal approximation with continuity correction
 and tie-corrected variance otherwise.
 
+The paired t-test that confirms a reversal has integer degrees of freedom
+(n - 1), so its two-sided p-value comes from the exact finite series in
+theta = atan(|t| / sqrt(df)) (Abramowitz & Stegun 26.7.3-26.7.4; Hill,
+CACM Algorithm 395, 1970) rather than from a numerical library.
+
 The censoring threshold to(j) = d_max + time(best, j) + 1 (d_max being the
 largest positive difference) is the level above which raising any censored
 value cannot change W+: every censored pair then sits strictly above every
@@ -24,9 +29,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Sequence, Union
 
-from scipy.stats import t as _student_t
-
 EXACT_N_CAP = 50
+_TAIL_FROM = 1e-3  # below this t-test p-value, sum its tail series directly
 
 
 class Decision(Enum):
@@ -258,6 +262,39 @@ def censor_plan(
     )
 
 
+def _t_two_sided(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's T with integer ``df`` >= 1.
+
+    With theta = atan(|t| / sqrt(df)) and c = cos(theta), take the terms
+    c^k (k-1)!!/k!! over the k of df's parity; each is the previous one
+    times c^2 (k-1)/k. Summed over k < df they give A = P(|T| < |t|):
+    sin(theta) * (1 + c^2/2 + ...) for even df, and
+    (2/pi) * (theta + sin(theta) * (c + (2/3) c^3 + ...)) for odd df (just
+    2 theta / pi at df = 1). Summed over k >= df and scaled the same way
+    (without theta) they give 1 - A itself. The finite sum is used while
+    1 - A >= ``_TAIL_FROM``; below that the subtraction has lost most of
+    its digits and is no longer monotone in t, so the tail is summed.
+    """
+    theta = math.atan(abs(t) / math.sqrt(df))
+    sin, c2 = math.sin(theta), math.cos(theta) ** 2
+    odd = df % 2
+    scale = 2.0 / math.pi if odd else 1.0
+    k, term, head = odd, math.cos(theta) if odd else 1.0, 0.0
+    while k < df:
+        head += term
+        k += 2
+        term *= c2 * (k - 1) / k
+    p = 1.0 - scale * ((theta if odd else 0.0) + sin * head)
+    if p >= _TAIL_FROM:
+        return p
+    tail = 0.0
+    while tail + term != tail:
+        tail += term
+        k += 2
+        term *= c2 * (k - 1) / k
+    return scale * sin * tail
+
+
 def paired_ttest(
     a_times: Sequence[float], b_times: Sequence[float], alpha: float = 0.01
 ) -> Decision:
@@ -280,7 +317,7 @@ def paired_ttest(
             return Decision.NOT_SIGNIFICANT
         return Decision.SECOND_BETTER if mean > 0 else Decision.FIRST_BETTER
     t_stat = mean / math.sqrt(var / n)
-    p = 2.0 * float(_student_t.sf(abs(t_stat), n - 1))
+    p = _t_two_sided(t_stat, n - 1)
     if p > alpha:
         return Decision.NOT_SIGNIFICANT
     return Decision.SECOND_BETTER if mean > 0 else Decision.FIRST_BETTER

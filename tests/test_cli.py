@@ -1,7 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import eps_select
 
 from eps_select.benchmarks import nqueens
 from eps_select.cli import main
@@ -233,3 +239,38 @@ def test_json_model_input(tmp_path, capsys):
 def test_model_or_json_required(capsys):
     assert main(["solve", "--strategy", "ff"]) == 1
     assert "either --model or --json" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy_or_numpy():
+    src = str(Path(eps_select.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, eps_select, eps_select.cli\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numpy'}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def test_malformed_json_model_exits_1_with_error_line(tmp_path, capsys):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({"variables": ["x"]}))
+    assert main(["solve", "--json", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "variable #0 must be a JSON object" in err
+
+
+def test_empty_sample_rejected_before_any_work(monkeypatch, capsys):
+    import eps_select.cli as cli_module
+
+    calls = []
+    monkeypatch.setattr(cli_module, "pss_select", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli_module, "decompose", lambda *a, **k: calls.append(a))
+    for command in ("pss", "decompose"):
+        rc = main([command, "--model", "nqueens", "--n", "6", "--target-subproblems", "15",
+                   "--sample-size", "0"])
+        assert rc == 1
+        assert "sample_size must be >= 1" in capsys.readouterr().err
+    assert calls == []

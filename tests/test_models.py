@@ -133,6 +133,59 @@ def test_unknown_kind_rejected():
         model_from_dict(doc)
 
 
+_X = {"id": "x", "domain": [0, 3]}
+_Y = {"id": "y", "domain": [0, 3]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"variables": ["x"]}, "variable #0 must be a JSON object"),
+        ({"variables": [_X], "constraints": ["all_different"]}, "constraint #0 must be a JSON object"),
+        ({"variables": [_X], "constraints": {"kind": "all_different"}}, "'constraints' must be a list"),
+        ({"variables": [_X], "objective": "x"}, "'objective' must be a JSON object"),
+        (
+            {"variables": [_X], "constraints": [{"kind": "all_different", "vars": "x"}]},
+            "vars must be a list",
+        ),
+        (
+            {"variables": [_X], "constraints": [{"kind": "all_different", "vars": [["x"]]}]},
+            "undeclared variable",
+        ),
+    ],
+    ids=["variable", "constraint", "constraints", "objective", "vars", "unhashable-ref"],
+)
+def test_non_object_or_non_list_entries_rejected(doc, message):
+    with pytest.raises(ModelFormatError, match=message):
+        model_from_dict(doc)
+
+
+def _linear(**fields):
+    con = {"kind": "linear_le", "coeffs": [1, 1], "vars": ["x", "y"], "rhs": 3, **fields}
+    return {"variables": [_X, _Y], "constraints": [con]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"variables": [{"id": "x", "domain": [True, 3]}]}, "domain values must be integers"),
+        ({"variables": [{"id": "x", "domain": {"values": [False, 2]}}]}, "domain values must be integers"),
+        (_linear(coeffs=[1.5, 1]), "coeffs must be integers"),
+        (_linear(coeffs=[True, 1]), "coeffs must be integers"),
+        (_linear(rhs=True), "rhs must be an integer"),
+        (
+            {"variables": [_X, _Y],
+             "constraints": [{"kind": "not_equal", "x": "x", "y": "y", "offset": False}]},
+            "offset must be an integer",
+        ),
+    ],
+    ids=["range-bool", "values-bool", "coeff-float", "coeff-bool", "rhs-bool", "offset-bool"],
+)
+def test_non_integer_numbers_rejected(doc, message):
+    with pytest.raises(ModelFormatError, match=message):
+        model_from_dict(doc)
+
+
 def test_malformed_json_reports_location(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"name": "x", ')

@@ -10,6 +10,7 @@ from eps_select.wsr import (
     Decision,
     Method,
     PairedDiffs,
+    _t_two_sided,
     censor_plan,
     paired_ttest,
     signed_ranks,
@@ -186,6 +187,40 @@ def test_paired_ttest_directions():
     assert paired_ttest(a, b, 0.05) is Decision.SECOND_BETTER
     assert paired_ttest(b, a, 0.05) is Decision.FIRST_BETTER
     assert paired_ttest([1, 3], [2, 2], 0.05) is Decision.NOT_SIGNIFICANT
+
+
+@pytest.mark.parametrize(
+    "df, t975",
+    [
+        (1, 12.706204736174694),
+        (2, 4.302652729749462),
+        (3, 3.1824463052837078),
+        (4, 2.7764451051977934),
+        (10, 2.228138851986274),
+        (29, 2.045229642132703),
+    ],
+)
+def test_t_two_sided_at_known_quantiles(df, t975):
+    assert abs(_t_two_sided(t975, df) - 0.05) < 1e-13
+    assert _t_two_sided(-t975, df) == _t_two_sided(t975, df)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 4, 5, 10, 29, 30, 101, 1000])
+def test_t_two_sided_monotone_and_bounded(df):
+    assert _t_two_sided(0.0, df) == 1.0
+    ts = [0.0] + [10 ** (e / 100) for e in range(-600, 901)]  # 1e-6 .. 1e9
+    ps = [_t_two_sided(t, df) for t in ts]
+    assert all(0.0 <= p <= 1.0 for p in ps)
+    assert all(later <= earlier for earlier, later in zip(ps, ps[1:]))
+
+
+def test_t_two_sided_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(6)
+    for _ in range(5000):
+        df = rng.randint(1, 1000)
+        t = rng.choice([0.1, 1.0, 10.0]) * rng.uniform(0.0, 10.0)
+        assert abs(_t_two_sided(t, df) - 2 * stats.t.sf(t, df)) < 1e-13, (t, df)
 
 
 def test_paired_ttest_zero_variance_shift():
