@@ -1,9 +1,10 @@
 """Command line entry point.
 
 Subcommands: solve, decompose, pss, mab, portfolio, compare. Reports go to
-stdout as plain tables; ``--out`` writes the full report as JSON and
-``--csv`` appends one row per strategy/mode. Exit codes: 0 success, 1
-runtime failure, 2 usage error. Set EPS_SELECT_LOG to control log level.
+stdout as plain tables; ``--out`` writes the full report as JSON and, for
+``pss`` and ``compare`` only, ``--csv`` appends one row per strategy/mode.
+Exit codes: 0 success, 1 runtime failure, 2 usage error. Set EPS_SELECT_LOG
+to control log level.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout-factor", type=float, default=2.0)
     p.add_argument("--time-mode", choices=["work", "wall"], default="work")
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--csv", dest="csv_path", help="append per-strategy rows here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pss", help="parallel strategy selection run")
     _add_model_args(p)
     _add_run_args(p)
+    p.add_argument("--csv", dest="csv_path", help="append per-strategy rows here")
 
     p = sub.add_parser("mab", help="UCB1 multi-armed bandit baseline")
     _add_model_args(p)
@@ -95,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="all single strategies + pss + mab + portfolio-x4")
     _add_model_args(p)
     _add_run_args(p)
+    p.add_argument("--csv", dest="csv_path", help="append per-strategy rows here")
 
     return ap
 

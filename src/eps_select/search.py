@@ -4,9 +4,12 @@ Branching is binary: left branch ``var = value``, right branch
 ``var != value``, with the variable and value picked by the strategy and the
 variable re-selected after every branch. The value is the minimum of the
 chosen domain, or the maximum for ``wdegM``. Every call starts fresh
-activity and weighted-degree counters, which never decay. One work unit is
-one committed branch; a failed propagation adds one more. The budget is
-tested before every branch, so a run can overshoot its limit by at most one
+activity and weighted-degree counters, which never decay. The search is one
+loop over an explicit stack of the right branches still to take, so its depth
+is bounded by memory, not by the interpreter's recursion limit, which it never
+changes. One work unit is one committed branch; a failed propagation adds one
+more. The budget, and in wall mode the deadline, is tested once before every
+branch, left or right, so a run can overshoot its limit by at most one
 fixpoint -- and ``BudgetExhausted`` always implies ``work_used >= limit``.
 
 The work counter is the primary "time" measure: identical inputs give
@@ -18,7 +21,6 @@ thread; nothing in the package starts threads.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from time import perf_counter
@@ -28,7 +30,6 @@ from .csp import InconsistentProblem, Model, _propagate
 from .strategies import CounterState, StrategyId, variable_chooser
 
 _NO_LIMIT = 1 << 62
-_MIN_RECURSION = 40_000
 
 
 class SolveMode(Enum):
@@ -96,9 +97,10 @@ def solve(
     improving solutions are admitted, and each one tightens the bound for the
     rest of the run. In ``FIRST_SOLUTION`` mode the bound is not applied, and
     on a model with an objective the first solution's objective is reported.
+    A negative ``budget`` raises :class:`ValueError`.
     """
-    if sys.getrecursionlimit() < _MIN_RECURSION:
-        sys.setrecursionlimit(_MIN_RECURSION)
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
 
     n = model.n
     base = model.lo
@@ -149,78 +151,69 @@ def solve(
     propagations = passes
     best: Optional[int] = None
     cur_bound = bound
-    stopped = False
     exhausted = False
     hi_mask_limit = base + model.ubits - 1
 
-    def rec(doms: list[int]) -> None:
-        nonlocal decisions, failures, solutions, propagations
-        nonlocal best, cur_bound, stopped, exhausted
-        var = chooser(doms)
-        if var < 0:
-            solutions += 1
-            if optimizing:
-                v = doms[objvar].bit_length() - 1 + base
-                if cur_bound is None or (v > cur_bound if maximize else v < cur_bound):
-                    best = v
-                    cur_bound = v
-            elif first_only:
-                if objvar >= 0:
-                    best = doms[objvar].bit_length() - 1 + base
-                stopped = True
-            return
-        if decisions + failures >= limit:
-            exhausted = True
-            stopped = True
-            return
-        if deadline is not None and perf_counter() > deadline:
-            exhausted = True
-            stopped = True
-            return
-        d = doms[var]
-        if pick_max:
-            vbit = 1 << (d.bit_length() - 1)
+    # right branches still to take: (parent domains, var, var's remaining mask)
+    pending: list[tuple[list[int], int, int]] = []
+    node: Optional[list[int]] = masks  # a propagated node not yet branched on
+    while True:
+        if node is not None:
+            var = chooser(node)
+            if var < 0:
+                solutions += 1
+                if optimizing:
+                    v = node[objvar].bit_length() - 1 + base
+                    if cur_bound is None or (v > cur_bound if maximize else v < cur_bound):
+                        best = v
+                        cur_bound = v
+                elif first_only:
+                    if objvar >= 0:
+                        best = node[objvar].bit_length() - 1 + base
+                    break
+                node = None
+                continue
+            d = node[var]
+            vbit = (1 << (d.bit_length() - 1)) if pick_max else d & -d
+            pending.append((node, var, d & ~vbit))
+            parent, mask = node, vbit
+        elif pending:
+            parent, var, mask = pending.pop()
         else:
-            vbit = d & -d
-        for right in (False, True):
-            d2 = doms[:]
-            d2[var] = (d & ~vbit) if right else vbit
-            decisions += 1
-            ok = True
-            wake = watchers[var]
-            if optimizing and cur_bound is not None:
-                od = d2[objvar]
-                if maximize:
-                    nod = od & model.range_mask(cur_bound + 1, hi_mask_limit)
-                else:
-                    nod = od & model.range_mask(base, cur_bound - 1)
-                if nod != od:
-                    if nod == 0:
-                        failures += 1
-                        counters.on_failure((objvar,))
-                        ok = False
-                    else:
-                        d2[objvar] = nod
-                        wake = wake_obj[var]
-            if ok:
-                pruned.clear()
-                fc, np_ = _propagate(model, d2, wake, pruned)
-                propagations += np_
-                if pruned:
-                    counters.bump_pruned_many(pruned, decisions)
-                if fc >= 0:
-                    failures += 1
-                    counters.on_failure(scopes[fc])
-                else:
-                    rec(d2)
-            if stopped:
-                return
-            if not right and decisions + failures >= limit:
-                exhausted = True
-                stopped = True
-                return
+            break
+        if decisions + failures >= limit or (
+            deadline is not None and perf_counter() > deadline
+        ):
+            exhausted = True
+            break
 
-    rec(masks)
+        node = parent[:]
+        node[var] = mask
+        decisions += 1
+        wake = watchers[var]
+        if optimizing and cur_bound is not None:
+            od = node[objvar]
+            if maximize:
+                nod = od & model.range_mask(cur_bound + 1, hi_mask_limit)
+            else:
+                nod = od & model.range_mask(base, cur_bound - 1)
+            if nod != od:
+                if nod == 0:
+                    failures += 1
+                    counters.on_failure((objvar,))
+                    node = None
+                    continue
+                node[objvar] = nod
+                wake = wake_obj[var]
+        pruned.clear()
+        fc, np_ = _propagate(model, node, wake, pruned)
+        propagations += np_
+        if pruned:
+            counters.bump_pruned_many(pruned, decisions)
+        if fc >= 0:
+            failures += 1
+            counters.on_failure(scopes[fc])
+            node = None
 
     return SolveOutcome(
         status=SolveStatus.BUDGET_EXHAUSTED if exhausted else SolveStatus.COMPLETE,

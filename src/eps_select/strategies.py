@@ -101,38 +101,6 @@ def variable_chooser(
                     bk = k
             return best
 
-    elif sid is StrategyId.ACT:
-        act = counters.activity
-
-        def choose(doms: list[int]) -> int:
-            best = -1
-            bk = 0.0
-            for v in range(n):
-                d = doms[v]
-                if d & (d - 1) == 0:
-                    continue
-                k = act[v]
-                if best < 0 or k > bk:
-                    best = v
-                    bk = k
-            return best
-
-    elif sid is StrategyId.WDEG_MIN or sid is StrategyId.WDEG_MAX:
-        wdeg = counters.wdeg
-
-        def choose(doms: list[int]) -> int:
-            best = -1
-            bk = 0
-            for v in range(n):
-                d = doms[v]
-                if d & (d - 1) == 0:
-                    continue
-                k = wdeg[v]
-                if best < 0 or k > bk:
-                    best = v
-                    bk = k
-            return best
-
     elif sid is StrategyId.MREGRET:
 
         def choose(doms: list[int]) -> int:
@@ -149,23 +117,7 @@ def variable_chooser(
                     bk = k
             return best
 
-    elif sid is StrategyId.MOSTC:
-        deg = model.static_degree
-
-        def choose(doms: list[int]) -> int:
-            best = -1
-            bk = -1
-            for v in range(n):
-                d = doms[v]
-                if d & (d - 1) == 0:
-                    continue
-                k = deg[v]
-                if best < 0 or k > bk:
-                    best = v
-                    bk = k
-            return best
-
-    else:  # DWDEG: minimize size/wdeg, exact integer cross-comparison
+    elif sid is StrategyId.DWDEG:  # minimize size/wdeg, exact integer cross-comparison
         wdeg = counters.wdeg
 
         def choose(doms: list[int]) -> int:
@@ -185,6 +137,27 @@ def variable_chooser(
                     best = v
                     bs = s
                     bw = w
+            return best
+
+    else:  # ACT, WDEG_MIN, WDEG_MAX, MOSTC: the largest score
+        if sid is StrategyId.ACT:
+            score = counters.activity
+        elif sid is StrategyId.MOSTC:
+            score = model.static_degree
+        else:
+            score = counters.wdeg
+
+        def choose(doms: list[int]) -> int:
+            best = -1
+            bk = 0
+            for v in range(n):
+                d = doms[v]
+                if d & (d - 1) == 0:
+                    continue
+                k = score[v]
+                if best < 0 or k > bk:
+                    best = v
+                    bk = k
             return best
 
     return choose

@@ -37,6 +37,20 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "decompose", "mab", "portfolio"])
+def test_csv_refused_where_no_rows_are_written(command, tmp_path):
+    csv_path = tmp_path / "rows.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--model", "nqueens", "--n", "6", "--csv", str(csv_path)])
+    assert exc.value.code == 2
+    assert not csv_path.exists()
+
+
+def test_negative_budget_exits_1(capsys):
+    assert main(["solve", "--model", "nqueens", "--n", "6", "--budget", "-3"]) == 1
+    assert capsys.readouterr().err.startswith("error: budget")
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])

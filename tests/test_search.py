@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from eps_select.benchmarks import allinterval, golomb, latin, magicsquare, nqueens
@@ -35,6 +37,25 @@ def test_budget_zero_exhausts():
     out = solve(m, (), StrategyId.FF, SolveMode.ALL_SOLUTIONS, budget=0)
     assert out.status is SolveStatus.BUDGET_EXHAUSTED
     assert out.work_used >= 0
+
+
+def test_negative_budget_rejected():
+    with pytest.raises(ValueError, match="budget"):
+        solve(nqueens(6), (), StrategyId.FF, SolveMode.ALL_SOLUTIONS, budget=-3)
+
+
+def test_deep_search_keeps_recursion_limit():
+    # 1500 free 0/1 variables: the first solution lies 1500 decisions deep
+    m = Model("chain", [VariableDecl(f"x{i}", (0, 1)) for i in range(1500)], [])
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        out = solve(m, (), StrategyId.FF, SolveMode.FIRST_SOLUTION)
+        limit_after = sys.getrecursionlimit()
+    finally:
+        sys.setrecursionlimit(old)
+    assert out.complete and out.solutions_found == 1 and out.work_used == 1500
+    assert limit_after == 200
 
 
 def test_budget_exhausted_implies_work_at_limit():

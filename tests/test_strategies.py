@@ -61,6 +61,8 @@ def test_mostc_static_degree():
 
 
 def test_act_and_wdeg_argmax():
+    # act, wdegm, wdegM and mostc pick the largest score among unassigned
+    # variables, ties to the smallest index
     doms = [(1, 2), (1, 2), (1, 2)]
     c = CounterState(3)
     c.activity = [0.0, 3.0, 1.0]
@@ -68,6 +70,18 @@ def test_act_and_wdeg_argmax():
     assert _choose(StrategyId.ACT, doms, counters=c) == 1
     assert _choose(StrategyId.WDEG_MIN, doms, counters=c) == 2
     assert _choose(StrategyId.WDEG_MAX, doms, counters=c) == 2
+    cons = [NotEqual(0, 1), NotEqual(1, 2), AllDifferent((1, 2))]  # degrees 1, 3, 2
+    assert _choose(StrategyId.MOSTC, doms, cons, counters=c) == 1
+    # variable 2 has the top score of each but is already assigned
+    doms = [(1, 2), (1, 2), (5,), (1, 2)]
+    c = CounterState(4)
+    c.activity = [1.0, 2.0, 9.0, 2.0]
+    c.wdeg = [0, 3, 7, 1]
+    assert _choose(StrategyId.ACT, doms, counters=c) == 1
+    assert _choose(StrategyId.WDEG_MIN, doms, counters=c) == 1
+    assert _choose(StrategyId.WDEG_MAX, doms, counters=c) == 1
+    cons = [NotEqual(2, 3), NotEqual(2, 1), AllDifferent((2, 3))]  # degrees 0, 1, 3, 2
+    assert _choose(StrategyId.MOSTC, doms, cons, counters=c) == 3
 
 
 def test_all_assigned_sentinel():
