@@ -207,7 +207,8 @@ def compare(model: Model, cfg: PssConfig) -> Comparison:
     """Run every method of :class:`Comparison` on one decomposition.
 
     Each single strategy solves every subproblem in its own task pool, one
-    pool per strategy in ``ALL_STRATEGIES`` order; PSS, the bandit and the
+    pool per strategy in ``ALL_STRATEGIES`` order (in worker processes on a
+    satisfaction model with more than one worker); PSS, the bandit and the
     portfolio then read the same oracle cache. A failed task raises
     :class:`~eps_select.runner.TaskFailed`.
     """
@@ -220,6 +221,9 @@ def compare(model: Model, cfg: PssConfig) -> Comparison:
             model, decomp.subproblems, strategies, time_mode=time_mode, shared_cache=cache
         )
 
+    # on an optimization model every solve reads and raises the live
+    # incumbent, so the singles run in order in this process
+    bound_free = model.objective is None
     singles: dict[StrategyId, float] = {}
     for sid in ALL_STRATEGIES:
         single = oracle()
@@ -229,8 +233,12 @@ def compare(model: Model, cfg: PssConfig) -> Comparison:
             lambda sub: single.full(sub, sid),
             time_mode=time_mode,
             cost_fn=lambda obs: obs.value,
+            processes=bound_free,
         )
         raise_failures(results)
+        if bound_free:  # PSS, the bandit and the portfolio read these
+            for r in results:
+                single.remember(r.task, sid, r.result)
         singles[sid] = sum(r.result.value for r in results)
         log.info("single %s total=%s", sid.token, singles[sid])
 

@@ -59,7 +59,7 @@ from .wsr import (
 _LIVE = object()  # sentinel: use the oracle's current incumbent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """One run; a censored run's ``value`` is the limit it was stopped at."""
 
@@ -271,6 +271,14 @@ class ModelOracle:
         if live:
             self.merge_objectives((obs,))
         return obs
+
+    def remember(self, sub: int, sid: StrategyId, obs: Observation) -> None:
+        """Memoize a full run made in another process (a forked pool worker,
+        whose own memo writes are lost). Satisfaction models only: their runs
+        read no bound."""
+        if self.incumbent is not None:
+            raise ValueError("only bound-free runs can be remembered")
+        self._cache.setdefault((sub, sid, None), obs)
 
     def limited(self, sub: int, sid: StrategyId, limit: float, bound=_LIVE) -> Observation:
         b = self.current_bound() if bound is _LIVE else bound
@@ -654,14 +662,21 @@ def pss_select(
 
     sampled = set(sample.indices)
     remainder = [s.id for s in subs if s.id not in sampled]
+    # on an optimization model every solve reads and raises the live
+    # incumbent, so the remainder runs in order in this process
+    bound_free = model.objective is None
     results, _ = run_pool(
         remainder,
         cfg.decomposition.worker_count,
         lambda sub: oracle.full(sub, winner),
         time_mode=rc.time_mode,
         cost_fn=lambda obs: obs.value,
+        processes=bound_free,
     )
     raise_failures(results)
+    if bound_free:
+        for r in results:
+            oracle.remember(r.task, winner, r.result)
 
     rep.population = population
     rep.prefix_len = decomposition.prefix_len

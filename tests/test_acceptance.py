@@ -65,11 +65,17 @@ FIXTURES = {
 
 @pytest.fixture(scope="session")
 def lab():
-    """One :func:`eps_select.cli.compare` run per fixture, on one worker."""
+    """One :func:`eps_select.cli.compare` run per fixture, on two workers.
+
+    Work-mode results do not depend on the worker count, so two workers give
+    the one-worker results; on the satisfaction models the singles and the
+    remainder run in forked worker processes (golomb(8)'s pools read the
+    live incumbent and stay in order in this process).
+    """
     out = {}
     for name, (build, target) in FIXTURES.items():
         cfg = PssConfig(
-            decomposition=DecompositionConfig(target_count=target, worker_count=1),
+            decomposition=DecompositionConfig(target_count=target, worker_count=2),
             race=RaceConfig(alpha=0.01, sample_seed=0),
             sample_size=30,
         )

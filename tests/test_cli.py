@@ -186,6 +186,31 @@ def test_compare_report_independent_of_worker_count(tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("command", ["compare", "pss"])
+@pytest.mark.parametrize("model,n", [("golomb", "7"), ("latin", "4")])
+def test_report_independent_of_worker_count_with_and_without_objective(
+    tmp_path, capsys, command, model, n
+):
+    # golomb's pools read the live incumbent and must stay in order; latin's
+    # go to worker processes at two and three workers
+    reports = []
+    for workers in ("1", "2", "3"):
+        out_path = tmp_path / f"{command}-{workers}.json"
+        rc = main(
+            [
+                command,
+                "--model", model, "--n", n,
+                "--target-subproblems", "100",
+                "--sample-size", "10",
+                "--workers", workers,
+                "--out", str(out_path),
+            ]
+        )
+        assert rc == 0
+        reports.append(out_path.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_decompose_report_matches_reference_at_any_worker_count(tmp_path, capsys):
     m = nqueens(8)
     prefixes, depth = reference_decomposition(m, 100)
@@ -261,6 +286,21 @@ def test_import_loads_no_scipy_or_numpy():
     code = (
         "import sys, eps_select, eps_select.cli\n"
         "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numpy'}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_pool_machinery():
+    # pickle, selectors and multiprocessing are for worker processes only
+    src = str(Path(eps_select.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, eps_select, eps_select.cli\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules}"
+        " & {'pickle', '_pickle', 'selectors', 'multiprocessing'}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

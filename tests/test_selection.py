@@ -555,3 +555,35 @@ def test_wall_mode_warm_start_structure():
     oracle = ModelOracle(golomb(5, maxlen=15), [], S[:3], time_mode=TimeMode.WALL)
     assert oracle.warm_start() > 0
     assert 11 <= oracle.current_bound() <= 15
+
+
+def test_observation_pickles_without_a_dict():
+    # observations come back from worker processes pickled; a slotted class
+    # unpickles without materialising a per-instance __dict__
+    import pickle
+
+    from eps_select.selection import Observation
+
+    for obs in (Observation(12.0, False, solutions=3, objective=None),
+                Observation(5.0, True),
+                Observation(7.0, False, objective=-4)):
+        back = pickle.loads(pickle.dumps(obs))
+        assert back == obs
+        assert not hasattr(back, "__dict__")
+
+
+def test_remember_fills_the_shared_memo_of_satisfaction_models_only():
+    from eps_select.benchmarks import golomb, nqueens
+    from eps_select.decomposition import DecompositionConfig, decompose
+    from eps_select.selection import ModelOracle, Observation
+
+    model = nqueens(6)
+    decomp = decompose(model, DecompositionConfig(target_count=10))
+    cache: dict = {}
+    oracle = ModelOracle(model, decomp.subproblems, shared_cache=cache)
+    obs = Observation(9.0, False, solutions=1)
+    oracle.remember(decomp.subproblems[0].id, S[0], obs)
+    reader = ModelOracle(model, decomp.subproblems, shared_cache=cache)
+    assert reader.full(decomp.subproblems[0].id, S[0]) is obs  # no solve
+    with pytest.raises(ValueError):
+        ModelOracle(golomb(5), []).remember(0, S[0], obs)
