@@ -13,6 +13,7 @@ import argparse
 import csv as _csv
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -141,6 +142,8 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 
 def _fmt(x: float) -> str:
+    if not math.isfinite(x):  # int() of inf or nan raises
+        return str(x)
     if x == int(x):
         return str(int(x))
     return f"{x:.2f}"

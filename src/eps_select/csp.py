@@ -4,21 +4,28 @@ Domains are encoded as integer bitmasks over a model-wide value offset, so
 value-based pruning across variables (all-different) is plain bit arithmetic.
 The propagation strength per constraint kind is fixed and documented below;
 together with the FIFO queue order (seeded in constraint declaration order)
-this makes every fixpoint fully deterministic:
+this makes every fixpoint fully deterministic. The queue is a plain list that
+the loop walks while appending to it, which visits constraints first in,
+first out:
 
 * ``all_different``  -- value consistency: assigned values are removed from
   the other domains in scope, repeated to a local fixpoint; duplicate
-  assigned values fail.
+  assigned values fail. The propagator is incremental: one scan collects the
+  assigned values, then each scan removes only the values that the previous
+  scan assigned (older ones are gone from every open domain already) and
+  stops once a scan assigns nothing. Two variables assigned the same value in
+  one scan fail when that scan ends.
 * ``linear_eq`` / ``linear_le`` -- bounds consistency on the weighted sum.
 * ``abs_diff`` (z = \\|x - y\\|) -- value consistency on all three variables:
   a value survives iff it has a support in the other two domains, checked
   word-parallel with mask shifts (a - b == v  <=>  (dx >> v) & dy != 0).
+  Rounds repeat until one leaves x and y unchanged.
 * ``not_equal`` (x != y + offset) -- value removal once one side is assigned.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -192,7 +199,8 @@ class Model:
         props = []
         for c in self.constraints:
             if isinstance(c, AllDifferent):
-                props.append((_ALLDIFF, c.vars))
+                repeated = tuple(v for v, k in Counter(c.vars).items() if k > 1)
+                props.append((_ALLDIFF, c.vars, repeated))
             elif isinstance(c, LinearEq):
                 props.append((_LINEQ, tuple(zip(c.coeffs, c.vars)), c.rhs))
             elif isinstance(c, LinearLe):
@@ -257,19 +265,17 @@ def _propagate(
     watchers = model.watchers
     base = model.lo
     ubits = model.ubits
-    nprops = len(props)
-    inq = bytearray(nprops)
-    q = deque()
+    inq = bytearray(len(props))
+    q = []
     for ci in wake:
         if not inq[ci]:
             inq[ci] = 1
             q.append(ci)
-    qpop = q.popleft
     qpush = q.append
     passes = 0
 
-    while q:
-        ci = qpop()
+    # a list iterated while it grows is a FIFO queue; inq marks the unvisited
+    for ci in q:
         inq[ci] = 0
         p = props[ci]
         kind = p[0]
@@ -277,30 +283,41 @@ def _propagate(
 
         if kind == _ALLDIFF:
             scope = p[1]
-            changed = True
-            while changed:
-                changed = False
-                amask = 0
+            new = 0
+            for v in scope:
+                d = doms[v]
+                if d & (d - 1) == 0:
+                    if new & d:
+                        return ci, passes
+                    new |= d
+            # Each scan removes only the values the previous scan fixed: the
+            # older ones are gone from every open domain already.
+            while new:
+                fixed = 0
+                dup = False
                 for v in scope:
+                    d = doms[v]
+                    if d & new and d & (d - 1):
+                        nd = d & ~new
+                        doms[v] = nd
+                        pruned.append(v)
+                        if not nd:
+                            return ci, passes
+                        for w in watchers[v]:
+                            if w != ci and not inq[w]:
+                                inq[w] = 1
+                                qpush(w)
+                        if nd & (nd - 1) == 0:
+                            if fixed & nd:
+                                dup = True
+                            fixed |= nd
+                if dup:
+                    return ci, passes
+                for v in p[2]:  # a variable the scope repeats may never be fixed
                     d = doms[v]
                     if d & (d - 1) == 0:
-                        if amask & d:
-                            return ci, passes
-                        amask |= d
-                for v in scope:
-                    d = doms[v]
-                    if d & (d - 1):
-                        nd = d & ~amask
-                        if nd != d:
-                            doms[v] = nd
-                            pruned.append(v)
-                            if not nd:
-                                return ci, passes
-                            changed = True
-                            for w in watchers[v]:
-                                if w != ci and not inq[w]:
-                                    inq[w] = 1
-                                    qpush(w)
+                        return ci, passes
+                new = fixed
 
         elif kind == _LINEQ or kind == _LINLE:
             pairs = p[1]
@@ -396,19 +413,19 @@ def _propagate(
                     sup_y |= (dx << v) | (dx >> v)
                 nx = dx & sup_x
                 ny = dy & sup_y
-                changed = False
                 for var_i, nd, od in ((z, nz, dz), (x, nx, dx), (y, ny, dy)):
                     if nd != od:
                         doms[var_i] = nd
                         pruned.append(var_i)
                         if not nd:
                             return ci, passes
-                        changed = True
                         for w in watchers[var_i]:
                             if w != ci and not inq[w]:
                                 inq[w] = 1
                                 qpush(w)
-                if not changed:
+                # z only narrows to the values x and y support, so a round
+                # that left x and y as they were has nothing left to prune
+                if doms[x] == dx and doms[y] == dy:
                     break
 
         else:  # _NOTEQ
@@ -418,10 +435,9 @@ def _propagate(
             dx = doms[x]
             dy = doms[y]
             if dx & (dx - 1) == 0:
-                vx = dx.bit_length() - 1 + base
-                bit = model.value_bit(vx - off)
-                if dy & bit:
-                    nd = dy & ~bit
+                o = dx.bit_length() - 1 - off  # bit of the value x - offset
+                if 0 <= o < ubits and dy >> o & 1:
+                    nd = dy ^ (1 << o)
                     doms[y] = nd
                     pruned.append(y)
                     if not nd:
@@ -432,10 +448,9 @@ def _propagate(
                             qpush(w)
                     dy = nd
             if dy & (dy - 1) == 0:
-                vy = dy.bit_length() - 1 + base
-                bit = model.value_bit(vy + off)
-                if dx & bit:
-                    nd = dx & ~bit
+                o = dy.bit_length() - 1 + off  # bit of the value y + offset
+                if 0 <= o < ubits and dx >> o & 1:
+                    nd = dx ^ (1 << o)
                     doms[x] = nd
                     pruned.append(x)
                     if not nd:

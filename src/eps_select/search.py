@@ -4,7 +4,10 @@ Branching is binary: left branch ``var = value``, right branch
 ``var != value``, with the variable and value picked by the strategy and the
 variable re-selected after every branch. The value is the minimum of the
 chosen domain, or the maximum for ``wdegM``. Every call starts fresh
-activity and weighted-degree counters, which never decay. The search is one
+activity and weighted-degree counters, which never decay, and keeps only the
+ones its strategy reads: activity for ``act``, weighted degrees for
+``wdegm``, ``wdegM`` and ``dwdeg``, none for ``ff``, ``mregret`` and
+``mostc``. The search is one
 loop over an explicit stack of the right branches still to take, so its depth
 is bounded by memory, not by the interpreter's recursion limit, which it never
 changes. One work unit is one committed branch; a failed propagation adds one
@@ -30,6 +33,7 @@ from .csp import InconsistentProblem, Model, _propagate
 from .strategies import CounterState, StrategyId, variable_chooser
 
 _NO_LIMIT = 1 << 62
+_WDEG_STRATEGIES = (StrategyId.WDEG_MIN, StrategyId.WDEG_MAX, StrategyId.DWDEG)
 
 
 class SolveMode(Enum):
@@ -139,6 +143,9 @@ def solve(
     else:
         wake_obj = None
     chooser = variable_chooser(model, sid, counters)
+    # only the chooser reads the counters, so keep just the ones it reads
+    keep_activity = sid is StrategyId.ACT
+    keep_wdeg = sid in _WDEG_STRATEGIES
     pick_max = sid is StrategyId.WDEG_MAX
     first_only = mode is SolveMode.FIRST_SOLUTION
 
@@ -200,7 +207,8 @@ def solve(
             if nod != od:
                 if nod == 0:
                     failures += 1
-                    counters.on_failure((objvar,))
+                    if keep_wdeg:
+                        counters.on_failure((objvar,))
                     node = None
                     continue
                 node[objvar] = nod
@@ -208,11 +216,12 @@ def solve(
         pruned.clear()
         fc, np_ = _propagate(model, node, wake, pruned)
         propagations += np_
-        if pruned:
+        if keep_activity and pruned:
             counters.bump_pruned_many(pruned, decisions)
         if fc >= 0:
             failures += 1
-            counters.on_failure(scopes[fc])
+            if keep_wdeg:
+                counters.on_failure(scopes[fc])
             node = None
 
     return SolveOutcome(

@@ -29,6 +29,7 @@ outside the sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -102,8 +103,9 @@ class RaceConfig:
     time_mode: TimeMode = TimeMode.WORK
 
     def __post_init__(self):
-        if self.timeout_factor <= 1.0:
-            raise ValueError("timeout_factor must be > 1")
+        # NaN fails every comparison, so test for the values that are allowed
+        if not 1.0 < self.timeout_factor < math.inf:
+            raise ValueError(f"timeout_factor must be finite and > 1, got {self.timeout_factor}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
 

@@ -328,3 +328,33 @@ def test_empty_sample_rejected_before_any_work(monkeypatch, capsys):
         assert rc == 1
         assert "sample_size must be >= 1" in capsys.readouterr().err
     assert calls == []
+
+
+def test_non_finite_timeout_factor_rejected_before_any_work(monkeypatch, capsys):
+    import eps_select.cli as cli_module
+
+    calls = []
+    monkeypatch.setattr(cli_module, "pss_select", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli_module, "decompose", lambda *a, **k: calls.append(a))
+    for factor in ("nan", "inf", "-inf"):
+        for command in ("pss", "decompose"):
+            rc = main([command, "--model", "nqueens", "--n", "6", "--target-subproblems", "15",
+                       "--sample-size", "10", f"--timeout-factor={factor}"])
+            assert rc == 1
+            assert "timeout_factor must be finite and > 1" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_fmt_prints_non_finite_values():
+    from eps_select.cli import _fmt
+
+    assert [_fmt(x) for x in (float("inf"), float("-inf"), float("nan"))] == ["inf", "-inf", "nan"]
+    assert (_fmt(3.0), _fmt(2.5)) == ("3", "2.50")
+
+
+def test_huge_timeout_factor_prints_an_infinite_bound(capsys):
+    # finite and valid, but the race-cost bound overflows to inf
+    rc = main(["pss", "--model", "nqueens", "--n", "6", "--target-subproblems", "15",
+               "--sample-size", "10", "--timeout-factor", "1e308"])
+    assert rc == 0
+    assert "<= bound inf;" in capsys.readouterr().out

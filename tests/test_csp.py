@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eps_select.benchmarks import allinterval, golomb, latin, magicsquare, nqueens
 from eps_select.csp import (
     AbsDiff,
     AllDifferent,
@@ -18,6 +19,7 @@ from eps_select.csp import (
 from eps_select.search import solve
 
 from bruteforce import assignment_space, brute_solutions, satisfies
+from reference_propagate import reference_propagate
 
 
 def _model(domains, constraints, name="m"):
@@ -190,3 +192,57 @@ def test_assigned_fixpoint_is_a_solution():
             assert satisfies(m, values)
             found += 1
     assert found > 0
+
+
+def _degenerate_model():
+    """A scope that repeats a variable, an AbsDiff whose result is one of its
+    operands and a NotEqual of a variable with itself."""
+    return _model(
+        [range(0, 5), range(0, 5), range(0, 6), range(1, 4)],
+        [AllDifferent((0, 1, 0, 3)), AbsDiff(0, 1, 0), AbsDiff(2, 2, 3),
+         NotEqual(3, 3, 1), AllDifferent((1, 2, 3))],
+        name="degenerate",
+    )
+
+
+def _random_submasks(rng: random.Random, m: Model) -> list[int]:
+    """Per variable: its root mask, one of its values, or a random subset."""
+    doms = []
+    for d in m.initial_masks:
+        r = rng.random()
+        if r < 0.4:
+            doms.append(d)
+            continue
+        bits = [1 << i for i in range(d.bit_length()) if d >> i & 1]
+        if r < 0.7:
+            doms.append(rng.choice(bits))
+        else:
+            doms.append(sum(rng.sample(bits, rng.randint(1, len(bits)))))
+    return doms
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("nqueens", lambda: nqueens(8)),
+        ("allinterval", lambda: allinterval(8)),
+        ("latin", lambda: latin(5)),
+        ("golomb", lambda: golomb(5)),
+        ("magicsquare", lambda: magicsquare(3)),
+        ("degenerate", _degenerate_model),
+    ],
+)
+def test_propagate_matches_reference_kernel(name, make):
+    # call for call: failing index, pass count, domains (also on failure) and
+    # the pruned sequence, from random sub-masks and random wake lists
+    m = make()
+    rng = random.Random(f"propagate-{name}")
+    ncons = len(m.constraints)
+    for _ in range(400):
+        doms = _random_submasks(rng, m)
+        wake = [rng.randrange(ncons) for _ in range(rng.randint(1, 2 * ncons))]
+        got_doms, want_doms = list(doms), list(doms)
+        got_pruned, want_pruned = [], []
+        got = _propagate(m, got_doms, wake, got_pruned)
+        want = reference_propagate(m, want_doms, wake, want_pruned)
+        assert (got, got_doms, got_pruned) == (want, want_doms, want_pruned), (name, doms, wake)

@@ -221,3 +221,64 @@ def test_wall_limit_reports_exhaustion():
     out = solve(m, (), StrategyId.ACT, SolveMode.ALL_SOLUTIONS, wall_limit_ms=15.0)
     assert out.status is SolveStatus.BUDGET_EXHAUSTED
     assert out.wall_ms < 5000
+
+
+# (model, strategy) -> (status, solutions, objective, work, decisions, failures,
+# propagations) of a whole-model solve: ALL_SOLUTIONS on the satisfaction
+# models, OPTIMIZE on golomb(5). Recorded before the propagation hot path was
+# tuned; a strategy that lost a counter it reads (act's activity, the wdeg
+# family's weights) branches differently and misses its row.
+PINNED_SOLVES = {
+    ("nqueens", "ff"): ("complete", 40, None, 282, 214, 68, 7577),
+    ("nqueens", "act"): ("complete", 40, None, 1176, 810, 366, 16563),
+    ("nqueens", "wdegm"): ("complete", 40, None, 531, 380, 151, 10241),
+    ("nqueens", "wdegM"): ("complete", 40, None, 531, 380, 151, 10243),
+    ("nqueens", "mregret"): ("complete", 40, None, 336, 250, 86, 7783),
+    ("nqueens", "mostc"): ("complete", 40, None, 294, 222, 72, 7550),
+    ("nqueens", "dwdeg"): ("complete", 40, None, 300, 226, 74, 7669),
+    ("allinterval", "ff"): ("complete", 32, None, 1325, 904, 421, 6493),
+    ("allinterval", "act"): ("complete", 32, None, 4022, 2702, 1320, 16974),
+    ("allinterval", "wdegm"): ("complete", 32, None, 2255, 1524, 731, 9978),
+    ("allinterval", "wdegM"): ("complete", 32, None, 2324, 1570, 754, 9396),
+    ("allinterval", "mregret"): ("complete", 32, None, 1484, 1010, 474, 6640),
+    ("allinterval", "mostc"): ("complete", 32, None, 1226, 838, 388, 5922),
+    ("allinterval", "dwdeg"): ("complete", 32, None, 1349, 920, 429, 6936),
+    ("latin", "ff"): ("complete", 576, None, 1150, 1150, 0, 5728),
+    ("latin", "act"): ("complete", 576, None, 4531, 3404, 1127, 12784),
+    ("latin", "wdegm"): ("complete", 576, None, 1150, 1150, 0, 5704),
+    ("latin", "wdegM"): ("complete", 576, None, 1150, 1150, 0, 5704),
+    ("latin", "mregret"): ("complete", 576, None, 1438, 1342, 96, 6244),
+    ("latin", "mostc"): ("complete", 576, None, 1150, 1150, 0, 5704),
+    ("latin", "dwdeg"): ("complete", 576, None, 1150, 1150, 0, 5728),
+    ("magicsquare", "ff"): ("complete", 8, None, 128, 90, 38, 869),
+    ("magicsquare", "act"): ("complete", 8, None, 128, 90, 38, 926),
+    ("magicsquare", "wdegm"): ("complete", 8, None, 77, 56, 21, 561),
+    ("magicsquare", "wdegM"): ("complete", 8, None, 77, 56, 21, 561),
+    ("magicsquare", "mregret"): ("complete", 8, None, 131, 92, 39, 856),
+    ("magicsquare", "mostc"): ("complete", 8, None, 71, 52, 19, 541),
+    ("magicsquare", "dwdeg"): ("complete", 8, None, 77, 56, 21, 580),
+    ("golomb", "ff"): ("complete", 2, 11, 32, 22, 10, 393),
+    ("golomb", "act"): ("complete", 2, 11, 65, 44, 21, 510),
+    ("golomb", "wdegm"): ("complete", 2, 11, 41, 28, 13, 402),
+    ("golomb", "wdegM"): ("complete", 15, 11, 202, 144, 58, 2060),
+    ("golomb", "mregret"): ("complete", 2, 11, 32, 22, 10, 389),
+    ("golomb", "mostc"): ("complete", 2, 11, 32, 22, 10, 393),
+    ("golomb", "dwdeg"): ("complete", 2, 11, 62, 42, 20, 508),
+}
+
+
+def test_solve_outcomes_pinned():
+    models = {
+        "nqueens": (nqueens(7), SolveMode.ALL_SOLUTIONS),
+        "allinterval": (allinterval(7), SolveMode.ALL_SOLUTIONS),
+        "latin": (latin(4), SolveMode.ALL_SOLUTIONS),
+        "magicsquare": (magicsquare(3), SolveMode.ALL_SOLUTIONS),
+        "golomb": (golomb(5), SolveMode.OPTIMIZE),
+    }
+    assert len(PINNED_SOLVES) == len(models) * len(ALL_STRATEGIES)
+    for (name, token), want in PINNED_SOLVES.items():
+        m, mode = models[name]
+        o = solve(m, (), StrategyId(token), mode)
+        got = (o.status.value, o.solutions_found, o.best_objective, o.work_used,
+               o.decisions, o.failures, o.propagations)
+        assert got == want, (name, token)
