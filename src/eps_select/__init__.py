@@ -26,6 +26,7 @@ from .search import (
     SolveStatus,
     TimeMode,
     count_all,
+    root_domains,
     solve,
 )
 from .decomposition import (

@@ -18,8 +18,11 @@ first out:
 * ``linear_eq`` / ``linear_le`` -- bounds consistency on the weighted sum.
 * ``abs_diff`` (z = \\|x - y\\|) -- value consistency on all three variables:
   a value survives iff it has a support in the other two domains, checked
-  word-parallel with mask shifts (a - b == v  <=>  (dx >> v) & dy != 0).
-  Rounds repeat until one leaves x and y unchanged.
+  word-parallel with mask shifts. Each round walks z's values once: for a
+  value v, ``t = (dy << v) | (dy >> v)`` holds the values at distance v from
+  y's, so v is supported iff ``dx & t``, and a supported v adds ``t`` to x's
+  supports and the values at distance v from x's to y's. Rounds repeat until
+  one leaves x and y unchanged.
 * ``not_equal`` (x != y + offset) -- value removal once one side is assigned.
 """
 
@@ -392,37 +395,52 @@ def _propagate(
                 dx = doms[x]
                 dy = doms[y]
                 dz = doms[z]
-                # z keeps v iff some pair differs by exactly v
+                # one walk over z: t marks the x values at distance v from
+                # some y value, so z keeps v iff dx & t, and then x keeps
+                # t's values and y keeps the values at distance v from dx
                 nz = 0
+                sup_x = 0
+                sup_y = 0
                 d = dz
                 while d:
                     low = d & -d
                     d ^= low
                     v = low.bit_length() - 1 + base
-                    if v >= 0 and ((dx >> v) & dy or (dy >> v) & dx):
-                        nz |= low
-                # x keeps a iff a-v or a+v lands in dy for some surviving v
-                sup_x = 0
-                sup_y = 0
-                d = nz
-                while d:
-                    low = d & -d
-                    d ^= low
-                    v = low.bit_length() - 1 + base
-                    sup_x |= (dy << v) | (dy >> v)
-                    sup_y |= (dx << v) | (dx >> v)
+                    if v >= 0:
+                        t = (dy << v) | (dy >> v)
+                        if dx & t:
+                            nz |= low
+                            sup_x |= t
+                            sup_y |= (dx << v) | (dx >> v)
                 nx = dx & sup_x
                 ny = dy & sup_y
-                for var_i, nd, od in ((z, nz, dz), (x, nx, dx), (y, ny, dy)):
-                    if nd != od:
-                        doms[var_i] = nd
-                        pruned.append(var_i)
-                        if not nd:
-                            return ci, passes
-                        for w in watchers[var_i]:
-                            if w != ci and not inq[w]:
-                                inq[w] = 1
-                                qpush(w)
+                if nz != dz:
+                    doms[z] = nz
+                    pruned.append(z)
+                    if not nz:
+                        return ci, passes
+                    for w in watchers[z]:
+                        if w != ci and not inq[w]:
+                            inq[w] = 1
+                            qpush(w)
+                if nx != dx:
+                    doms[x] = nx
+                    pruned.append(x)
+                    if not nx:
+                        return ci, passes
+                    for w in watchers[x]:
+                        if w != ci and not inq[w]:
+                            inq[w] = 1
+                            qpush(w)
+                if ny != dy:
+                    doms[y] = ny
+                    pruned.append(y)
+                    if not ny:
+                        return ci, passes
+                    for w in watchers[y]:
+                        if w != ci and not inq[w]:
+                            inq[w] = 1
+                            qpush(w)
                 # z only narrows to the values x and y support, so a round
                 # that left x and y as they were has nothing left to prune
                 if doms[x] == dx and doms[y] == dy:

@@ -11,23 +11,32 @@ assignment is made once, and no recursion is involved. Deepening stops when
 the subproblem count reaches the target or every variable is in the prefix;
 if the target is never reached, the largest frontier seen is returned.
 Mutually exclusive and exhaustive prefixes make the subproblems a partition
-of the root's solution space.
+of the root's solution space. Each subproblem keeps the domains its
+propagation left, which are its root fixpoint (every propagator is monotone,
+so propagating the prefix from the parent's domains reaches the same
+fixpoint as propagating it from the model's initial domains), and the search
+starts from them without a root pass.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .csp import InconsistentProblem, Model, _propagate
+from .csp import Model, _propagate
+from .search import root_domains
 
 
 @dataclass(frozen=True)
 class Subproblem:
+    """A prefix assignment and its root fixpoint: ``domains`` holds the masks
+    that :func:`~eps_select.search.root_domains` computes for ``assignment``."""
+
     id: int
     assignment: tuple[tuple[int, int], ...]
+    domains: tuple[int, ...] = field(repr=False)
 
 
 @dataclass
@@ -59,12 +68,14 @@ class Decomposition:
 
 
 def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
+    """Split the model into subproblems that each carry their root fixpoint.
+
+    An inconsistent model raises :class:`~eps_select.csp.InconsistentProblem`
+    from :func:`~eps_select.search.root_domains`.
+    """
     target = cfg.effective_target()
 
-    root = list(model.initial_masks)
-    fail, _ = _propagate(model, root, range(len(model.constraints)), [])
-    if fail >= 0:
-        raise InconsistentProblem("root problem is inconsistent")
+    root, _ = root_domains(model)
 
     watchers = model.watchers
     base = model.lo
@@ -98,7 +109,7 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
         # collapse toward the solution set, so keep the largest set seen
         frontier, depth = best, best_depth
 
-    subs = [Subproblem(i, prefix) for i, (prefix, _) in enumerate(frontier)]
+    subs = [Subproblem(i, prefix, tuple(doms)) for i, (prefix, doms) in enumerate(frontier)]
     return Decomposition(
         subproblems=subs,
         prefix_len=depth,

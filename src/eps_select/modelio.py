@@ -25,7 +25,11 @@ automatically when needed). A model whose values span more than
 ``csp.MAX_DOMAIN_WIDTH`` is refused before its domains are built. Every
 entry must be an object and every collection a list; domain values,
 ``coeffs``, ``rhs`` and ``offset`` must be integers, and JSON booleans are
-not. A document that breaks any of this raises ``ModelFormatError``.
+not. An ``all_different`` that repeats a variable (unsatisfiable) and a
+``not_equal`` of a variable with itself (unsatisfiable or always true) are
+refused as well; ``csp.Model`` itself still accepts both. An ``abs_diff``
+whose ``z`` is ``x`` or ``y`` stays legal: ``x = |x - y|`` has solutions. A
+document that breaks any of this raises ``ModelFormatError``.
 """
 
 from __future__ import annotations
@@ -121,8 +125,10 @@ def model_from_dict(data: dict) -> Model:
         kind = _object(rc, f"constraint #{ci}").get("kind")
         where = f"constraint #{ci} ({kind})"
         if kind == "all_different":
-            vs = _list(rc.get("vars", []), f"{where}: vars")
-            cons.append(AllDifferent(tuple(ref(v, where) for v in vs)))
+            vs = tuple(ref(v, where) for v in _list(rc.get("vars", []), f"{where}: vars"))
+            if len(set(vs)) != len(vs):
+                raise ModelFormatError(f"{where}: vars repeat a variable")
+            cons.append(AllDifferent(vs))
         elif kind in ("linear_eq", "linear_le"):
             coeffs = rc.get("coeffs")
             vs = rc.get("vars")
@@ -143,7 +149,10 @@ def model_from_dict(data: dict) -> Model:
             off = rc.get("offset", 0)
             if not _is_int(off):
                 raise ModelFormatError(f"{where}: offset must be an integer")
-            cons.append(NotEqual(ref(rc.get("x"), where), ref(rc.get("y"), where), off))
+            x, y = ref(rc.get("x"), where), ref(rc.get("y"), where)
+            if x == y:
+                raise ModelFormatError(f"{where}: x and y are the same variable")
+            cons.append(NotEqual(x, y, off))
         else:
             raise ModelFormatError(f"constraint #{ci}: unknown kind {kind!r}")
 

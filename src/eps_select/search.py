@@ -84,30 +84,17 @@ class Incumbent:
         return False
 
 
-def solve(
-    model: Model,
-    assignment: Sequence[tuple[int, int]] = (),
-    sid: StrategyId = StrategyId.FF,
-    mode: SolveMode = SolveMode.ALL_SOLUTIONS,
-    budget: Optional[int] = None,
-    bound: Optional[int] = None,
-    wall_limit_ms: Optional[float] = None,
-) -> SolveOutcome:
-    """Solve the model under a partial assignment with one strategy.
+def root_domains(
+    model: Model, assignment: Sequence[tuple[int, int]] = ()
+) -> tuple[list[int], int]:
+    """The domain masks of the root fixpoint under ``assignment``, and its passes.
 
-    ``assignment`` must be propagation-consistent (decomposition guarantees
-    this); anything else raises :class:`InconsistentProblem`. In
-    ``OPTIMIZE`` mode ``bound`` is the incumbent objective: only strictly
-    improving solutions are admitted, and each one tightens the bound for the
-    rest of the run. In ``FIRST_SOLUTION`` mode the bound is not applied, and
-    on a model with an objective the first solution's objective is reported.
-    A negative ``budget`` raises :class:`ValueError`.
+    Each assigned variable is fixed to its value, then every constraint is
+    woken once and propagated to the fixpoint. A value outside its variable's
+    domain, or a propagation failure, raises :class:`InconsistentProblem`;
+    with an empty ``assignment`` the message names the model, whose own
+    constraints are then contradictory.
     """
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-
-    n = model.n
-    base = model.lo
     masks = list(model.initial_masks)
     for var, val in assignment:
         bit = model.value_bit(val)
@@ -116,14 +103,56 @@ def solve(
                 f"assignment {model.names[var]}={val} is outside the domain"
             )
         masks[var] = bit
+    fail, passes = _propagate(model, masks, range(len(model.constraints)), [])
+    if fail >= 0:
+        if not assignment:
+            raise InconsistentProblem(
+                f"model {model.name!r} is inconsistent: propagation at the root fails"
+            )
+        raise InconsistentProblem("subproblem assignment is not propagation-consistent")
+    return masks, passes
 
+
+def solve(
+    model: Model,
+    assignment: Sequence[tuple[int, int]] = (),
+    sid: StrategyId = StrategyId.FF,
+    mode: SolveMode = SolveMode.ALL_SOLUTIONS,
+    budget: Optional[int] = None,
+    bound: Optional[int] = None,
+    wall_limit_ms: Optional[float] = None,
+    *,
+    domains: Optional[Sequence[int]] = None,
+) -> SolveOutcome:
+    """Solve the model under a partial assignment with one strategy.
+
+    The search starts from the root fixpoint of ``assignment``. By default
+    :func:`root_domains` computes it, so an assignment that is not
+    propagation-consistent raises :class:`InconsistentProblem`.
+    ``domains`` passes that fixpoint in instead -- a decomposed
+    :class:`~eps_select.decomposition.Subproblem` stores it -- and the root
+    pass is skipped. Every propagator is monotone, so both starts reach the
+    same domains and the same outcome, except that ``propagations`` then
+    leaves out the root passes. In ``OPTIMIZE`` mode ``bound`` is the
+    incumbent objective: only strictly improving solutions are admitted, and
+    each one tightens the bound for the rest of the run. In
+    ``FIRST_SOLUTION`` mode the bound is not applied, and on a model with an
+    objective the first solution's objective is reported. A negative
+    ``budget`` raises :class:`ValueError`.
+    """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+
+    n = model.n
+    base = model.lo
     counters = CounterState(n)
 
     t0 = perf_counter()
+    if domains is None:
+        masks, passes = root_domains(model, assignment)
+    else:
+        masks, passes = list(domains), 0
     pruned: list[int] = []
-    fail, passes = _propagate(model, masks, range(len(model.constraints)), pruned)
-    if fail >= 0:
-        raise InconsistentProblem("subproblem assignment is not propagation-consistent")
 
     obj = model.objective
     optimizing = mode is SolveMode.OPTIMIZE

@@ -257,9 +257,10 @@ class ModelOracle:
         return sum(o.value for o in obs.values())
 
     def _solve(self, sub: int, sid: StrategyId, bound, wall_ms=None):
+        s = self.subs[sub]
         return solve(
-            self.model, self.subs[sub].assignment, sid, self.mode,
-            bound=bound, wall_limit_ms=wall_ms,
+            self.model, s.assignment, sid, self.mode,
+            bound=bound, wall_limit_ms=wall_ms, domains=s.domains,
         )
 
     def full(self, sub: int, sid: StrategyId, bound=_LIVE) -> Observation:

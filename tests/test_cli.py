@@ -275,6 +275,26 @@ def test_json_model_input(tmp_path, capsys):
     assert "solutions=4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["solve", "pss"])
+def test_inconsistent_model_names_the_model(command, capsys):
+    # golomb(5) needs a ruler of length 11; maxlen 2 fails before any assignment
+    assert main([command, "--model", "golomb", "--n", "5", "--maxlen", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: model 'golomb-5' is inconsistent: propagation at the root fails\n"
+    )
+
+
+def test_degenerate_json_constraint_exits_1(tmp_path, capsys):
+    p = tmp_path / "repeat.json"
+    p.write_text(json.dumps({
+        "name": "repeat",
+        "variables": [{"id": "x", "domain": [1, 2]}, {"id": "y", "domain": [1, 2]}],
+        "constraints": [{"kind": "all_different", "vars": ["x", "y", "x"]}],
+    }))
+    assert main(["solve", "--json", str(p)]) == 1
+    assert "constraint #0 (all_different): vars repeat a variable" in capsys.readouterr().err
+
+
 def test_model_or_json_required(capsys):
     assert main(["solve", "--strategy", "ff"]) == 1
     assert "either --model or --json" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from eps_select.decomposition import (
     sample_size_rule,
     srs_sample,
 )
-from eps_select.search import SolveMode, solve
+from eps_select.search import SolveMode, root_domains, solve
 from eps_select.strategies import ALL_STRATEGIES, StrategyId
 
 from bruteforce import consistent_prefixes, reference_decomposition
@@ -109,9 +109,31 @@ def test_nqueens10_pinned():
     assert d.work == 13688
 
 
+@pytest.mark.parametrize(
+    "model_fn, target, shortfall",
+    [
+        (lambda: nqueens(8), 10, False),
+        (lambda: nqueens(8), 10**9, True),  # the best frontier, not the last
+        (lambda: allinterval(8), 10, False),
+        (lambda: allinterval(8), 1000, True),
+        (lambda: latin(5), 10, False),
+        (lambda: latin(5), 500, False),
+        (lambda: golomb(6), 10, False),
+        (lambda: golomb(6), 100, False),
+        (lambda: magicsquare(3), 10**9, True),
+    ],
+)
+def test_stored_domains_are_the_root_fixpoint(model_fn, target, shortfall):
+    m = model_fn()
+    d = decompose(m, DecompositionConfig(target_count=target))
+    assert d.shortfall == shortfall
+    for s in d.subproblems:
+        assert s.domains == tuple(root_domains(m, s.assignment)[0])
+
+
 def test_root_inconsistent_raises():
     m = Model("bad", [VariableDecl("a", (1,)), VariableDecl("b", (1,))], [AllDifferent((0, 1))])
-    with pytest.raises(InconsistentProblem):
+    with pytest.raises(InconsistentProblem, match="model 'bad' is inconsistent"):
         decompose(m, DecompositionConfig(target_count=5))
 
 

@@ -245,3 +245,26 @@ def test_objective_roundtrip(tmp_path):
     assert d["objective"] == {"variable": "m3", "sense": "minimize"}
     m2 = model_from_dict(d)
     assert m2.objective is not None and not m2.objective.maximize
+
+
+@pytest.mark.parametrize(
+    "con, message",
+    [
+        ({"kind": "all_different", "vars": ["x", "y", "x"]}, r"constraint #1 \(all_different\): vars repeat"),
+        ({"kind": "not_equal", "x": "y", "y": "y"}, r"constraint #1 \(not_equal\): x and y are the same"),
+        ({"kind": "not_equal", "x": "x", "y": "x", "offset": 2}, r"constraint #1 \(not_equal\): x and y"),
+    ],
+    ids=["all-different-repeat", "not-equal-self", "not-equal-self-offset"],
+)
+def test_degenerate_constraints_rejected(con, message):
+    doc = {"variables": [_X, _Y], "constraints": [{"kind": "all_different", "vars": ["x", "y"]}, con]}
+    with pytest.raises(ModelFormatError, match=message):
+        model_from_dict(doc)
+
+
+def test_abs_diff_with_z_aliasing_x_is_legal():
+    # x = |x - y| holds for y = 0 (any x) and for y = 2x
+    m = model_from_dict(
+        {"variables": [_X, _Y], "constraints": [{"kind": "abs_diff", "x": "x", "y": "y", "z": "x"}]}
+    )
+    assert count_all(m).solutions_found == 5

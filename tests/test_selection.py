@@ -587,3 +587,24 @@ def test_remember_fills_the_shared_memo_of_satisfaction_models_only():
     assert reader.full(decomp.subproblems[0].id, S[0]) is obs  # no solve
     with pytest.raises(ValueError):
         ModelOracle(golomb(5), []).remember(0, S[0], obs)
+
+
+@pytest.mark.parametrize("name, bound", [("golomb", 20), ("allinterval", None)])
+def test_oracle_from_stored_domains_matches_a_fresh_solve(name, bound):
+    # the oracle starts each solve from the subproblem's stored root domains;
+    # a solve from the bare assignment repeats the root pass and must observe
+    # the same run for every strategy
+    from eps_select.benchmarks import allinterval, golomb
+    from eps_select.decomposition import DecompositionConfig, decompose
+    from eps_select.search import SolveMode, TimeMode, solve
+    from eps_select.selection import ModelOracle, _observe
+
+    model = golomb(6) if name == "golomb" else allinterval(8)
+    mode = SolveMode.OPTIMIZE if name == "golomb" else SolveMode.ALL_SOLUTIONS
+    decomp = decompose(model, DecompositionConfig(target_count=30))
+    oracle = ModelOracle(model, decomp.subproblems)
+    assert oracle.mode is mode
+    for s in decomp.subproblems:
+        for sid in ALL_STRATEGIES:
+            fresh = _observe(solve(model, s.assignment, sid, mode, bound=bound), TimeMode.WORK)
+            assert oracle.full(s.id, sid, bound) == fresh
