@@ -7,15 +7,27 @@ together with the domains their propagation left, and deepens it one
 variable at a time: each frontier entry is extended by every remaining value
 of the next variable, in ascending order, and propagated from its parent's
 domains. The frontier thus stays in lexicographic order, every enumeration
-assignment is made once, and no recursion is involved. Deepening stops when
-the subproblem count reaches the target or every variable is in the prefix;
-if the target is never reached, the largest frontier seen is returned.
+assignment is made once, and no recursion is involved. A prefix is not
+stored beside its domains: its variables are singletons there. Deepening
+stops when the subproblem count reaches the target or every variable is in
+the prefix; if the target is never reached, the largest frontier seen is
+returned.
 Mutually exclusive and exhaustive prefixes make the subproblems a partition
 of the root's solution space. Each subproblem keeps the domains its
 propagation left, which are its root fixpoint (every propagator is monotone,
 so propagating the prefix from the parent's domains reaches the same
 fixpoint as propagating it from the model's initial domains), and the search
 starts from them without a root pass.
+
+Each depth is extended through :func:`~eps_select.runner.run_pool` with
+``processes=True``. A depth of at least ``FORK_MIN_ASSIGNMENTS`` enumeration
+assignments is cut into ``SPANS`` contiguous spans of the frontier, which
+forked worker processes extend when there is more than one worker, on any
+model: the decomposition only propagates and reads no incumbent. The parent
+concatenates the spans' children in task order and counts the assignments
+itself, so the subproblems, their domains, the prefix length and the work do
+not depend on the worker count. A smaller depth is one span, which runs in
+the calling process.
 """
 
 from __future__ import annotations
@@ -23,10 +35,23 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .csp import Model, _propagate
+from .runner import raise_failures, run_pool
 from .search import root_domains
+
+# a depth with fewer enumeration assignments than this is one span, which
+# run_pool extends in the calling process (it never forks for one task): its
+# propagation costs less than forking workers and pickling their replies.
+# Tuned on nqueens only: an assignment's cost differs between models, so the
+# count does not track a depth's cost elsewhere (BENCH_forked_decomposition.json)
+FORK_MIN_ASSIGNMENTS = 1000
+# a larger depth is cut into this many contiguous spans of its frontier; the
+# cut depends on the frontier only, so the subproblems do not depend on the
+# worker count
+SPANS = 32
 
 
 @dataclass(frozen=True)
@@ -71,35 +96,33 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
     """Split the model into subproblems that each carry their root fixpoint.
 
     An inconsistent model raises :class:`~eps_select.csp.InconsistentProblem`
-    from :func:`~eps_select.search.root_domains`.
+    from :func:`~eps_select.search.root_domains`; an extension that raises
+    ends in :class:`~eps_select.runner.TaskFailed` with the error as cause.
     """
     target = cfg.effective_target()
 
     root, _ = root_domains(model)
 
-    watchers = model.watchers
-    base = model.lo
     total_work = 0
     depth = 0
-    # the depth-d frontier: each consistent prefix of variables 0..d-1 with
-    # the domain masks its propagation left
-    frontier: list[tuple[tuple[tuple[int, int], ...], list[int]]] = [((), root)]
+    # the depth-d frontier: the domain masks of each consistent prefix of
+    # variables 0..d-1, which are singletons there
+    frontier: list[list[int]] = [root]
     best = frontier
     best_depth = 0
-    while len(frontier) < target and depth < model.n:
-        extended = []
-        for prefix, doms in frontier:
-            d = doms[depth]
-            while d:
-                low = d & -d
-                d ^= low
-                d2 = doms[:]
-                d2[depth] = low
-                total_work += 1
-                fc, _ = _propagate(model, d2, watchers[depth], [])
-                if fc < 0:
-                    extended.append((prefix + ((depth, low.bit_length() - 1 + base),), d2))
-        frontier = extended
+    while frontier and len(frontier) < target and depth < model.n:
+        assignments = sum(doms[depth].bit_count() for doms in frontier)
+        total_work += assignments
+        n = len(frontier)
+        size = -(-n // SPANS) if assignments >= FORK_MIN_ASSIGNMENTS else n
+        results, _ = run_pool(
+            [(start, min(start + size, n)) for start in range(0, n, size)],
+            cfg.worker_count,
+            partial(_extend, model, frontier, depth),
+            processes=True,
+        )
+        raise_failures(results)
+        frontier = [doms for r in results for doms in r.result]
         depth += 1
         if len(frontier) > len(best):
             best = frontier
@@ -109,13 +132,49 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
         # collapse toward the solution set, so keep the largest set seen
         frontier, depth = best, best_depth
 
-    subs = [Subproblem(i, prefix, tuple(doms)) for i, (prefix, doms) in enumerate(frontier)]
+    base = model.lo
+    # equal masks and equal (variable, value) pairs share one object: masks
+    # unpickled from worker replies, and pairs read back from the prefix's
+    # singletons, would otherwise each keep one of their own
+    shared: dict = {}
+    subs = [
+        Subproblem(
+            i,
+            tuple(
+                shared.setdefault(pair, pair)
+                for pair in enumerate(m.bit_length() - 1 + base for m in doms[:depth])
+            ),
+            tuple(map(shared.setdefault, doms, doms)),
+        )
+        for i, doms in enumerate(frontier)
+    ]
     return Decomposition(
         subproblems=subs,
         prefix_len=depth,
         shortfall=len(subs) < target,
         work=total_work,
     )
+
+
+def _extend(
+    model: Model, frontier: list[list[int]], depth: int, span: tuple[int, int]
+) -> list[list[int]]:
+    """The consistent children of ``frontier[start:stop]`` in order: each
+    entry's variable ``depth`` fixed to each of its values, ascending, and
+    propagated from the entry's domains."""
+    watch = model.watchers[depth]
+    children = []
+    for doms in frontier[span[0] : span[1]]:
+        d = doms[depth]
+        while d:
+            low = d & -d
+            d ^= low
+            d2 = doms[:]
+            d2[depth] = low
+            fc, _ = _propagate(model, d2, watch, [])
+            if fc < 0:
+                children.append(d2)
+    return children
 
 
 @dataclass

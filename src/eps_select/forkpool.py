@@ -1,7 +1,8 @@
 """Forked worker processes for :func:`eps_select.runner.run_pool`.
 
 Each worker is forked from the caller, so it shares the tasks and the
-executor (a closure over the model and the oracle) without pickling them.
+executor (a closure over the model and the oracle, or over the model and
+the decomposition frontier) without pickling them.
 It has a request pipe, on which the parent sends ``(start, stop)`` chunks of
 task indices in task order, and a reply pipe, on which it sends back each
 chunk's outcomes as one length-prefixed pickle. A worker leaves by

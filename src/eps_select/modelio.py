@@ -27,7 +27,8 @@ entry must be an object and every collection a list; domain values,
 ``coeffs``, ``rhs`` and ``offset`` must be integers, and JSON booleans are
 not. An ``all_different`` that repeats a variable (unsatisfiable) and a
 ``not_equal`` of a variable with itself (unsatisfiable or always true) are
-refused as well; ``csp.Model`` itself still accepts both. An ``abs_diff``
+refused as well, and :func:`model_to_dict` and :func:`save_json` refuse to
+write them; ``csp.Model`` itself still accepts both. An ``abs_diff``
 whose ``z`` is ``x`` or ``y`` stays legal: ``x = |x - y|`` has solutions. A
 document that breaks any of this raises ``ModelFormatError``.
 """
@@ -126,8 +127,6 @@ def model_from_dict(data: dict) -> Model:
         where = f"constraint #{ci} ({kind})"
         if kind == "all_different":
             vs = tuple(ref(v, where) for v in _list(rc.get("vars", []), f"{where}: vars"))
-            if len(set(vs)) != len(vs):
-                raise ModelFormatError(f"{where}: vars repeat a variable")
             cons.append(AllDifferent(vs))
         elif kind in ("linear_eq", "linear_le"):
             coeffs = rc.get("coeffs")
@@ -149,12 +148,10 @@ def model_from_dict(data: dict) -> Model:
             off = rc.get("offset", 0)
             if not _is_int(off):
                 raise ModelFormatError(f"{where}: offset must be an integer")
-            x, y = ref(rc.get("x"), where), ref(rc.get("y"), where)
-            if x == y:
-                raise ModelFormatError(f"{where}: x and y are the same variable")
-            cons.append(NotEqual(x, y, off))
+            cons.append(NotEqual(ref(rc.get("x"), where), ref(rc.get("y"), where), off))
         else:
             raise ModelFormatError(f"constraint #{ci}: unknown kind {kind!r}")
+        _refuse_degenerate(ci, cons[-1])
 
     objective = None
     raw_obj = data.get("objective")
@@ -170,7 +167,20 @@ def model_from_dict(data: dict) -> Model:
         raise ModelFormatError(str(exc)) from None
 
 
+def _refuse_degenerate(ci: int, c: Constraint) -> None:
+    """Refuse constraint #``ci`` if ``csp.Model`` accepts it but a document
+    may not hold it."""
+    if isinstance(c, AllDifferent) and len(set(c.vars)) != len(c.vars):
+        raise ModelFormatError(f"constraint #{ci} (all_different): vars repeat a variable")
+    if isinstance(c, NotEqual) and c.x == c.y:
+        raise ModelFormatError(f"constraint #{ci} (not_equal): x and y are the same variable")
+
+
 def model_to_dict(model: Model) -> dict:
+    """The model as a document :func:`model_from_dict` reads back; a model
+    built in code with a constraint that the reader refuses (an
+    ``all_different`` that repeats a variable, a ``not_equal`` of a variable
+    with itself) raises ``ModelFormatError`` naming that constraint."""
     variables = []
     for v in model.variables:
         vals = v.values
@@ -185,7 +195,8 @@ def model_to_dict(model: Model) -> dict:
 
     names = model.names
     constraints = []
-    for c in model.constraints:
+    for ci, c in enumerate(model.constraints):
+        _refuse_degenerate(ci, c)
         if isinstance(c, AllDifferent):
             constraints.append({"kind": "all_different", "vars": [names[v] for v in c.vars]})
         elif isinstance(c, LinearEq):

@@ -1,5 +1,9 @@
+import os
+import signal
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -25,3 +29,43 @@ def golden_matrix():
     return {
         ALL_STRATEGIES[i]: list(GOLDEN_TIMES[f"S{i + 1}"]) for i in range(4)
     }
+
+
+# worker processes: tests that fork fake two usable CPUs with the forks
+# fixture, so the forked paths run on any host with os.fork
+fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the worker processes forked during the test (two CPUs);
+    a pool still running after 60 s fails the test instead of hanging it."""
+    pids = []
+    real_fork = getattr(os, "fork", None)
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+
+    def hung(_signum, _frame):
+        raise TimeoutError("the pool did not finish within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield pids
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def all_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    return True

@@ -284,6 +284,16 @@ def test_inconsistent_model_names_the_model(command, capsys):
     )
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_unsatisfiable_model_with_consistent_root_reports_no_solutions(workers, capsys):
+    # nqueens(3): no value of q0 survives propagation, so decompose keeps
+    # the root as its one subproblem
+    assert main(["pss", "--model", "nqueens", "--n", "3", "--workers", workers]) == 0
+    out = capsys.readouterr().out
+    assert "population: 1 subproblems (prefix 0)" in out
+    assert "solutions: 0" in out
+
+
 def test_degenerate_json_constraint_exits_1(tmp_path, capsys):
     p = tmp_path / "repeat.json"
     p.write_text(json.dumps({

@@ -4,16 +4,19 @@ import pytest
 
 from eps_select.benchmarks import allinterval, golomb, latin, magicsquare, nqueens
 from eps_select.csp import AllDifferent, InconsistentProblem, Model, VariableDecl
+from eps_select import decomposition
 from eps_select.decomposition import (
     DecompositionConfig,
     decompose,
     sample_size_rule,
     srs_sample,
 )
+from eps_select.runner import TaskFailed
 from eps_select.search import SolveMode, root_domains, solve
 from eps_select.strategies import ALL_STRATEGIES, StrategyId
 
 from bruteforce import consistent_prefixes, reference_decomposition
+from conftest import all_reaped, fork_only
 
 
 def test_target_one_gives_empty_prefix():
@@ -135,6 +138,77 @@ def test_root_inconsistent_raises():
     m = Model("bad", [VariableDecl("a", (1,)), VariableDecl("b", (1,))], [AllDifferent((0, 1))])
     with pytest.raises(InconsistentProblem, match="model 'bad' is inconsistent"):
         decompose(m, DecompositionConfig(target_count=5))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unsatisfiable_consistent_root_gives_the_root(n, workers):
+    # the root prunes nothing, but every value of q0 fails: the frontier
+    # empties at depth 1, and the root is the largest frontier seen
+    m = nqueens(n)
+    d = decompose(m, DecompositionConfig(target_count=5, worker_count=workers))
+    assert d.prefix_len == 0 and d.shortfall and d.work == n
+    assert [(s.id, s.assignment, s.domains) for s in d.subproblems] == [
+        (0, (), tuple(root_domains(m)[0]))
+    ]
+
+
+# ---------------------------------------------------------------------------
+# forked extension of the frontier, under conftest.py's two-CPU forks fixture
+
+
+@fork_only
+@pytest.mark.parametrize(
+    "model_fn, target, threshold, forked_depths",
+    [
+        # the module's threshold: depths 4-7 of nqueens(10) fork, and the
+        # target is never reached (shortfall, all ten depths)
+        (lambda: nqueens(10), 3000, None, 4),
+        (lambda: latin(5), 3000, None, 2),  # depths 7 and 8
+        # a low threshold makes the small depths of these fork as well:
+        # golomb(8) is an optimization model, magicsquare(3) falls short
+        (lambda: golomb(8), 500, 10, 1),  # depth 3; depth 2 has one parent
+        (lambda: magicsquare(3), 10**9, 10, 3),  # depths 2-4
+    ],
+    ids=["nqueens10", "latin5", "golomb8", "magicsquare3"],
+)
+def test_spans_and_forks_leave_the_decomposition_unchanged(
+    forks, monkeypatch, model_fn, target, threshold, forked_depths
+):
+    m = model_fn()
+    threshold = threshold or decomposition.FORK_MIN_ASSIGNMENTS
+    # the reference extends every depth as one span
+    monkeypatch.setattr(decomposition, "FORK_MIN_ASSIGNMENTS", math.inf)
+    one = decompose(m, DecompositionConfig(target_count=target, worker_count=2))
+    monkeypatch.setattr(decomposition, "FORK_MIN_ASSIGNMENTS", threshold)
+    for workers in (1, 2, 3):
+        d = decompose(m, DecompositionConfig(target_count=target, worker_count=workers))
+        # subproblems (ids, assignments, domains), prefix_len, shortfall, work
+        assert d == one
+    # two worker processes (two CPUs) per forked depth, at 2 and at 3 workers
+    assert len(forks) == 2 * 2 * forked_depths
+    assert all_reaped(forks)
+
+
+@fork_only
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_extension_raises_task_failed(forks, monkeypatch, workers):
+    m = nqueens(10)
+    real = decomposition._propagate
+
+    def broken(model, masks, watch, stack):
+        # depth 5 (3724 assignments) forks at 2 workers, after depth 4
+        if watch is model.watchers[4] and masks[0] == 1 << 7:
+            raise ValueError("extension broke")
+        return real(model, masks, watch, stack)
+
+    monkeypatch.setattr(decomposition, "_propagate", broken)
+    with pytest.raises(TaskFailed) as exc:
+        decompose(m, DecompositionConfig(target_count=3000, worker_count=workers))
+    assert isinstance(exc.value.__cause__, ValueError)
+    assert str(exc.value.__cause__) == "extension broke"
+    assert len(forks) == (4 if workers == 2 else 0)  # depths 4 and 5
+    assert all_reaped(forks)
 
 
 def test_srs_full_population():

@@ -5,7 +5,14 @@ import pytest
 import tracemalloc
 
 from eps_select.benchmarks import allinterval, generate, golomb, latin, magicsquare, nqueens
-from eps_select.csp import MAX_DOMAIN_WIDTH, Model, VariableDecl, var_range
+from eps_select.csp import (
+    MAX_DOMAIN_WIDTH,
+    AllDifferent,
+    Model,
+    NotEqual,
+    VariableDecl,
+    var_range,
+)
 from eps_select.modelio import (
     ModelFormatError,
     load_json,
@@ -260,6 +267,26 @@ def test_degenerate_constraints_rejected(con, message):
     doc = {"variables": [_X, _Y], "constraints": [{"kind": "all_different", "vars": ["x", "y"]}, con]}
     with pytest.raises(ModelFormatError, match=message):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "con, message",
+    [
+        (AllDifferent((0, 1, 0)), r"constraint #1 \(all_different\): vars repeat"),
+        (NotEqual(1, 1, 0), r"constraint #1 \(not_equal\): x and y are the same"),
+        (NotEqual(0, 0, 2), r"constraint #1 \(not_equal\): x and y"),
+    ],
+    ids=["all-different-repeat", "not-equal-self", "not-equal-self-offset"],
+)
+def test_degenerate_model_is_not_written(tmp_path, con, message):
+    # csp.Model accepts these; the writer refuses what the reader would
+    m = Model("deg", [var_range("x", 0, 4), var_range("y", 0, 4)], [AllDifferent((0, 1)), con])
+    with pytest.raises(ModelFormatError, match=message):
+        model_to_dict(m)
+    path = tmp_path / "deg.json"
+    with pytest.raises(ModelFormatError, match=message):
+        save_json(m, path)
+    assert not path.exists()
 
 
 def test_abs_diff_with_z_aliasing_x_is_legal():

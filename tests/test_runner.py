@@ -1,6 +1,5 @@
 import os
 import random
-import signal
 import threading
 from dataclasses import dataclass
 
@@ -8,6 +7,8 @@ import pytest
 
 from eps_select.runner import TaskFailed, raise_failures, run_pool
 from eps_select.search import TimeMode
+
+from conftest import all_reaped, fork_only
 
 
 @dataclass
@@ -107,46 +108,7 @@ def test_wall_mode_runs_tasks_in_calling_thread_in_order():
 
 
 # ---------------------------------------------------------------------------
-# worker processes (processes=True): these tests fake two usable CPUs, so the
-# forked path runs on any host with os.fork
-
-
-fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the worker processes forked during the test (two CPUs);
-    a pool still running after 60 s fails the test instead of hanging it."""
-    pids = []
-    real_fork = getattr(os, "fork", None)
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork, raising=False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
-
-    def hung(_signum, _frame):
-        raise TimeoutError("the pool did not finish within 60 s")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        yield pids
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _all_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-    return True
+# worker processes (processes=True), under conftest.py's two-CPU forks fixture
 
 
 @fork_only
@@ -156,7 +118,7 @@ def test_forked_pool_matches_in_process(forks):
     here = run_pool(list(range(300)), 3, lambda t: FakeResult(costs[t]))
     forked = run_pool(list(range(300)), 3, lambda t: FakeResult(costs[t]), processes=True)
     assert len(forks) == 2  # two CPUs cap the three workers
-    assert _all_reaped(forks)
+    assert all_reaped(forks)
     assert [(r.index, r.task, r.result, r.worker, r.failed) for r in forked[0]] == [
         (r.index, r.task, r.result, r.worker, r.failed) for r in here[0]
     ]
@@ -168,7 +130,7 @@ def test_forked_wall_mode_charges_measured_milliseconds(forks):
     results, ledger = run_pool(
         list(range(40)), 2, lambda t: FakeResult(t), time_mode=TimeMode.WALL, processes=True
     )
-    assert len(forks) == 2 and _all_reaped(forks)
+    assert len(forks) == 2 and all_reaped(forks)
     assert [r.result.work_used for r in results] == list(range(40))
     assert ledger.grand_total > 0
 
@@ -189,7 +151,7 @@ def test_forked_failure_stops_results_and_keeps_the_cause(forks):
         return FakeResult(1.0)
 
     results, ledger = run_pool(list(range(200)), 2, broken, processes=True)
-    assert _all_reaped(forks)
+    assert all_reaped(forks)
     assert [r.task for r in results] == list(range(58))  # nothing after the failure
     assert [r.failed for r in results] == [False] * 57 + [True]
     assert ledger.grand_total == 57.0
@@ -210,7 +172,7 @@ def test_forked_unpicklable_exception_travels_as_runtime_error(forks):
         return FakeResult(1.0)
 
     results, _ = run_pool(list(range(10)), 2, broken, processes=True)
-    assert _all_reaped(forks)
+    assert all_reaped(forks)
     cause = results[-1].result
     assert results[-1].task == 3 and type(cause) is RuntimeError
     assert str(cause) == repr(Local("no way back"))
@@ -221,7 +183,7 @@ def test_forked_unpicklable_result_fails_its_worker(forks):
     results, _ = run_pool(
         list(range(10)), 2, lambda t: (lambda: t) if t == 4 else FakeResult(1.0), processes=True
     )
-    assert _all_reaped(forks)
+    assert all_reaped(forks)
     # the worker cannot send its chunk back and dies; its chunk holds task 4
     assert results[-1].failed and results[-1].task <= 4
     assert not any(r.failed for r in results[:-1])
@@ -236,7 +198,7 @@ def test_worker_that_dies_mid_chunk_is_a_clear_failure(forks):
         return FakeResult(1.0)
 
     results, _ = run_pool(list(range(100)), 2, fatal, processes=True)
-    assert _all_reaped(forks)
+    assert all_reaped(forks)
     assert results[-1].failed and results[-1].task <= 30
     assert not any(r.failed for r in results[:-1])
     with pytest.raises(TaskFailed, match="exited with status 3 while solving tasks"):
@@ -252,4 +214,4 @@ def test_worker_processes_capped_by_usable_cpus(forks, monkeypatch):
             "--sample-size", "5", "--workers", "16"]
     assert main(argv) == 0
     assert len(forks) == 3  # one remainder pool, three usable CPUs
-    assert _all_reaped(forks)
+    assert all_reaped(forks)
