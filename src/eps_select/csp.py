@@ -24,10 +24,26 @@ first out:
   supports and the values at distance v from x's to y's. Rounds repeat until
   one leaves x and y unchanged.
 * ``not_equal`` (x != y + offset) -- value removal once one side is assigned.
+
+A prune that fixes a variable wakes every constraint that watches it
+(``Model.watchers``); a prune that leaves it open wakes
+``Model.change_watchers``, which on every model is the same table, so the
+queue, the pass count and the failing index are those of waking every
+watcher. :meth:`Model.fixpoint_view` drops ``all_different`` and
+``not_equal`` from ``change_watchers``: both act on fixed variables only, so
+a prune that fixes nothing leaves them at their fixpoint, and the view still
+stops only where every constraint is at its fixpoint. Every propagator is
+monotone, so that fixpoint, and whether there is one, do not depend on the
+order the constraints run in: from domains where every constraint not woken
+is at its fixpoint, the view and the model reach the same domains or both
+fail. Their pass counts, ``pruned`` sequences and failing indices differ, and
+the search reads those (activity and weighted degree), so only the
+decomposition, which reads the fixpoint alone, propagates through the view.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -222,9 +238,32 @@ class Model:
                 if ci not in watch[v]:
                     watch[v].append(ci)
         self.watchers = tuple(tuple(w) for w in watch)
+        # what a prune that leaves its variable open wakes: every watcher
+        # here, so the queue is the same either way (see fixpoint_view)
+        self.change_watchers = self.watchers
+        self._fixpoint_view: Optional[Model] = None
 
         # static "most constrained" degree: number of constraints per variable
         self.static_degree = tuple(len(w) for w in self.watchers)
+
+    def fixpoint_view(self) -> Model:
+        """This model, with prunes that leave a variable open waking only its
+        ``linear_eq``, ``linear_le`` and ``abs_diff`` watchers (built once).
+
+        Propagating through the view from a fixpoint of every constraint not
+        woken reaches the same fixpoint, or fails, as through the model: see
+        the module docstring. Only the pass count, the ``pruned`` sequence
+        and the failing index may differ.
+        """
+        if self._fixpoint_view is None:
+            view = copy.copy(self)
+            view.change_watchers = tuple(
+                tuple(ci for ci in w if self._props[ci][0] not in (_ALLDIFF, _NOTEQ))
+                for w in self.watchers
+            )
+            view._fixpoint_view = view
+            self._fixpoint_view = view
+        return self._fixpoint_view
 
     # -- mask helpers ------------------------------------------------------
 
@@ -266,6 +305,10 @@ def _propagate(
     """
     props = model._props
     watchers = model.watchers
+    chg = model.change_watchers
+    # the tables differ only in a fixpoint view: on a model, a prune site that
+    # has not tested its new domain for a singleton skips that test
+    split = chg is not watchers
     base = model.lo
     ubits = model.ubits
     inq = bytearray(len(props))
@@ -306,14 +349,17 @@ def _propagate(
                         pruned.append(v)
                         if not nd:
                             return ci, passes
-                        for w in watchers[v]:
-                            if w != ci and not inq[w]:
-                                inq[w] = 1
-                                qpush(w)
-                        if nd & (nd - 1) == 0:
+                        if nd & (nd - 1):
+                            wl = chg[v]
+                        else:
+                            wl = watchers[v]
                             if fixed & nd:
                                 dup = True
                             fixed |= nd
+                        for w in wl:
+                            if w != ci and not inq[w]:
+                                inq[w] = 1
+                                qpush(w)
                 if dup:
                     return ci, passes
                 for v in p[2]:  # a variable the scope repeats may never be fixed
@@ -380,7 +426,7 @@ def _propagate(
                             if not nd:
                                 return ci, passes
                             changed = True
-                            for w in watchers[v]:
+                            for w in chg[v] if split and nd & (nd - 1) else watchers[v]:
                                 if w != ci and not inq[w]:
                                     inq[w] = 1
                                     qpush(w)
@@ -419,7 +465,7 @@ def _propagate(
                     pruned.append(z)
                     if not nz:
                         return ci, passes
-                    for w in watchers[z]:
+                    for w in chg[z] if split and nz & (nz - 1) else watchers[z]:
                         if w != ci and not inq[w]:
                             inq[w] = 1
                             qpush(w)
@@ -428,7 +474,7 @@ def _propagate(
                     pruned.append(x)
                     if not nx:
                         return ci, passes
-                    for w in watchers[x]:
+                    for w in chg[x] if split and nx & (nx - 1) else watchers[x]:
                         if w != ci and not inq[w]:
                             inq[w] = 1
                             qpush(w)
@@ -437,7 +483,7 @@ def _propagate(
                     pruned.append(y)
                     if not ny:
                         return ci, passes
-                    for w in watchers[y]:
+                    for w in chg[y] if split and ny & (ny - 1) else watchers[y]:
                         if w != ci and not inq[w]:
                             inq[w] = 1
                             qpush(w)
@@ -455,16 +501,21 @@ def _propagate(
             if dx & (dx - 1) == 0:
                 o = dx.bit_length() - 1 - off  # bit of the value x - offset
                 if 0 <= o < ubits and dy >> o & 1:
-                    nd = dy ^ (1 << o)
-                    doms[y] = nd
+                    dy ^= 1 << o
+                    doms[y] = dy
                     pruned.append(y)
-                    if not nd:
+                    if not dy:
                         return ci, passes
+                    if dy & (dy - 1):  # y stays open: nothing to remove from x
+                        for w in chg[y]:
+                            if w != ci and not inq[w]:
+                                inq[w] = 1
+                                qpush(w)
+                        continue
                     for w in watchers[y]:
                         if w != ci and not inq[w]:
                             inq[w] = 1
                             qpush(w)
-                    dy = nd
             if dy & (dy - 1) == 0:
                 o = dy.bit_length() - 1 + off  # bit of the value y + offset
                 if 0 <= o < ubits and dx >> o & 1:
@@ -473,7 +524,7 @@ def _propagate(
                     pruned.append(x)
                     if not nd:
                         return ci, passes
-                    for w in watchers[x]:
+                    for w in chg[x] if split and nd & (nd - 1) else watchers[x]:
                         if w != ci and not inq[w]:
                             inq[w] = 1
                             qpush(w)

@@ -17,7 +17,12 @@ of the root's solution space. Each subproblem keeps the domains its
 propagation left, which are its root fixpoint (every propagator is monotone,
 so propagating the prefix from the parent's domains reaches the same
 fixpoint as propagating it from the model's initial domains), and the search
-starts from them without a root pass.
+starts from them without a root pass. The extensions propagate through
+:meth:`~eps_select.csp.Model.fixpoint_view`, where a prune that fixes no
+variable wakes no ``all_different`` or ``not_equal``: from a parent's
+domains, which are a fixpoint, that reaches the same child domains, or the
+same failure, as the model itself (see :mod:`eps_select.csp`), and the
+decomposition reads nothing else of a propagation.
 
 Each depth is extended through :func:`~eps_select.runner.run_pool` with
 ``processes=True``. A depth of at least ``FORK_MIN_ASSIGNMENTS`` enumeration
@@ -46,7 +51,11 @@ from .search import root_domains
 # run_pool extends in the calling process (it never forks for one task): its
 # propagation costs less than forking workers and pickling their replies.
 # Tuned on nqueens only: an assignment's cost differs between models, so the
-# count does not track a depth's cost elsewhere (BENCH_forked_decomposition.json)
+# count does not track a depth's cost elsewhere (BENCH_forked_decomposition.json).
+# Re-measured with the extensions propagating through the fixpoint view, on
+# 2 cores (BENCH_fix_event_decomposition.json): nqueens(10)'s depths 5 and 6
+# still pay to fork (15-60 ms each); its depths 4 and 7 and latin(5)'s depth
+# 8 about break even, and latin(5)'s depth 7 loses 5-10 ms by forking.
 FORK_MIN_ASSIGNMENTS = 1000
 # a larger depth is cut into this many contiguous spans of its frontier; the
 # cut depends on the frontier only, so the subproblems do not depend on the
@@ -102,6 +111,7 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
     target = cfg.effective_target()
 
     root, _ = root_domains(model)
+    view = model.fixpoint_view()
 
     total_work = 0
     depth = 0
@@ -118,7 +128,7 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
         results, _ = run_pool(
             [(start, min(start + size, n)) for start in range(0, n, size)],
             cfg.worker_count,
-            partial(_extend, model, frontier, depth),
+            partial(_extend, view, frontier, depth),
             processes=True,
         )
         raise_failures(results)
@@ -161,7 +171,7 @@ def _extend(
 ) -> list[list[int]]:
     """The consistent children of ``frontier[start:stop]`` in order: each
     entry's variable ``depth`` fixed to each of its values, ascending, and
-    propagated from the entry's domains."""
+    propagated from the entry's domains, which are a fixpoint."""
     watch = model.watchers[depth]
     children = []
     for doms in frontier[span[0] : span[1]]:

@@ -10,7 +10,8 @@ Régin, Rezgui & Malapert, CP 2013) and send back the pickled outcomes
 parent's memory taken at the fork, so whatever a task writes stays there;
 only the returned results come back. Three callers do: the decomposition,
 for each depth it cuts into spans (on any model, since it only propagates),
-and, on satisfaction models, the PSS remainder solve and ``compare``'s
+and, on satisfaction models, the PSS remainder solve (unless the oracle's
+memo holds all of it, as after ``compare``'s single-strategy runs) and those
 single-strategy runs; optimization solves read the incumbent that earlier
 ones raised, so they stay in the calling process.
 

@@ -283,6 +283,10 @@ class ModelOracle:
             raise ValueError("only bound-free runs can be remembered")
         self._cache.setdefault((sub, sid, None), obs)
 
+    def memoized(self, sub: int, sid: StrategyId) -> bool:
+        """Whether :meth:`full` at the live bound would read the memo."""
+        return (sub, sid, self.current_bound()) in self._cache
+
     def limited(self, sub: int, sid: StrategyId, limit: float, bound=_LIVE) -> Observation:
         b = self.current_bound() if bound is _LIVE else bound
         if self.has_true_costs:
@@ -666,7 +670,9 @@ def pss_select(
     sampled = set(sample.indices)
     remainder = [s.id for s in subs if s.id not in sampled]
     # on an optimization model every solve reads and raises the live
-    # incumbent, so the remainder runs in order in this process
+    # incumbent, so the remainder runs in order in this process; so does a
+    # remainder the memo holds already (compare's singles), which forking
+    # workers to read would only slow down
     bound_free = model.objective is None
     results, _ = run_pool(
         remainder,
@@ -674,7 +680,7 @@ def pss_select(
         lambda sub: oracle.full(sub, winner),
         time_mode=rc.time_mode,
         cost_fn=lambda obs: obs.value,
-        processes=bound_free,
+        processes=bound_free and not all(oracle.memoized(sub, winner) for sub in remainder),
     )
     raise_failures(results)
     if bound_free:

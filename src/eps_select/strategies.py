@@ -96,6 +96,8 @@ def variable_chooser(
                 if d & (d - 1) == 0:
                     continue
                 k = d.bit_count()
+                if k == 2:  # no open domain is smaller, and ties go to v
+                    return v
                 if best < 0 or k < bk:
                     best = v
                     bk = k

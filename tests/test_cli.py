@@ -13,6 +13,7 @@ from eps_select.benchmarks import nqueens
 from eps_select.cli import main
 
 from bruteforce import reference_decomposition
+from conftest import all_reaped, fork_only
 
 
 def test_solve_nqueens(capsys):
@@ -184,6 +185,27 @@ def test_compare_report_independent_of_worker_count(tmp_path, capsys):
         assert rc == 0
         reports.append(out_path.read_text())
     assert reports[0] == reports[1]
+
+
+@fork_only
+def test_compare_reads_the_memoized_remainder_in_process(forks, monkeypatch):
+    # the singles fill the memo, so PSS's remainder pool forks nothing
+    from eps_select import selection
+
+    real = selection.run_pool
+    remainder_forks = []
+
+    def counting(*args, **kwargs):
+        before = len(forks)
+        out = real(*args, **kwargs)
+        remainder_forks.append(len(forks) - before)
+        return out
+
+    monkeypatch.setattr(selection, "run_pool", counting)
+    assert main(["compare", "--model", "nqueens", "--n", "8", "--workers", "2"]) == 0
+    assert remainder_forks == [0]
+    assert len(forks) == 2 * 7  # one two-process pool per single strategy
+    assert all_reaped(forks)
 
 
 @pytest.mark.parametrize("command", ["compare", "pss"])

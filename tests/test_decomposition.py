@@ -211,6 +211,30 @@ def test_failing_extension_raises_task_failed(forks, monkeypatch, workers):
     assert all_reaped(forks)
 
 
+@fork_only
+@pytest.mark.parametrize(
+    "model_fn, target",
+    [
+        (lambda: nqueens(10), 3000),
+        (lambda: latin(5), 3000),
+        (lambda: allinterval(10), 3000),
+        (lambda: golomb(8), 500),
+        (lambda: magicsquare(3), 10**9),
+    ],
+    ids=["nqueens10", "latin5", "allinterval10", "golomb8", "magicsquare3"],
+)
+def test_fixpoint_view_leaves_the_decomposition_unchanged(forks, monkeypatch, model_fn, target):
+    # the extensions propagate through the fixpoint view; through the model
+    # itself they must give the same decomposition, at 1 and 2 workers
+    m = model_fn()
+    assert m.fixpoint_view().change_watchers != m.watchers
+    cfgs = [DecompositionConfig(target_count=target, worker_count=w) for w in (1, 2)]
+    through_view = [decompose(m, cfg) for cfg in cfgs]
+    monkeypatch.setattr(Model, "fixpoint_view", lambda self: self)
+    assert [decompose(m, cfg) for cfg in cfgs] == through_view
+    assert all_reaped(forks)
+
+
 def test_srs_full_population():
     s = srs_sample(10, 10, seed=3)
     assert sorted(s.indices) == list(range(10))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from eps_select.csp import AllDifferent, Model, NotEqual, Objective, VariableDecl, _propagate
@@ -169,3 +171,23 @@ def test_activity_counted_once_per_fixpoint_integration():
     c.bump_pruned_many(pruned, decision_index=1)
     assert c.activity[1] == 1.0
     assert c.activity[2] == 1.0
+
+
+def _ff_full_scan(doms):
+    """First fail by a scan of every domain: the smallest open one, ties to
+    the smallest index; -1 when all are assigned."""
+    sizes = [(d.bit_count(), v) for v, d in enumerate(doms) if d & (d - 1)]
+    return min(sizes)[1] if sizes else -1
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ff_matches_a_full_scan(seed):
+    # ff stops at the first open domain of two values; that must not change
+    # its choice
+    rng = random.Random(f"ff-{seed}")
+    n = rng.randint(1, 12)
+    m = _model([range(6)] * n)
+    choose = variable_chooser(m, StrategyId.FF, CounterState(n))
+    for _ in range(300):
+        doms = [rng.randint(1, 63) for _ in range(n)]
+        assert choose(doms) == _ff_full_scan(doms), doms
