@@ -32,7 +32,6 @@ from .search import (
 from .decomposition import (
     Decomposition,
     DecompositionConfig,
-    Sample,
     Subproblem,
     decompose,
     sample_size_rule,

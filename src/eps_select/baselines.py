@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .selection import Observation, warm_start_cost
+from .selection import Observation
 from .strategies import StrategyId
 
 
@@ -114,7 +114,7 @@ def mab_on_oracle(oracle, strategies: Optional[Sequence[StrategyId]] = None) -> 
     """UCB1 over the subproblem stream of an oracle (queue = id order)."""
     strategies = tuple(strategies if strategies is not None else oracle.strategies)
     bs = BanditState(len(strategies))
-    warm = warm_start_cost(oracle)
+    warm = oracle.warm_start()
     total = warm
     time_sum = 0.0
     n_obs = 0
@@ -167,7 +167,7 @@ def portfolio_on_oracle(oracle, strategies: Sequence[StrategyId]) -> PortfolioRe
     """
     if not strategies:
         raise ValueError("portfolio needs at least one strategy")
-    warm = warm_start_cost(oracle)
+    warm = oracle.warm_start()
     per = {s: 0.0 for s in strategies}
     solutions = 0
     for sub in oracle.sub_ids:

@@ -3,8 +3,9 @@
 Subcommands: solve, decompose, pss, mab, portfolio, compare. Reports go to
 stdout as plain tables; ``--out`` writes the full report as JSON and, for
 ``pss`` and ``compare`` only, ``--csv`` appends one row per strategy/mode.
-Exit codes: 0 success, 1 runtime failure, 2 usage error. Set EPS_SELECT_LOG
-to control log level.
+Exit codes: 0 success, 1 runtime failure, 2 usage error. EPS_SELECT_LOG
+sets the log level; the only log record is ``compare``'s one INFO line per
+single strategy, with its total.
 """
 
 from __future__ import annotations
@@ -212,17 +213,18 @@ def compare(model: Model, cfg: PssConfig) -> Comparison:
     Each single strategy solves every subproblem in its own task pool, one
     pool per strategy in ``ALL_STRATEGIES`` order (in worker processes on a
     satisfaction model with more than one worker); PSS, the bandit and the
-    portfolio then read the same oracle cache. A failed task raises
+    portfolio then read the same oracle cache through oracles over all
+    strategies, so on an optimization model all three start from the same
+    warm-start incumbent and pay the same warm-start cost. The portfolio's
+    arms are ``best4``. A failed task raises
     :class:`~eps_select.runner.TaskFailed`.
     """
     time_mode = cfg.race.time_mode
     decomp = decompose(model, cfg.decomposition)
     cache: dict = {}
 
-    def oracle(strategies: Sequence[StrategyId] = ALL_STRATEGIES) -> ModelOracle:
-        return ModelOracle(
-            model, decomp.subproblems, strategies, time_mode=time_mode, shared_cache=cache
-        )
+    def oracle() -> ModelOracle:
+        return ModelOracle(model, decomp.subproblems, time_mode=time_mode, shared_cache=cache)
 
     # on an optimization model every solve reads and raises the live
     # incumbent, so the singles run in order in this process
@@ -234,7 +236,6 @@ def compare(model: Model, cfg: PssConfig) -> Comparison:
             single.sub_ids,
             cfg.decomposition.worker_count,
             lambda sub: single.full(sub, sid),
-            time_mode=time_mode,
             cost_fn=lambda obs: obs.value,
             processes=bound_free,
         )
@@ -248,7 +249,7 @@ def compare(model: Model, cfg: PssConfig) -> Comparison:
     pss = pss_select(model, cfg, oracle=oracle(), decomposition=decomp)
     mab = mab_on_oracle(oracle())
     best4 = tuple(sorted(ALL_STRATEGIES, key=singles.get)[:4])
-    portfolio = portfolio_on_oracle(oracle(best4), best4)
+    portfolio = portfolio_on_oracle(oracle(), best4)
     return Comparison(model, decomp, cache, singles, pss, mab, portfolio, best4)
 
 
@@ -337,14 +338,14 @@ def _dispatch(args) -> int:
         print(
             f"{model.name}: {len(decomp)} subproblems at prefix {decomp.prefix_len}"
             + (" (shortfall)" if decomp.shortfall else "")
-            + f"; sample rule gives {len(sample.indices)}"
+            + f"; sample rule gives {len(sample)}"
         )
         payload = {
             "model": model.name,
             "count": len(decomp),
             "prefix_len": decomp.prefix_len,
             "shortfall": decomp.shortfall,
-            "sample": sample.indices,
+            "sample": sample,
             "subproblems": [
                 {"id": s.id, "assignment": [[model.names[v], val] for v, val in s.assignment]}
                 for s in decomp.subproblems

@@ -187,24 +187,16 @@ def _extend(
     return children
 
 
-@dataclass
-class Sample:
-    indices: list[int]
-    seed: int
-
-
-def srs_sample(population_size: int, k: int, seed: int) -> Sample:
-    """Uniform sample of ``k`` distinct indices; deterministic given seed."""
+def srs_sample(population_size: int, k: int, seed: int) -> list[int]:
+    """Uniform sample of ``k`` distinct indices, sorted; deterministic given seed."""
     if k > population_size:
         raise ValueError(f"sample size {k} exceeds population {population_size}")
     if k < 0:
         raise ValueError("sample size must be >= 0")
-    rng = random.Random(seed)
-    indices = sorted(rng.sample(range(population_size), k))
-    return Sample(indices=indices, seed=seed)
+    return sorted(random.Random(seed).sample(range(population_size), k))
 
 
-def sample_size_rule(population: int, floor: int = 30, fraction: float = 0.01) -> int:
-    """At least ``floor`` subproblems, at most ~``fraction`` of the population
-    (never more than the population itself)."""
-    return min(max(floor, math.ceil(fraction * population)), population)
+def sample_size_rule(population: int) -> int:
+    """At least 30 subproblems, at most ~1 % of the population (never more
+    than the population itself)."""
+    return min(max(30, math.ceil(0.01 * population)), population)

@@ -72,7 +72,7 @@ def forked_outcomes(
                 got = _receive(w.replies)
                 if got is None:
                     sel.unregister(w.replies)
-                    outcomes[start] = (RuntimeError(_death(w, start, stop)), True, 0.0)
+                    outcomes[start] = (RuntimeError(_death(w, start, stop)), True)
                     first_failed = min(first_failed, start)
                     continue
                 outcomes[start : start + len(got)] = got
@@ -127,12 +127,12 @@ def _serve(tasks, executor, requests: int, replies: int) -> None:
 def _portable(out: list[Outcome]) -> bytes:
     """The outcomes pickled; a failure's exception that does not survive a
     pickle round trip travels as ``RuntimeError(repr(exc))``."""
-    result, failed, ms = out[-1]
+    result, failed = out[-1]
     if failed:
         try:
             pickle.loads(pickle.dumps(result))
         except Exception:
-            out[-1] = (RuntimeError(repr(result)), True, ms)
+            out[-1] = (RuntimeError(repr(result)), True)
     return pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
 
 

@@ -17,11 +17,12 @@ ones raised, so they stay in the calling process.
 
 Either way a min-clock simulation assigns each task, in task order, to the
 virtual worker that would have pulled it (the least loaded one), giving
-per-worker loads that do not depend on scheduling: the ledger charges
-``cost_fn(result)`` in work-units mode and the measured milliseconds of the
-task in wall-clock mode. Results do not depend on the worker count. Every
-task is deterministic, so a task that raises is run once and reported as
-failed, and the results stop there. In the calling thread no later task
+per-worker loads that do not depend on scheduling: the ledger charges each
+task ``cost_fn(result)`` in either time mode. The pool times nothing itself;
+in wall-clock mode the solve pools' results are observations whose value is
+the milliseconds their solve took. Results do not depend on the worker
+count. Every task is deterministic, so a task that raises is run once and
+reported as failed, and the results stop there. In the calling thread no later task
 runs; with worker processes no further chunk is handed out, and the outcomes
 of later tasks that other processes had already solved are dropped. A worker
 process that dies mid-chunk counts as a failure of the first task of its
@@ -32,12 +33,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Any, Callable, Optional, Sequence
 
-from .search import TimeMode
-
-Outcome = tuple[Any, bool, float]  # (result or exception, failed, milliseconds)
+Outcome = tuple[Any, bool]  # (result or exception, failed)
 
 
 class TaskFailed(RuntimeError):
@@ -72,7 +70,6 @@ def run_pool(
     tasks: Sequence[Any],
     worker_count: int,
     executor: Callable[[Any], Any],
-    time_mode: TimeMode = TimeMode.WORK,
     cost_fn: Optional[Callable[[Any], float]] = None,
     processes: bool = False,
 ) -> tuple[list[TaskResult], CostLedger]:
@@ -107,11 +104,9 @@ def run_pool(
     ledger = CostLedger(per_worker=[0.0] * worker_count)
     clocks = ledger.per_worker
     results: list[TaskResult] = []
-    for idx, (task, (result, failed, ms)) in enumerate(zip(tasks, outcomes)):
+    for idx, (task, (result, failed)) in enumerate(zip(tasks, outcomes)):
         w = min(range(worker_count), key=clocks.__getitem__)
-        if time_mode is TimeMode.WALL:
-            clocks[w] += ms
-        elif not failed:
+        if not failed:
             clocks[w] += cost_fn(result)
         results.append(TaskResult(idx, task, result, w, failed))
         if failed:
@@ -128,12 +123,10 @@ def raise_failures(results: Sequence[TaskResult]) -> None:
 
 
 def _attempt(executor: Callable[[Any], Any], task: Any) -> Outcome:
-    t0 = perf_counter()
     try:
-        result, failed = executor(task), False
+        return executor(task), False
     except Exception as exc:
-        result, failed = exc, True
-    return result, failed, (perf_counter() - t0) * 1000.0
+        return exc, True
 
 
 def _process_count(task_count: int, worker_count: int) -> int:

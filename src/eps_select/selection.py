@@ -1,5 +1,8 @@
 """Parallel strategy selection: race, uncensor, eliminate, solve the rest.
 
+The strategies of a run are its oracle's (``oracle.strategies``): the warm
+start and the race use that list and no other.
+
 Per sampled subproblem every live strategy is raced under a relative timeout
 of ``timeout_factor`` times the first finisher's cost; unfinished runs are
 recorded censored at that limit. The first finisher is found by doubling a
@@ -10,10 +13,12 @@ race tries, and the race's cost without timeouts is known for reporting.
 In wall mode runs are stopped by elapsed time, and that cost is unknown.
 
 On a model with an objective, a first-solution race at the root runs before
-the sample race (the warm start): every strategy dives on the whole model
-under the default 2x relative timeout, and the finishers' objectives seed
-the incumbent, so no sampled subproblem is raced without a bound. Its cost
-is charged to selection, and the bandit and portfolio baselines pay it too.
+the sample race (the warm start): every strategy of the oracle dives on the
+whole model under the default 2x relative timeout, and the finishers'
+objectives seed the incumbent, so no sampled subproblem is raced without a
+bound. Its cost is charged to selection, and the bandit and portfolio
+baselines on an oracle sharing the memo start from the same incumbent and
+pay the same cost.
 
 Selection then proceeds: pick the strategy with the smallest column total
 (censored values counted as-is), re-solving its own timeouts until the
@@ -38,7 +43,6 @@ from .csp import Model
 from .decomposition import (
     Decomposition,
     DecompositionConfig,
-    Sample,
     Subproblem,
     decompose,
     sample_size_rule,
@@ -112,10 +116,12 @@ class RaceConfig:
 
 @dataclass
 class PssConfig:
+    """How a PSS run decomposes, samples and races. The strategies raced are
+    the oracle's (:attr:`ModelOracle.strategies`), not part of the config."""
+
     decomposition: DecompositionConfig = field(default_factory=DecompositionConfig)
     race: RaceConfig = field(default_factory=RaceConfig)
     sample_size: Optional[int] = None
-    strategies: tuple[StrategyId, ...] = ALL_STRATEGIES
 
     def __post_init__(self):
         if self.sample_size is not None and self.sample_size < 1:
@@ -160,13 +166,6 @@ def _cut(obs: Observation, limit: float) -> Observation:
     return obs if obs.value <= limit else Observation(value=limit, censored=True)
 
 
-def warm_start_cost(oracle) -> float:
-    """Seed the oracle's incumbent if it can (see ``ModelOracle.warm_start``)
-    and return the cost charged for it; 0 for oracles without a warm start."""
-    seed = getattr(oracle, "warm_start", None)
-    return seed() if seed is not None else 0.0
-
-
 class MatrixOracle:
     """Replays a fixed runtime matrix (fixtures, synthetic experiments)."""
 
@@ -185,6 +184,9 @@ class MatrixOracle:
 
     def merge_objectives(self, observations: Iterable[Observation]) -> None:
         pass
+
+    def warm_start(self) -> float:
+        return 0.0
 
     def full(self, sub: int, sid: StrategyId, bound=_LIVE) -> Observation:
         return Observation(value=self.costs[sid][sub], censored=False)
@@ -546,22 +548,20 @@ def select_strategy(
     oracle,
     cfg: RaceConfig,
     sample_ids: Sequence[int],
-    strategies: Optional[Sequence[StrategyId]] = None,
     initial_best: Optional[StrategyId] = None,
 ) -> SelectionReport:
     """Run the full selection phase on an oracle over the given sample.
 
+    The strategies raced, and warm-started first, are the oracle's.
     ``initial_best`` forces the anchor of the first elimination pass (testing
     hook for the reversal path); by default it is found by
     :func:`find_uncensored_best`. The no-timeout race cost is reported only
     for oracles with true costs (``has_true_costs``).
     """
-    strategies = tuple(strategies if strategies is not None else oracle.strategies)
+    strategies = oracle.strategies
     matrix = RuntimeMatrix(strategies, sorted(sample_ids))
-    true_costs = getattr(oracle, "has_true_costs", False)
-    costs = PhaseCosts(
-        race_without_to=0.0 if true_costs else None, warm_start=warm_start_cost(oracle)
-    )
+    true_costs = oracle.has_true_costs
+    costs = PhaseCosts(race_without_to=0.0 if true_costs else None, warm_start=oracle.warm_start())
     race_bounds: dict[int, object] = {}
 
     for sub in matrix.sub_ids:
@@ -636,13 +636,12 @@ def select_on_matrix(
     costs: dict[StrategyId, Sequence[float]],
     cfg: Optional[RaceConfig] = None,
     sample_ids: Optional[Sequence[int]] = None,
-    initial_best: Optional[StrategyId] = None,
 ) -> SelectionReport:
     """Run the pipeline on a fixed runtime matrix (no model, no solve phase)."""
     cfg = cfg if cfg is not None else RaceConfig()
     oracle = MatrixOracle(costs)
     ids = list(sample_ids) if sample_ids is not None else list(oracle.sub_ids)
-    rep = select_strategy(oracle, cfg, ids, initial_best=initial_best)
+    rep = select_strategy(oracle, cfg, ids)
     rep.population = len(oracle.sub_ids)
     return rep
 
@@ -653,21 +652,24 @@ def pss_select(
     oracle: Optional[ModelOracle] = None,
     decomposition: Optional[Decomposition] = None,
 ) -> SelectionReport:
-    """Full PSS run: decompose, sample, select, solve the rest with the winner."""
+    """Full PSS run: decompose, sample, select, solve the rest with the winner.
+
+    The strategies are the oracle's; without an oracle, all of them.
+    """
     cfg = cfg if cfg is not None else PssConfig()
     rc = cfg.race
     if decomposition is None:
         decomposition = decompose(model, cfg.decomposition)
     subs = decomposition.subproblems
     population = len(subs)
-    sample: Sample = srs_sample(population, cfg.sample_size_for(population), rc.sample_seed)
+    sample = srs_sample(population, cfg.sample_size_for(population), rc.sample_seed)
     if oracle is None:
-        oracle = ModelOracle(model, subs, cfg.strategies, time_mode=rc.time_mode)
+        oracle = ModelOracle(model, subs, time_mode=rc.time_mode)
 
-    rep = select_strategy(oracle, rc, sample.indices, cfg.strategies)
+    rep = select_strategy(oracle, rc, sample)
     winner = rep.winner
 
-    sampled = set(sample.indices)
+    sampled = set(sample)
     remainder = [s.id for s in subs if s.id not in sampled]
     # on an optimization model every solve reads and raises the live
     # incumbent, so the remainder runs in order in this process; so does a
@@ -678,7 +680,6 @@ def pss_select(
         remainder,
         cfg.decomposition.worker_count,
         lambda sub: oracle.full(sub, winner),
-        time_mode=rc.time_mode,
         cost_fn=lambda obs: obs.value,
         processes=bound_free and not all(oracle.memoized(sub, winner) for sub in remainder),
     )

@@ -319,9 +319,7 @@ def test_criterion_11_sample_size_robustness(lab):
                     L.model, L.decomposition.subproblems, shared_cache=L.cache
                 )
                 sample = srs_sample(population, k, seed)
-                out = select_strategy(
-                    oracle, RaceConfig(alpha=0.01, sample_seed=seed), sample.indices
-                )
+                out = select_strategy(oracle, RaceConfig(alpha=0.01, sample_seed=seed), sample)
                 winners.append(out.winner)
             agree += winners[0] is winners[1]
         assert agree >= 0.9 * runs, f"{name}: only {agree}/{runs} agree"

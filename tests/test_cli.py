@@ -168,6 +168,25 @@ def test_compare_command(tmp_path, capsys):
     assert all(v >= best for v in doc["singles"].values())
 
 
+def test_compare_methods_start_from_one_warm_start():
+    # PSS, the bandit and the portfolio read one oracle memo over all seven
+    # strategies, so on an optimization model they start from the same
+    # incumbent and pay the same warm start; the portfolio's arms are best4
+    from eps_select.benchmarks import golomb
+    from eps_select.cli import compare
+    from eps_select.decomposition import DecompositionConfig
+    from eps_select.selection import PssConfig
+
+    cfg = PssConfig(decomposition=DecompositionConfig(target_count=200), sample_size=30)
+    cmp = compare(golomb(7), cfg)
+    warm = cmp.pss.warm_start_cost
+    assert warm > 0
+    assert cmp.mab.warm_start_cost == warm
+    assert cmp.portfolio.warm_start_cost == warm
+    assert tuple(cmp.portfolio.per_strategy) == cmp.best4
+    assert cmp.portfolio.total_cost == sum(cmp.portfolio.per_strategy.values()) + warm
+
+
 def test_compare_report_independent_of_worker_count(tmp_path, capsys):
     reports = []
     for workers in ("1", "2"):

@@ -236,21 +236,20 @@ def test_fixpoint_view_leaves_the_decomposition_unchanged(forks, monkeypatch, mo
 
 
 def test_srs_full_population():
-    s = srs_sample(10, 10, seed=3)
-    assert sorted(s.indices) == list(range(10))
+    assert srs_sample(10, 10, seed=3) == list(range(10))
 
 
 def test_srs_empty():
-    assert srs_sample(10, 0, 1).indices == []
+    assert srs_sample(10, 0, 1) == []
 
 
 def test_srs_reproducible():
     a = srs_sample(16635, 100, seed=42)
     b = srs_sample(16635, 100, seed=42)
-    assert a.indices == b.indices
-    assert len(set(a.indices)) == 100
+    assert a == b == sorted(a)
+    assert len(set(a)) == 100
     c = srs_sample(16635, 100, seed=43)
-    assert a.indices != c.indices
+    assert a != c
 
 
 def test_srs_rejects_oversample():
@@ -264,7 +263,7 @@ def test_srs_uniformity():
     trials = 10_000
     counts = [0] * N
     for seed in range(trials):
-        counts[srs_sample(N, 1, seed).indices[0]] += 1
+        counts[srs_sample(N, 1, seed)[0]] += 1
     p = 1.0 / N
     sigma = math.sqrt(trials * p * (1 - p))
     for c in counts:

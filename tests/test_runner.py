@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import pytest
 
 from eps_select.runner import TaskFailed, raise_failures, run_pool
-from eps_select.search import TimeMode
 
 from conftest import all_reaped, fork_only
 
@@ -101,10 +100,10 @@ def test_wall_mode_runs_tasks_in_calling_thread_in_order():
         seen.append((t, threading.get_ident()))
         return FakeResult(t)
 
-    results, ledger = run_pool(list(range(30)), 4, record, time_mode=TimeMode.WALL)
+    results, ledger = run_pool(list(range(30)), 4, record)
     assert seen == [(t, threading.get_ident()) for t in range(30)]  # once each
     assert [r.task for r in results] == list(range(30))
-    assert ledger.grand_total > 0  # measured milliseconds
+    assert ledger.grand_total == sum(range(30))  # cost_fn of each result
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +122,6 @@ def test_forked_pool_matches_in_process(forks):
         (r.index, r.task, r.result, r.worker, r.failed) for r in here[0]
     ]
     assert forked[1].per_worker == here[1].per_worker
-
-
-@fork_only
-def test_forked_wall_mode_charges_measured_milliseconds(forks):
-    results, ledger = run_pool(
-        list(range(40)), 2, lambda t: FakeResult(t), time_mode=TimeMode.WALL, processes=True
-    )
-    assert len(forks) == 2 and all_reaped(forks)
-    assert [r.result.work_used for r in results] == list(range(40))
-    assert ledger.grand_total > 0
 
 
 @fork_only

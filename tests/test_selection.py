@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eps_select.selection import (
     ElimKind,
@@ -152,6 +154,26 @@ def test_eliminate_reversal_confirmed_by_ttest():
     assert res.ttest is Decision.SECOND_BETTER
 
 
+def test_eliminate_rival_favoured_by_wsr_survives_the_ttest():
+    # a rival one unit faster on 27 rows and 50x slower on 3 wins the WSR
+    # test against the argmin anchor, but uncensored it is slower in the
+    # mean, so the t-test keeps the anchor: the path that
+    # test_work_mode_selection_never_reverses checks never reverses
+    base = [20 + j for j in range(30)]
+    rival = [b - 1 for b in base]
+    for j in (3, 14, 25):
+        rival[j] = 50 * base[j]
+    oracle, matrix = _race_all({S[0]: base, S[1]: rival})
+    costs = PhaseCosts()
+    s_b = find_uncensored_best(matrix, oracle, {}, costs)
+    assert s_b is S[0]
+    res = eliminate(matrix, oracle, {}, s_b, S[1], RaceConfig(alpha=0.01), costs)
+    assert res.wsr.decision is Decision.SECOND_BETTER
+    assert res.kind is ElimKind.SURVIVES
+    assert res.ttest is Decision.NOT_SIGNIFICANT  # mean diff < 0, wide spread
+    assert matrix.column_total(S[1]) == sum(rival)  # uncensored for the t-test
+
+
 def test_eliminate_resolves_below_threshold():
     # a positive diff of 9 pushes to(j) = 9 + t_b + 1 above the race limits,
     # so both censored entries get re-solved at budget to(j): one completes,
@@ -225,6 +247,42 @@ def test_reversal_restart_at_selection_level():
     assert out.best_strategy is S[2]
 
 
+@st.composite
+def _integer_matrices(draw):
+    """Columns that track a shared row difficulty, each with its own shift,
+    noise and rare 50x blow-ups: a rival a little faster on most rows and far
+    slower on a few is how the WSR test comes to favour it over the anchor.
+    Integer costs keep every race limit, to(j) threshold and column total
+    exact, so the invariant is checked without rounding."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 30))
+    base = draw(st.lists(st.integers(10, 100), min_size=n, max_size=n))
+    cell = st.tuples(st.integers(0, 3), st.integers(0, 9))  # (noise, blow-up when 0)
+    costs = {}
+    for s in S[:k]:
+        shift = draw(st.integers(-5, 5))
+        cells = draw(st.lists(cell, min_size=n, max_size=n))
+        costs[s] = [
+            (b + shift + noise) * (50 if rare == 0 else 1)
+            for b, (noise, rare) in zip(base, cells)
+        ]
+    return costs
+
+
+@given(_integer_matrices(), st.sampled_from([1.5, 2.0, 4.0]), st.sampled_from([0.01, 0.05]))
+@settings(max_examples=300, deadline=None)
+def test_work_mode_selection_never_reverses(costs, factor, alpha):
+    # The anchor s_b is the argmin of the censored column totals and fully
+    # uncensored; a deterministic re-solve only raises another column's
+    # values. So once a rival that won the WSR test is uncensored, its total
+    # is still at least s_b's, mean(t_b - t_i) <= 0, and the paired t-test
+    # cannot reverse the anchor.
+    rep = select_on_matrix(costs, RaceConfig(alpha=alpha, timeout_factor=factor))
+    assert rep.reversals == 0
+    finals = {s: rep.matrix.column_total(s) for s in rep.strategies}
+    assert finals[rep.best_strategy] == min(finals.values())
+
+
 def test_censoring_never_flips_eliminations():
     # every censored ELIMINATED verdict agrees with the fully uncensored rerun
     rng = random.Random(7)
@@ -293,6 +351,9 @@ class _NoTrueCostOracle:
 
     def merge_objectives(self, obs):
         pass
+
+    def warm_start(self):
+        return 0.0
 
     def full(self, sub, sid, bound=None):
         return self.inner.full(sub, sid)
@@ -457,7 +518,7 @@ def test_failed_remainder_task_raises():
 
     model = nqueens(6)
     decomp = decompose(model, DecompositionConfig(target_count=16))
-    sample = srs_sample(len(decomp), 4, 0).indices
+    sample = srs_sample(len(decomp), 4, 0)
     bad = next(s.id for s in decomp.subproblems if s.id not in sample)
 
     class BrokenOracle(ModelOracle):
@@ -527,6 +588,25 @@ def test_warm_start_charged_to_selection_and_baselines():
     assert pf.warm_start_cost == warm
     assert pf.total_cost == sum(pf.per_strategy.values()) + warm
     assert pf.to_dict()["warm_start_cost"] == warm
+
+
+def test_pss_select_races_and_warm_starts_the_oracles_strategies():
+    from eps_select.benchmarks import golomb
+    from eps_select.decomposition import DecompositionConfig, decompose
+    from eps_select.selection import ModelOracle, PssConfig, pss_select
+    from eps_select.strategies import StrategyId
+
+    model = golomb(5, maxlen=15)
+    decomp = decompose(model, DecompositionConfig(target_count=40))
+    pair = (StrategyId.FF, StrategyId.MOSTC)
+    cache: dict = {}
+    oracle = ModelOracle(model, decomp.subproblems, pair, shared_cache=cache)
+    rep = pss_select(model, PssConfig(sample_size=10), oracle=oracle, decomposition=decomp)
+    assert rep.strategies == pair
+    assert set(rep.sample_totals) == set(rep.race_censored_counts) == set(pair)
+    assert [k for k in cache if k[0] == "warm_start"] == [("warm_start", pair)]
+    assert rep.winner in pair
+    assert rep.best_objective == 11
 
 
 def test_no_warm_start_on_satisfaction_models():
