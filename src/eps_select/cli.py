@@ -255,7 +255,8 @@ def compare(model: Model, cfg: PssConfig) -> Comparison:
 
 def _print_selection_report(model: Model, rep: SelectionReport) -> None:
     print(f"model: {model.name}   population: {rep.population} subproblems "
-          f"(prefix {rep.prefix_len}), sample: {len(rep.sample_ids)} (seed {rep.sample_seed})")
+          f"(prefix {rep.prefix_len}), sample: {len(rep.sample_ids)} (seed {rep.sample_seed}, "
+          f"{100 * rep.sample_share:.1f} % of {rep.population})")
     rows = []
     for s in rep.strategies:
         mark = "*" if s is rep.winner else ""
@@ -380,7 +381,9 @@ def _dispatch(args) -> int:
     if args.command == "portfolio":
         sids = parse_strategies(args.strategies)
         decomp = decompose(model, cfg.decomposition)
-        oracle = ModelOracle(model, decomp.subproblems, sids, time_mode=time_mode)
+        # an oracle over every strategy, as pss, mab and compare use, so the
+        # warm start and its charge are theirs
+        oracle = ModelOracle(model, decomp.subproblems, time_mode=time_mode)
         rep = portfolio_on_oracle(oracle, sids)
         print(f"{model.name} portfolio[{args.strategies}]: total={_fmt(rep.total_cost)} "
               f"(warm start={_fmt(rep.warm_start_cost)})")

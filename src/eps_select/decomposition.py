@@ -22,7 +22,10 @@ starts from them without a root pass. The extensions propagate through
 variable wakes no ``all_different`` or ``not_equal``: from a parent's
 domains, which are a fixpoint, that reaches the same child domains, or the
 same failure, as the model itself (see :mod:`eps_select.csp`), and the
-decomposition reads nothing else of a propagation.
+decomposition reads nothing else of a propagation. An entry whose next
+variable its propagation already fixed is its own only child, with no copy
+and no propagation: re-fixing a variable of a fixpoint prunes nothing and
+cannot fail. Its one assignment still counts in the work.
 
 Each depth is extended through :func:`~eps_select.runner.run_pool` with
 ``processes=True``. A depth of at least ``FORK_MIN_ASSIGNMENTS`` enumeration
@@ -176,6 +179,13 @@ def _extend(
     children = []
     for doms in frontier[span[0] : span[1]]:
         d = doms[depth]
+        if d & (d - 1) == 0:
+            # re-fixing a fixed variable of a fixpoint prunes nothing, so the
+            # entry is its own only child. The list is shared across depths,
+            # which is safe because no stored entry is ever written: the
+            # extensions below write only their own copies.
+            children.append(doms)
+            continue
         while d:
             low = d & -d
             d ^= low

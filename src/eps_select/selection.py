@@ -10,7 +10,14 @@ budget shared by all strategies, in both time modes. In work-units mode a
 budgeted run is the memoized full deterministic run plus a limit check, so
 each (subproblem, strategy) pair is solved once however many budgets the
 race tries, and the race's cost without timeouts is known for reporting.
-In wall mode runs are stopped by elapsed time, and that cost is unknown.
+On a satisfaction model :func:`pss_select` solves those full runs before the
+race, every (sampled subproblem, strategy) cell the memo lacks, in one task
+pool that forks workers when there is more than one; the race then reads the
+memo in the calling process. On an optimization model each race pins the
+incumbent its predecessors raised, so its cells are solved in the calling
+process as the race reaches them.
+In wall mode runs are stopped by elapsed time, and that cost is unknown;
+they too are solved in the calling process.
 
 On a model with an objective, a first-solution race at the root runs before
 the sample race (the warm start): every strategy of the oracle dives on the
@@ -495,6 +502,11 @@ class SelectionReport:
     def total_cost(self) -> float:
         return self.selection_cost + self.solve_cost
 
+    @property
+    def sample_share(self) -> Optional[float]:
+        """The sample's share of the population; None before it is known."""
+        return len(self.matrix.sub_ids) / self.population if self.population else None
+
     def to_dict(self) -> dict:
         return {
             "winner": self.winner.token,
@@ -530,6 +542,7 @@ class SelectionReport:
             "sample_size": len(self.matrix.sub_ids),
             "sample_seed": self.sample_seed,
             "population": self.population,
+            "sample_share": self.sample_share,
             "prefix_len": self.prefix_len,
             "decompose_work": self.decompose_work,
             "best_strategy": self.best_strategy.token,
@@ -666,39 +679,65 @@ def pss_select(
     if oracle is None:
         oracle = ModelOracle(model, subs, time_mode=rc.time_mode)
 
+    workers = cfg.decomposition.worker_count
+    # on an optimization model every solve reads and raises the live
+    # incumbent, so its race and remainder run in order in this process
+    bound_free = model.objective is None
+    if bound_free and oracle.has_true_costs:
+        # in work mode the race, the uncensoring and the no-timeout race cost
+        # read only the sampled cells' full runs, so forked workers solve the
+        # ones the memo lacks and the race reads the memo
+        cells = [
+            (sub, s) for sub in sample for s in oracle.strategies if not oracle.memoized(sub, s)
+        ]
+        if cells:
+            _solve_into_memo(oracle, cells, workers, processes=True)
+
     rep = select_strategy(oracle, rc, sample)
     winner = rep.winner
 
     sampled = set(sample)
-    remainder = [s.id for s in subs if s.id not in sampled]
-    # on an optimization model every solve reads and raises the live
-    # incumbent, so the remainder runs in order in this process; so does a
-    # remainder the memo holds already (compare's singles), which forking
-    # workers to read would only slow down
-    bound_free = model.objective is None
-    results, _ = run_pool(
-        remainder,
-        cfg.decomposition.worker_count,
-        lambda sub: oracle.full(sub, winner),
-        cost_fn=lambda obs: obs.value,
-        processes=bound_free and not all(oracle.memoized(sub, winner) for sub in remainder),
+    # a remainder the memo holds already (compare's singles) runs in this
+    # process too: forking workers to read it would only slow it down
+    cells = [(s.id, winner) for s in subs if s.id not in sampled]
+    results = _solve_into_memo(
+        oracle, cells, workers,
+        processes=bound_free and not all(oracle.memoized(*cell) for cell in cells),
     )
-    raise_failures(results)
-    if bound_free:
-        for r in results:
-            oracle.remember(r.task, winner, r.result)
 
     rep.population = population
     rep.prefix_len = decomposition.prefix_len
     rep.decompose_work = decomposition.work
-    rep.solve_cost = sum(r.result.value for r in results)
-    if model.objective is None:
+    rep.solve_cost = sum(obs.value for obs in results)
+    if bound_free:
         # sampled subproblems: exact counts from the uncensored best's column
         solutions = sum(rep.matrix.get(s, rep.best_strategy).solutions for s in rep.sample_ids)
-        rep.solutions_found = solutions + sum(r.result.solutions for r in results)
+        rep.solutions_found = solutions + sum(obs.solutions for obs in results)
     else:
         rep.best_objective = oracle.current_bound()
     return rep
+
+
+def _solve_into_memo(
+    oracle: ModelOracle, cells: list[tuple[int, StrategyId]], worker_count: int, processes: bool
+) -> list[Observation]:
+    """The full run of each (subproblem, strategy) cell at the live bound, in
+    cell order, from one :func:`run_pool` call. With ``processes`` the cells
+    may be solved in forked workers (bound-free runs only), and their runs are
+    remembered in the oracle's memo. A failed cell raises
+    :class:`~eps_select.runner.TaskFailed` with its error as the cause."""
+    results, _ = run_pool(
+        cells,
+        worker_count,
+        lambda cell: oracle.full(*cell),
+        cost_fn=lambda obs: obs.value,
+        processes=processes,
+    )
+    raise_failures(results)
+    if processes:
+        for r in results:
+            oracle.remember(*r.task, r.result)
+    return [r.result for r in results]
 
 
 def selection_cost_bound(report: SelectionReport) -> tuple[float, float]:

@@ -94,7 +94,10 @@ def test_pss_end_to_end_json_and_csv(tmp_path, capsys):
     assert "winner:" in stdout
     doc = json.loads(out_path.read_text())
     assert doc["pss"]["winner"] in {"ff", "act", "wdegm", "wdegM", "mregret", "mostc", "dwdeg"}
-    assert doc["pss"]["population"] >= 200
+    population = doc["pss"]["population"]
+    assert population >= 200
+    assert doc["pss"]["sample_share"] == 30 / population
+    assert f"sample: 30 (seed 7, {3000 / population:.1f} % of {population})" in stdout.splitlines()[0]
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("problem,strategy_or_mode,total_work")
     assert len(lines) == 1 + 7
@@ -187,6 +190,18 @@ def test_compare_methods_start_from_one_warm_start():
     assert cmp.portfolio.total_cost == sum(cmp.portfolio.per_strategy.values()) + warm
 
 
+def test_portfolio_pays_the_warm_start_of_mab(capsys):
+    # the standalone portfolio warm-starts every strategy, as mab and pss do,
+    # not only its own arms
+    argv = ["--model", "golomb", "--n", "7", "--target-subproblems", "200"]
+    warm = []
+    for command in (["mab"], ["portfolio", "--strategies", "ff,mostc"]):
+        assert main(command + argv) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        warm.append(first[first.index("(warm start="):])
+    assert warm[0] == warm[1] == "(warm start=48)"
+
+
 def test_compare_report_independent_of_worker_count(tmp_path, capsys):
     reports = []
     for workers in ("1", "2"):
@@ -228,12 +243,13 @@ def test_compare_reads_the_memoized_remainder_in_process(forks, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["compare", "pss"])
-@pytest.mark.parametrize("model,n", [("golomb", "7"), ("latin", "4")])
+@pytest.mark.parametrize("model,n", [("golomb", "7"), ("latin", "4"), ("nqueens", "8")])
 def test_report_independent_of_worker_count_with_and_without_objective(
     tmp_path, capsys, command, model, n
 ):
     # golomb's pools read the live incumbent and must stay in order; latin's
-    # go to worker processes at two and three workers
+    # and nqueens' go to worker processes at two and three workers (pss's
+    # sample race among them)
     reports = []
     for workers in ("1", "2", "3"):
         out_path = tmp_path / f"{command}-{workers}.json"

@@ -235,6 +235,66 @@ def test_fixpoint_view_leaves_the_decomposition_unchanged(forks, monkeypatch, mo
     assert all_reaped(forks)
 
 
+def test_fixed_next_variable_is_its_own_only_child(monkeypatch):
+    # nqueens(10)'s depth-8 frontier: the propagation of the first eight
+    # queens has fixed the ninth in some entries and not in others
+    m = nqueens(10)
+    view = m.fixpoint_view()
+    frontier = [root_domains(m)[0]]
+    for depth in range(8):
+        frontier = decomposition._extend(view, frontier, depth, (0, len(frontier)))
+    fixed = [doms for doms in frontier if doms[8].bit_count() == 1]
+    assert fixed and len(fixed) < len(frontier)
+    calls = []
+    real = decomposition._propagate
+    monkeypatch.setattr(
+        decomposition, "_propagate", lambda *a: calls.append(a[1]) or real(*a)
+    )
+    for doms in fixed:
+        children = decomposition._extend(view, [doms], 8, (0, 1))
+        assert len(children) == 1 and children[0] is doms
+    assert calls == []
+    open_entry = next(doms for doms in frontier if doms[8].bit_count() > 1)
+    decomposition._extend(view, [open_entry], 8, (0, 1))
+    assert len(calls) == open_entry[8].bit_count()
+
+
+def _extend_propagating_every_value(model, frontier, depth, span):
+    """The extension without the fixed-variable rule: every value of every
+    entry copied and propagated."""
+    children = []
+    for doms in frontier[span[0] : span[1]]:
+        d = doms[depth]
+        while d:
+            low = d & -d
+            d ^= low
+            d2 = doms[:]
+            d2[depth] = low
+            if decomposition._propagate(model, d2, model.watchers[depth], [])[0] < 0:
+                children.append(d2)
+    return children
+
+
+@fork_only
+@pytest.mark.parametrize(
+    "model_fn, target",
+    [(lambda: nqueens(10), 3000), (lambda: latin(5), 3000), (lambda: golomb(8), 500)],
+    ids=["nqueens10", "latin5", "golomb8"],
+)
+def test_fixed_variable_rule_leaves_the_decomposition_unchanged(
+    forks, monkeypatch, model_fn, target
+):
+    # against a one-span reference that propagates every extension, at 1 and
+    # 2 workers (the module's threshold forks the larger depths at 2)
+    m = model_fn()
+    cfgs = [DecompositionConfig(target_count=target, worker_count=w) for w in (1, 2)]
+    ruled = [decompose(m, cfg) for cfg in cfgs]
+    monkeypatch.setattr(decomposition, "_extend", _extend_propagating_every_value)
+    monkeypatch.setattr(decomposition, "FORK_MIN_ASSIGNMENTS", math.inf)
+    assert ruled == [decompose(m, cfgs[0])] * 2
+    assert all_reaped(forks)
+
+
 def test_srs_full_population():
     assert srs_sample(10, 10, seed=3) == list(range(10))
 

@@ -202,5 +202,6 @@ def test_worker_processes_capped_by_usable_cpus(forks, monkeypatch):
     argv = ["pss", "--model", "nqueens", "--n", "6", "--target-subproblems", "20",
             "--sample-size", "5", "--workers", "16"]
     assert main(argv) == 0
-    assert len(forks) == 3  # one remainder pool, three usable CPUs
+    # two pools, the sample race and the remainder, of three usable CPUs each
+    assert len(forks) == 2 * 3
     assert all_reaped(forks)

@@ -23,6 +23,8 @@ from eps_select.wsr import Decision, Method
 from conftest import (
     GOLDEN_CENSORED_TOTALS,
     GOLDEN_UNCENSORED_TOTALS,
+    all_reaped,
+    fork_only,
     golden_matrix,
 )
 
@@ -688,3 +690,119 @@ def test_oracle_from_stored_domains_matches_a_fresh_solve(name, bound):
         for sid in ALL_STRATEGIES:
             fresh = _observe(solve(model, s.assignment, sid, mode, bound=bound), TimeMode.WORK)
             assert oracle.full(s.id, sid, bound) == fresh
+
+
+# ---------------------------------------------------------------------------
+# the sample race's cells in a task pool, under conftest.py's two-CPU forks
+# fixture
+
+
+def _pools(monkeypatch, forks):
+    """Patch selection.run_pool to record (tasks, processes forked) per call."""
+    from eps_select import selection
+
+    real = selection.run_pool
+    calls = []
+
+    def recording(tasks, *args, **kwargs):
+        before = len(forks)
+        out = real(tasks, *args, **kwargs)
+        calls.append((list(tasks), len(forks) - before))
+        return out
+
+    monkeypatch.setattr(selection, "run_pool", recording)
+    return calls
+
+
+@fork_only
+def test_work_mode_race_cells_are_solved_in_forked_workers(forks, monkeypatch):
+    from eps_select import selection
+    from eps_select.benchmarks import nqueens
+    from eps_select.decomposition import DecompositionConfig
+    from eps_select.selection import PssConfig, pss_select
+
+    def cfg(workers):
+        return PssConfig(
+            decomposition=DecompositionConfig(target_count=100, worker_count=workers),
+            sample_size=10,
+        )
+
+    model = nqueens(8)
+    here = pss_select(model, cfg(1))
+    assert forks == []
+    calls = _pools(monkeypatch, forks)
+    solves = []
+    real_solve = selection.solve
+    monkeypatch.setattr(
+        selection, "solve", lambda *a, **k: solves.append(a[1]) or real_solve(*a, **k)
+    )
+    forked = pss_select(model, cfg(2))
+    # the race pool holds every sampled cell, subproblem by subproblem; both
+    # pools fork two workers, and this process solves nothing itself
+    race_cells = [(sub, s) for sub in forked.sample_ids for s in ALL_STRATEGIES]
+    assert [(tasks, n) for tasks, n in calls] == [
+        (race_cells, 2),
+        ([(sub, forked.winner) for sub in range(forked.population) if sub not in forked.sample_ids], 2),
+    ]
+    assert solves == []
+    assert all_reaped(forks)
+    assert forked.to_dict() == here.to_dict()
+    assert forked.matrix.entries == here.matrix.entries
+
+
+@fork_only
+@pytest.mark.parametrize("case", ["optimization", "wall"])
+def test_optimization_and_wall_mode_races_make_no_pool(forks, monkeypatch, case):
+    # an optimization race pins the incumbent its predecessors raised, and a
+    # wall-mode race stops runs at a time limit: both race in this process
+    from eps_select.benchmarks import golomb, nqueens
+    from eps_select.decomposition import DecompositionConfig
+    from eps_select.search import TimeMode
+    from eps_select.selection import PssConfig, pss_select
+
+    model = golomb(5, maxlen=15) if case == "optimization" else nqueens(6)
+    time_mode = TimeMode.WALL if case == "wall" else TimeMode.WORK
+    calls = _pools(monkeypatch, forks)
+    rep = pss_select(model, PssConfig(
+        decomposition=DecompositionConfig(target_count=40, worker_count=2),
+        race=RaceConfig(time_mode=time_mode),
+        sample_size=10,
+    ))
+    # one pool: the remainder's
+    assert [tasks for tasks, _ in calls] == [
+        [(sub, rep.winner) for sub in range(rep.population) if sub not in rep.sample_ids]
+    ]
+    assert all_reaped(forks)
+
+
+@fork_only
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_race_cell_raises(forks, workers):
+    # a sampled cell the solver cannot solve must stop the run, in a worker
+    # process or in this one
+    from eps_select.benchmarks import nqueens
+    from eps_select.decomposition import DecompositionConfig, decompose, srs_sample
+    from eps_select.runner import TaskFailed
+    from eps_select.selection import ModelOracle, PssConfig, pss_select
+
+    model = nqueens(8)
+    cfg = PssConfig(
+        decomposition=DecompositionConfig(target_count=100, worker_count=workers),
+        sample_size=10,
+    )
+    decomp = decompose(model, cfg.decomposition)
+    bad = srs_sample(len(decomp), 10, 0)[4]
+
+    class BrokenOracle(ModelOracle):
+        def full(self, sub, sid, *args):
+            if (sub, sid) == (bad, S[3]):
+                raise RuntimeError("solver crashed")
+            return super().full(sub, sid, *args)
+
+    oracle = BrokenOracle(model, decomp.subproblems)
+    with pytest.raises(TaskFailed) as exc:
+        pss_select(model, cfg, oracle=oracle, decomposition=decomp)
+    assert str(exc.value.__cause__) == "solver crashed"
+    assert str(exc.value).startswith(f"task ({bad}, <StrategyId.")
+    assert len(forks) == (2 if workers == 2 else 0)  # the race pool only
+    assert all_reaped(forks)
