@@ -410,8 +410,9 @@ def _print_comparison(args, cmp: Comparison) -> None:
         (label, _fmt(total), f"{total / best:.2f}" if best > 0 else "1.00")
         for label, total in totals.items()
     ]
-    print(f"model: {model.name}   {len(cmp.decomposition)} subproblems, "
-          f"sample {len(cmp.pss.sample_ids)}")
+    rep = cmp.pss
+    print(f"model: {model.name}   {rep.population} subproblems, sample {len(rep.sample_ids)} "
+          f"({100 * rep.sample_share:.1f} % of {rep.population})")
     print(_table(("method", "total work", "ratio"), rows))
     print(f"pss winner: {cmp.pss.winner.token} (true best: {min(singles, key=singles.get).token})")
     _write_out(args, {

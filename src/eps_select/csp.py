@@ -16,13 +16,28 @@ first out:
   stops once a scan assigns nothing. Two variables assigned the same value in
   one scan fail when that scan ends.
 * ``linear_eq`` / ``linear_le`` -- bounds consistency on the weighted sum.
+  Each round computes the sum's bounds once and then tightens every term
+  against them; rounds repeat until one changes nothing. A ``linear_le``
+  that names no variable twice stops after one round: a term with a
+  positive coefficient only lowers its variable's max, one with a negative
+  coefficient only raises its min, and the sum's lower bound reads neither,
+  so a second round would compute the same bounds and prune nothing. In a
+  ``linear_eq`` both bounds of each variable move, and a hole at a new bound
+  moves it further, so it keeps its rounds. A coefficient of 0 is refused.
 * ``abs_diff`` (z = \\|x - y\\|) -- value consistency on all three variables:
   a value survives iff it has a support in the other two domains, checked
   word-parallel with mask shifts. Each round walks z's values once: for a
   value v, ``t = (dy << v) | (dy >> v)`` holds the values at distance v from
   y's, so v is supported iff ``dx & t``, and a supported v adds ``t`` to x's
-  supports and the values at distance v from x's to y's. Rounds repeat until
-  one leaves x and y unchanged.
+  supports and the values at distance v from x's to y's. When x, y and z are
+  three distinct variables, one round reaches the fixpoint, because every
+  value it keeps keeps its support: a kept v of z has a pair (a, b) of x and
+  y values with \\|a - b\\| = v, and the round keeps a through (v, b) and b
+  through (v, a); a kept value a of x has a v of z and a b of y with
+  \\|a - b\\| = v, and the round keeps v through (a, b) and b through (v, a),
+  and likewise for y. When z is x or y, or x is y, one variable's domain is
+  written twice in a round, so rounds repeat until one leaves x and y
+  unchanged.
 * ``not_equal`` (x != y + offset) -- value removal once one side is assigned.
 
 A prune that fixes a variable wakes every constraint that watches it
@@ -206,26 +221,35 @@ class Model:
             for v in scope:
                 if not 0 <= v < self.n:
                     raise ValueError(f"constraint #{ci} references unknown variable index {v}")
-            if isinstance(c, (LinearEq, LinearLe)) and len(c.coeffs) != len(c.vars):
-                raise ValueError(f"constraint #{ci}: coefficient/variable length mismatch")
+            if isinstance(c, (LinearEq, LinearLe)):
+                if len(c.coeffs) != len(c.vars):
+                    raise ValueError(f"constraint #{ci}: coefficient/variable length mismatch")
+                if 0 in c.coeffs:
+                    zero = self.names[c.vars[c.coeffs.index(0)]]
+                    raise ValueError(f"constraint #{ci}: variable {zero!r} has coefficient 0")
         if objective is not None and not 0 <= objective.var < self.n:
             raise ValueError("objective references unknown variable index")
 
         self.scopes = tuple(c.scope for c in self.constraints)
 
         # Compiled propagator table: plain tuples keyed by an int kind so the
-        # propagation loop does no attribute lookups.
+        # propagation loop does no attribute lookups. The last field of a
+        # linear or abs_diff entry is True when one round reaches its
+        # fixpoint: a linear_le or abs_diff that repeats no variable (see the
+        # module docstring).
         props = []
         for c in self.constraints:
             if isinstance(c, AllDifferent):
                 repeated = tuple(v for v, k in Counter(c.vars).items() if k > 1)
                 props.append((_ALLDIFF, c.vars, repeated))
             elif isinstance(c, LinearEq):
-                props.append((_LINEQ, tuple(zip(c.coeffs, c.vars)), c.rhs))
+                props.append((_LINEQ, tuple(zip(c.coeffs, c.vars)), c.rhs, False))
             elif isinstance(c, LinearLe):
-                props.append((_LINLE, tuple(zip(c.coeffs, c.vars)), c.rhs))
+                one_round = len(set(c.vars)) == len(c.vars)
+                props.append((_LINLE, tuple(zip(c.coeffs, c.vars)), c.rhs, one_round))
             elif isinstance(c, AbsDiff):
-                props.append((_ABSDIFF, c.x, c.y, c.z))
+                one_round = len({c.x, c.y, c.z}) == 3
+                props.append((_ABSDIFF, c.x, c.y, c.z, one_round))
             elif isinstance(c, NotEqual):
                 props.append((_NOTEQ, c.x, c.y, c.offset))
             else:
@@ -430,7 +454,7 @@ def _propagate(
                                 if w != ci and not inq[w]:
                                     inq[w] = 1
                                     qpush(w)
-                if not changed:
+                if not changed or p[3]:
                     break
 
         elif kind == _ABSDIFF:
@@ -488,8 +512,9 @@ def _propagate(
                             inq[w] = 1
                             qpush(w)
                 # z only narrows to the values x and y support, so a round
-                # that left x and y as they were has nothing left to prune
-                if doms[x] == dx and doms[y] == dy:
+                # that left x and y as they were has nothing left to prune;
+                # on a distinct scope no second round prunes anything
+                if p[4] or (doms[x] == dx and doms[y] == dy):
                     break
 
         else:  # _NOTEQ

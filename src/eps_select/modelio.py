@@ -28,7 +28,8 @@ entry must be an object and every collection a list; domain values,
 not. An ``all_different`` that repeats a variable (unsatisfiable) and a
 ``not_equal`` of a variable with itself (unsatisfiable or always true) are
 refused as well, and :func:`model_to_dict` and :func:`save_json` refuse to
-write them; ``csp.Model`` itself still accepts both. An ``abs_diff``
+write them; ``csp.Model`` itself still accepts both. A linear coefficient
+of 0 is refused by ``csp.Model``, so by the reader too. An ``abs_diff``
 whose ``z`` is ``x`` or ``y`` stays legal: ``x = |x - y|`` has solutions. A
 document that breaks any of this raises ``ModelFormatError``.
 """

@@ -166,6 +166,11 @@ def test_compare_command(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "pss winner:" in stdout
     doc = json.loads(out_path.read_text())
+    population = doc["pss"]["population"]
+    assert stdout.splitlines()[0] == (
+        f"model: nqueens-6   {population} subproblems, sample 10 "
+        f"({1000 / population:.1f} % of {population})"
+    )
     assert set(doc["singles"]) == {"ff", "act", "wdegm", "wdegM", "mregret", "mostc", "dwdeg"}
     best = min(doc["singles"].values())
     assert all(v >= best for v in doc["singles"].values())
@@ -360,6 +365,18 @@ def test_degenerate_json_constraint_exits_1(tmp_path, capsys):
     }))
     assert main(["solve", "--json", str(p)]) == 1
     assert "constraint #0 (all_different): vars repeat a variable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "pss"])
+def test_zero_coefficient_json_exits_1(command, tmp_path, capsys):
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps({
+        "name": "zero",
+        "variables": [{"id": "x", "domain": [0, 3]}, {"id": "y", "domain": [0, 3]}],
+        "constraints": [{"kind": "linear_le", "coeffs": [0, 1], "vars": ["x", "y"], "rhs": 2}],
+    }))
+    assert main([command, "--json", str(p)]) == 1
+    assert capsys.readouterr().err == "error: constraint #0: variable 'x' has coefficient 0\n"
 
 
 def test_model_or_json_required(capsys):

@@ -248,6 +248,73 @@ def test_propagate_matches_reference_kernel(name, make):
         assert (got, got_doms, got_pruned) == (want, want_doms, want_pruned), (name, doms, wake)
 
 
+def _scope_model(rng: random.Random) -> tuple[Model, set[str]]:
+    """A model with values below zero whose ``abs_diff`` and ``linear_le``
+    constraints have distinct or aliased scopes; returns it with the scope
+    shapes it holds."""
+    n = rng.randint(3, 5)
+    domains = []
+    for i in range(n):
+        lo = rng.randint(-4, -1) if i == 0 else rng.randint(-4, 2)
+        domains.append(range(lo, lo + rng.randint(1, 6) + 1))
+    cons = []
+    shapes = set()
+    for _ in range(rng.randint(2, 4)):
+        x, y, z = rng.sample(range(n), 3)
+        shape = rng.choice(("distinct", "x=y", "z=x", "z=y"))
+        if shape == "x=y":
+            y = x
+        elif shape == "z=x":
+            z = x
+        elif shape == "z=y":
+            z = y
+        cons.append(AbsDiff(x, y, z))
+        shapes.add(f"abs_diff {shape}")
+        vs = rng.sample(range(n), rng.randint(1, n))
+        coeffs = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in vs]
+        if rng.random() < 0.5:
+            # the first variable again, under the opposite sign
+            vs.append(vs[0])
+            coeffs.append(rng.randint(1, 3) * (1 if coeffs[0] < 0 else -1))
+            shapes.add("linear_le repeated")
+        else:
+            shapes.add("linear_le distinct")
+        cons.append(LinearLe(tuple(coeffs), tuple(vs), rng.randint(-6, 6)))
+    return _model(domains, cons, name="scopes"), shapes
+
+
+def test_propagate_matches_reference_on_aliased_scopes():
+    # One round of abs_diff or linear_le reaches its fixpoint only on a
+    # distinct scope; an aliased one must keep rounding as the reference
+    # does. Call for call, from random sub-masks and random wake lists.
+    rng = random.Random("aliased-scopes")
+    shapes = set()
+    for _ in range(30):
+        m, held = _scope_model(rng)
+        assert m.lo < 0
+        shapes |= held
+        ncons = len(m.constraints)
+        for _ in range(200):
+            doms = _random_submasks(rng, m)
+            wake = [rng.randrange(ncons) for _ in range(rng.randint(1, 2 * ncons))]
+            got_doms, want_doms = list(doms), list(doms)
+            got_pruned, want_pruned = [], []
+            got = _propagate(m, got_doms, wake, got_pruned)
+            want = reference_propagate(m, want_doms, wake, want_pruned)
+            assert (got, got_doms, got_pruned) == (want, want_doms, want_pruned), (
+                m.constraints, doms, wake)
+    assert shapes == {"abs_diff distinct", "abs_diff x=y", "abs_diff z=x", "abs_diff z=y",
+                      "linear_le distinct", "linear_le repeated"}
+
+
+@pytest.mark.parametrize("kind", [LinearEq, LinearLe])
+def test_zero_coefficient_refused(kind):
+    # the bounds propagator would divide by it
+    with pytest.raises(ValueError, match=r"constraint #1: variable 'v0' has coefficient 0"):
+        _model([range(0, 4), range(0, 4)],
+               [AllDifferent((0, 1)), kind((0, 1), (0, 1), 2)])
+
+
 def _narrow(rng: random.Random, d: int) -> int:
     """An open mask fixed to one of its values or shrunk to a random proper,
     non-empty subset of them."""

@@ -260,8 +260,13 @@ def test_objective_roundtrip(tmp_path):
         ({"kind": "all_different", "vars": ["x", "y", "x"]}, r"constraint #1 \(all_different\): vars repeat"),
         ({"kind": "not_equal", "x": "y", "y": "y"}, r"constraint #1 \(not_equal\): x and y are the same"),
         ({"kind": "not_equal", "x": "x", "y": "x", "offset": 2}, r"constraint #1 \(not_equal\): x and y"),
+        ({"kind": "linear_eq", "coeffs": [1, 0], "vars": ["x", "y"], "rhs": 2},
+         "constraint #1: variable 'y' has coefficient 0"),
+        ({"kind": "linear_le", "coeffs": [0, 1], "vars": ["x", "y"], "rhs": 2},
+         "constraint #1: variable 'x' has coefficient 0"),
     ],
-    ids=["all-different-repeat", "not-equal-self", "not-equal-self-offset"],
+    ids=["all-different-repeat", "not-equal-self", "not-equal-self-offset",
+         "linear-eq-zero-coeff", "linear-le-zero-coeff"],
 )
 def test_degenerate_constraints_rejected(con, message):
     doc = {"variables": [_X, _Y], "constraints": [{"kind": "all_different", "vars": ["x", "y"]}, con]}
