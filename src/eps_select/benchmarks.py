@@ -5,7 +5,8 @@
 * nqueens(n): pairwise no-attack via offset disequalities.
 * golomb(n, maxlen): minimize the last mark of a ruler with pairwise
   distinct differences; first mark fixed at 0, first difference smaller
-  than the last (classic mirror-symmetry break).
+  than the last (classic mirror-symmetry break) when there are at least
+  three marks.
 * magicsquare(n): distinct 1..n^2 with equal line sums (full solution
   count, no symmetry breaking).
 * latin(n): an n x n Latin square over 1..n.
@@ -80,7 +81,8 @@ def golomb(n: int, maxlen: Optional[int] = None) -> Model:
                 last_diff = idx
             idx += 1
     cons.append(AllDifferent(tuple(range(n, idx))))
-    cons.append(LinearLe((1, -1), (first_diff, last_diff), -1))
+    if n >= 3:  # with two marks the first difference is the last one
+        cons.append(LinearLe((1, -1), (first_diff, last_diff), -1))
     return Model(
         f"golomb-{n}",
         marks + diffs,

@@ -21,9 +21,27 @@ first out:
   that names no variable twice stops after one round: a term with a
   positive coefficient only lowers its variable's max, one with a negative
   coefficient only raises its min, and the sum's lower bound reads neither,
-  so a second round would compute the same bounds and prune nothing. In a
-  ``linear_eq`` both bounds of each variable move, and a hole at a new bound
-  moves it further, so it keeps its rounds. A coefficient of 0 is refused.
+  so a second round would compute the same bounds and prune nothing. A
+  ``linear_eq`` that names no variable twice and has only coefficients of 1
+  and -1 runs another round only when a bound it set landed in a hole: the
+  variable's new min is above the ``nlo`` the round computed, or its new max
+  below ``nhi``. Otherwise one round reaches its fixpoint. Write each term
+  as t_i = c_i x_i with bounds [a_i, b_i] when the round starts, S and T for
+  the sums of the a_i and of the b_i, and r for the right-hand side, with
+  S <= r <= T (else the round fails). The round sets a_i' = max(a_i,
+  r - T + b_i) and b_i' = min(b_i, r - S + a_i), integers that need no
+  rounding, and a_i' <= b_i' since b_i - a_i <= T - S. Every b_j' >= a_j
+  and every a_j' <= b_j, as S <= r <= T. Say every term now has exactly
+  these bounds. The next round leaves a_i' in place iff the other terms'
+  b_j' sum to at least r - a_i'. If b_j' = b_j for every j != i, they sum
+  to T - b_i >= r - a_i' by the definition of a_i'. Otherwise some k != i
+  has b_k' = r - S + a_k, and with b_j' >= a_j for the others the sum is
+  at least r - S + a_k + (S - a_i - a_k) = r - a_i >= r - a_i'. The case
+  of b_i' is the mirror image, and together they give S' <= r <= T' for the
+  new sums, so the next round neither fails nor prunes. A coefficient of
+  another size rounds the bounds, and a repeated variable aliases two
+  terms, so such a ``linear_eq`` keeps its rounds until one prunes nothing.
+  A coefficient of 0 is refused.
 * ``abs_diff`` (z = \\|x - y\\|) -- value consistency on all three variables:
   a value survives iff it has a support in the other two domains, checked
   word-parallel with mask shifts. Each round walks z's values once: for a
@@ -51,9 +69,12 @@ stops only where every constraint is at its fixpoint. Every propagator is
 monotone, so that fixpoint, and whether there is one, do not depend on the
 order the constraints run in: from domains where every constraint not woken
 is at its fixpoint, the view and the model reach the same domains or both
-fail. Their pass counts, ``pruned`` sequences and failing indices differ, and
-the search reads those (activity and weighted degree), so only the
-decomposition, which reads the fixpoint alone, propagates through the view.
+fail. Their pass counts, ``pruned`` sequences and failing indices differ. The
+decomposition reads the fixpoint alone, and so does the search under ``ff``,
+``mregret`` and ``mostc``, which choose from the domains alone: both
+propagate through the view. The search under ``act``, which reads the pruned
+variables, and under the weighted-degree strategies, which read the failing
+constraint, propagates through the model.
 """
 
 from __future__ import annotations
@@ -235,15 +256,17 @@ class Model:
         # Compiled propagator table: plain tuples keyed by an int kind so the
         # propagation loop does no attribute lookups. The last field of a
         # linear or abs_diff entry is True when one round reaches its
-        # fixpoint: a linear_le or abs_diff that repeats no variable (see the
-        # module docstring).
+        # fixpoint: a linear_le or abs_diff that repeats no variable, and a
+        # linear_eq that repeats none and has only coefficients of 1 and -1,
+        # unless one of its bounds lands in a hole (see the module docstring).
         props = []
         for c in self.constraints:
             if isinstance(c, AllDifferent):
                 repeated = tuple(v for v, k in Counter(c.vars).items() if k > 1)
                 props.append((_ALLDIFF, c.vars, repeated))
             elif isinstance(c, LinearEq):
-                props.append((_LINEQ, tuple(zip(c.coeffs, c.vars)), c.rhs, False))
+                one_round = len(set(c.vars)) == len(c.vars) and set(c.coeffs) <= {1, -1}
+                props.append((_LINEQ, tuple(zip(c.coeffs, c.vars)), c.rhs, one_round))
             elif isinstance(c, LinearLe):
                 one_round = len(set(c.vars)) == len(c.vars)
                 props.append((_LINLE, tuple(zip(c.coeffs, c.vars)), c.rhs, one_round))
@@ -277,7 +300,8 @@ class Model:
         Propagating through the view from a fixpoint of every constraint not
         woken reaches the same fixpoint, or fails, as through the model: see
         the module docstring. Only the pass count, the ``pruned`` sequence
-        and the failing index may differ.
+        and the failing index may differ. The decomposition and the search
+        under a strategy that reads the domains alone propagate through it.
         """
         if self._fixpoint_view is None:
             view = copy.copy(self)
@@ -411,7 +435,7 @@ def _propagate(
                         smax += c * vmin
                 if smin > rhs or (is_eq and rhs > smax):
                     return ci, passes
-                changed = False
+                rerun = False
                 for c, v in pairs:
                     d = doms[v]
                     vmin = (d & -d).bit_length() - 1 + base
@@ -449,12 +473,19 @@ def _propagate(
                             pruned.append(v)
                             if not nd:
                                 return ci, passes
-                            changed = True
+                            # a flagged scope reruns only when a linear_eq
+                            # bound landed in a hole, past the nlo or nhi
+                            # the round computed
+                            if not p[3] or is_eq and (
+                                nlo > vmin and not nd >> (nlo - base) & 1
+                                or nhi < vmax and not nd >> (nhi - base) & 1
+                            ):
+                                rerun = True
                             for w in chg[v] if split and nd & (nd - 1) else watchers[v]:
                                 if w != ci and not inq[w]:
                                     inq[w] = 1
                                     qpush(w)
-                if not changed or p[3]:
+                if not rerun:
                     break
 
         elif kind == _ABSDIFF:

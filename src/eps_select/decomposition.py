@@ -11,7 +11,8 @@ assignment is made once, and no recursion is involved. A prefix is not
 stored beside its domains: its variables are singletons there. Deepening
 stops when the subproblem count reaches the target or every variable is in
 the prefix; if the target is never reached, the largest frontier seen is
-returned.
+returned. A depth whose frontier could hold more than ``MAX_FRONTIER_MASKS``
+domain masks is refused with a :class:`ValueError` before it is extended.
 Mutually exclusive and exhaustive prefixes make the subproblems a partition
 of the root's solution space. Each subproblem keeps the domains its
 propagation left, which are its root fixpoint (every propagator is monotone,
@@ -64,6 +65,13 @@ FORK_MIN_ASSIGNMENTS = 1000
 # cut depends on the frontier only, so the subproblems do not depend on the
 # worker count
 SPANS = 32
+# most domain masks a depth's frontier may hold: a depth whose assignments
+# times the model's variable count exceeds this is refused before it is
+# extended, since each consistent assignment keeps a list of one mask per
+# variable (8 to 40 bytes a mask, and the forked workers' replies hold a
+# second copy while they are unpickled). The lab's largest depth is latin(5)'s
+# at target 3000, with 3840 assignments of 25 variables (96 000 masks).
+MAX_FRONTIER_MASKS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,12 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
     best_depth = 0
     while frontier and len(frontier) < target and depth < model.n:
         assignments = sum(doms[depth].bit_count() for doms in frontier)
+        if assignments * model.n > MAX_FRONTIER_MASKS:
+            raise ValueError(
+                f"decomposition target {target} is out of reach in memory: prefix "
+                f"length {depth + 1} would hold up to {assignments} prefixes of "
+                f"{model.n} domains, more than MAX_FRONTIER_MASKS={MAX_FRONTIER_MASKS} masks"
+            )
         total_work += assignments
         n = len(frontier)
         size = -(-n // SPANS) if assignments >= FORK_MIN_ASSIGNMENTS else n

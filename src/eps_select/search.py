@@ -7,10 +7,17 @@ chosen domain, or the maximum for ``wdegM``. Every call starts fresh
 activity and weighted-degree counters, which never decay, and keeps only the
 ones its strategy reads: activity for ``act``, weighted degrees for
 ``wdegm``, ``wdegM`` and ``dwdeg``, none for ``ff``, ``mregret`` and
-``mostc``. The search is one
-loop over an explicit stack of the right branches still to take, so its depth
-is bounded by memory, not by the interpreter's recursion limit, which it never
-changes. One work unit is one committed branch; a failed propagation adds one
+``mostc``. Those three choose from the domains alone, so their search
+propagates through :meth:`~eps_select.csp.Model.fixpoint_view`, where a
+prune or a right branch that fixes no variable wakes no ``all_different`` or
+``not_equal``: every node is a fixpoint of all constraints, so each node
+below it reaches the same domains, or the same failure, as with every wake
+(see :mod:`eps_select.csp`); only ``propagations``, the propagator passes,
+differs. The other four read the pruned variables or the failing
+constraint, so their search wakes every constraint on a pruned variable.
+The search is one loop over an explicit stack of the right branches still
+to take, so its depth is bounded by memory, not by the interpreter's
+recursion limit, which it never changes. One work unit is one committed branch; a failed propagation adds one
 more. The budget, and in wall mode the deadline, is tested once before every
 branch, left or right, so a run can overshoot its limit by at most one
 fixpoint -- and ``BudgetExhausted`` always implies ``work_used >= limit``.
@@ -175,6 +182,10 @@ def solve(
     # only the chooser reads the counters, so keep just the ones it reads
     keep_activity = sid is StrategyId.ACT
     keep_wdeg = sid in _WDEG_STRATEGIES
+    # a chooser that reads the domains alone sees the same nodes through the
+    # fixpoint view, which skips wakes that cannot prune (see the docstring)
+    pmodel = model if keep_activity or keep_wdeg else model.fixpoint_view()
+    change_watchers = pmodel.change_watchers
     pick_max = sid is StrategyId.WDEG_MAX
     first_only = mode is SolveMode.FIRST_SOLUTION
 
@@ -226,7 +237,7 @@ def solve(
         node = parent[:]
         node[var] = mask
         decisions += 1
-        wake = watchers[var]
+        wake = change_watchers[var] if mask & (mask - 1) else watchers[var]
         if optimizing and cur_bound is not None:
             od = node[objvar]
             if maximize:
@@ -243,7 +254,7 @@ def solve(
                 node[objvar] = nod
                 wake = wake_obj[var]
         pruned.clear()
-        fc, np_ = _propagate(model, node, wake, pruned)
+        fc, np_ = _propagate(pmodel, node, wake, pruned)
         propagations += np_
         if keep_activity and pruned:
             counters.bump_pruned_many(pruned, decisions)

@@ -346,6 +346,15 @@ def test_inconsistent_model_names_the_model(command, capsys):
     )
 
 
+def test_golomb_two_marks_is_solved(capsys):
+    # with two marks the first difference is the last one, so the
+    # mirror-symmetry break (first < last) would refute the model at the root
+    assert main(["solve", "--model", "golomb", "--n", "2"]) == 0
+    assert " objective=1 " in capsys.readouterr().out
+    assert main(["pss", "--model", "golomb", "--n", "2"]) == 0
+    assert "best objective: 1\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_unsatisfiable_model_with_consistent_root_reports_no_solutions(workers, capsys):
     # nqueens(3): no value of q0 survives propagation, so decompose keeps

@@ -307,6 +307,57 @@ def test_propagate_matches_reference_on_aliased_scopes():
                       "linear_le distinct", "linear_le repeated"}
 
 
+def _linear_eq_model(rng: random.Random) -> tuple[Model, set[str]]:
+    """A model with values below zero and two to four ``linear_eq``
+    constraints whose scopes are distinct with unit coefficients, distinct with
+    a coefficient other than 1 or -1, or repeat a variable; returns it with the
+    scope shapes it holds."""
+    n = rng.randint(3, 5)
+    domains = []
+    for i in range(n):
+        lo = rng.randint(-5, -1) if i == 0 else rng.randint(-5, 3)
+        domains.append(range(lo, lo + rng.randint(2, 7) + 1))
+    cons = []
+    shapes = set()
+    for _ in range(rng.randint(2, 4)):
+        vs = rng.sample(range(n), rng.randint(2, n))
+        shape = rng.choice(("unit", "unit", "non-unit", "repeated"))
+        coeffs = [rng.choice((-1, 1)) for _ in vs]
+        if shape == "non-unit":
+            coeffs[rng.randrange(len(vs))] = rng.choice((-3, -2, 2, 3))
+        elif shape == "repeated":
+            vs.append(rng.choice(vs))
+            coeffs.append(rng.choice((-2, -1, 1, 2)))
+        cons.append(LinearEq(tuple(coeffs), tuple(vs), rng.randint(-4, 4)))
+        shapes.add(shape)
+    return _model(domains, cons, name="linear_eq"), shapes
+
+
+def test_linear_eq_rounds_match_reference():
+    # A linear_eq over distinct variables with coefficients of 1 and -1 runs
+    # another round only when a bound it set landed in a hole; every other
+    # linear_eq runs rounds until one prunes nothing. Call for call against
+    # the reference, which always runs that last round, from random sub-masks
+    # with holes and random wake lists.
+    rng = random.Random("linear-eq-rounds")
+    shapes = set()
+    for _ in range(60):
+        m, held = _linear_eq_model(rng)
+        assert m.lo < 0
+        shapes |= held
+        ncons = len(m.constraints)
+        for _ in range(200):
+            doms = _random_submasks(rng, m)
+            wake = [rng.randrange(ncons) for _ in range(rng.randint(1, 2 * ncons))]
+            got_doms, want_doms = list(doms), list(doms)
+            got_pruned, want_pruned = [], []
+            got = _propagate(m, got_doms, wake, got_pruned)
+            want = reference_propagate(m, want_doms, wake, want_pruned)
+            assert (got, got_doms, got_pruned) == (want, want_doms, want_pruned), (
+                m.constraints, doms, wake)
+    assert shapes == {"unit", "non-unit", "repeated"}
+
+
 @pytest.mark.parametrize("kind", [LinearEq, LinearLe])
 def test_zero_coefficient_refused(kind):
     # the bounds propagator would divide by it

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from eps_select.benchmarks import allinterval, golomb, latin, magicsquare, nqueens
+from eps_select.cli import main
 from eps_select.csp import AllDifferent, InconsistentProblem, Model, VariableDecl
 from eps_select import decomposition
 from eps_select.decomposition import (
@@ -293,6 +294,29 @@ def test_fixed_variable_rule_leaves_the_decomposition_unchanged(
     monkeypatch.setattr(decomposition, "FORK_MIN_ASSIGNMENTS", math.inf)
     assert ruled == [decompose(m, cfgs[0])] * 2
     assert all_reaped(forks)
+
+
+def test_frontier_over_the_mask_bound_is_refused(monkeypatch, capsys):
+    # latin(4) never reaches a target of a million: its largest depth extends
+    # 576 prefixes of 16 variables (9216 masks) into prefix length 11
+    m = latin(4)
+    cfg = DecompositionConfig(target_count=10**6)
+    whole = decompose(m, cfg)
+    assert (len(whole), whole.prefix_len, whole.shortfall) == (576, 11, True)
+    monkeypatch.setattr(decomposition, "MAX_FRONTIER_MASKS", 9216)
+    assert decompose(m, cfg) == whole
+    monkeypatch.setattr(decomposition, "MAX_FRONTIER_MASKS", 9215)
+    message = (
+        "decomposition target 1000000 is out of reach in memory: prefix length 11 "
+        "would hold up to 576 prefixes of 16 domains, more than "
+        "MAX_FRONTIER_MASKS=9215 masks"
+    )
+    with pytest.raises(ValueError) as exc:
+        decompose(m, cfg)
+    assert str(exc.value) == message
+    argv = ["decompose", "--model", "latin", "--n", "4", "--target-subproblems", "1000000"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_srs_full_population():

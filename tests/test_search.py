@@ -1,17 +1,23 @@
+import random
 import sys
 
 import pytest
 
 from eps_select.benchmarks import allinterval, golomb, latin, magicsquare, nqueens
 from eps_select.csp import (
+    AbsDiff,
     AllDifferent,
     InconsistentProblem,
     LinearEq,
+    LinearLe,
     Model,
     NotEqual,
+    Objective,
     VariableDecl,
+    var_range,
 )
-from eps_select.search import SolveMode, SolveStatus, count_all, solve
+from eps_select.decomposition import DecompositionConfig, decompose
+from eps_select.search import SolveMode, SolveStatus, count_all, root_domains, solve
 from eps_select.strategies import ALL_STRATEGIES, StrategyId
 
 from bruteforce import allinterval_count, brute_count, brute_optimum, golomb_optimum
@@ -226,8 +232,9 @@ def test_wall_limit_reports_exhaustion():
 # (model, strategy) -> (status, solutions, objective, work, decisions, failures,
 # propagations) of a whole-model solve: ALL_SOLUTIONS on the satisfaction
 # models, OPTIMIZE on golomb(5). Recorded before the propagation hot path was
-# tuned; a strategy that lost a counter it reads (act's activity, the wdeg
-# family's weights) branches differently and misses its row.
+# tuned, with every prune waking every constraint on its variable; a strategy
+# that lost a counter it reads (act's activity, the wdeg family's weights)
+# branches differently and misses its row.
 PINNED_SOLVES = {
     ("nqueens", "ff"): ("complete", 40, None, 282, 214, 68, 7577),
     ("nqueens", "act"): ("complete", 40, None, 1176, 810, 366, 16563),
@@ -266,8 +273,37 @@ PINNED_SOLVES = {
     ("golomb", "dwdeg"): ("complete", 2, 11, 62, 42, 20, 508),
 }
 
+# The propagations of the rows whose strategy reads the domains alone: their
+# search propagates through the fixpoint view, where a prune that fixes
+# nothing wakes no all_different or not_equal. Every other column is the
+# full-wake record above.
+FIX_EVENT_PROPAGATIONS = {
+    ("nqueens", "ff"): 4222,
+    ("nqueens", "mregret"): 4455,
+    ("nqueens", "mostc"): 4202,
+    ("allinterval", "ff"): 5400,
+    ("allinterval", "mregret"): 5760,
+    ("allinterval", "mostc"): 5132,
+    ("latin", "ff"): 4576,
+    ("latin", "mregret"): 4876,
+    ("latin", "mostc"): 4576,
+    ("magicsquare", "ff"): 760,
+    ("magicsquare", "mregret"): 743,
+    ("magicsquare", "mostc"): 481,
+    ("golomb", "ff"): 370,
+    ("golomb", "mregret"): 366,
+    ("golomb", "mostc"): 370,
+}
 
-def test_solve_outcomes_pinned():
+DOMAIN_ONLY = (StrategyId.FF, StrategyId.MREGRET, StrategyId.MOSTC)
+
+
+def _row(o):
+    return (o.status.value, o.solutions_found, o.best_objective, o.work_used,
+            o.decisions, o.failures, o.propagations)
+
+
+def test_solve_outcomes_pinned(monkeypatch):
     models = {
         "nqueens": (nqueens(7), SolveMode.ALL_SOLUTIONS),
         "allinterval": (allinterval(7), SolveMode.ALL_SOLUTIONS),
@@ -276,9 +312,96 @@ def test_solve_outcomes_pinned():
         "golomb": (golomb(5), SolveMode.OPTIMIZE),
     }
     assert len(PINNED_SOLVES) == len(models) * len(ALL_STRATEGIES)
-    for (name, token), want in PINNED_SOLVES.items():
-        m, mode = models[name]
-        o = solve(m, (), StrategyId(token), mode)
-        got = (o.status.value, o.solutions_found, o.best_objective, o.work_used,
-               o.decisions, o.failures, o.propagations)
-        assert got == want, (name, token)
+    assert set(FIX_EVENT_PROPAGATIONS) == {
+        key for key in PINNED_SOLVES if StrategyId(key[1]) in DOMAIN_ONLY
+    }
+
+    def outcomes():
+        return {(name, token): _row(solve(models[name][0], (), StrategyId(token),
+                                          models[name][1]))
+                for name, token in PINNED_SOLVES}
+
+    fix_events = outcomes()
+    # with every prune waking every constraint on its variable, each row
+    # matches its record in all seven columns
+    monkeypatch.setattr(Model, "fixpoint_view", lambda self: self)
+    assert outcomes() == PINNED_SOLVES
+    for key, want in PINNED_SOLVES.items():
+        if key in FIX_EVENT_PROPAGATIONS:
+            want = want[:6] + (FIX_EVENT_PROPAGATIONS[key],)
+        assert fix_events[key] == want, key
+
+
+def _random_search_model(rng, objective):
+    """Four to seven variables with values below zero, under one constraint of
+    each kind (linear_eq with unit or non-unit coefficients) and a few more
+    disequalities; with ``objective``, a random variable to minimize or
+    maximize."""
+    n = rng.randint(4, 7)
+    decls = []
+    for i in range(n):
+        lo = rng.randint(-3, 2)
+        decls.append(var_range(f"v{i}", lo, lo + rng.randint(2, 5)))
+    x, y, z = rng.sample(range(n), 3)
+    eq = rng.sample(range(n), rng.randint(2, 3))
+    le = rng.sample(range(n), rng.randint(2, 3))
+    cons = [
+        AllDifferent(tuple(rng.sample(range(n), rng.randint(2, n - 1)))),
+        AbsDiff(x, y, z),
+        LinearEq(tuple(rng.choice((-2, -1, 1, 1, 2)) for _ in eq), tuple(eq),
+                 rng.randint(-3, 5)),
+        LinearLe(tuple(rng.choice((-2, -1, 1, 2)) for _ in le), tuple(le), rng.randint(-2, 6)),
+    ]
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.sample(range(n), 2)
+        cons.append(NotEqual(a, b, rng.randint(-2, 2)))
+    rng.shuffle(cons)
+    obj = Objective(rng.randrange(n), rng.random() < 0.5) if objective else None
+    return Model("random", decls, cons, obj)
+
+
+def test_fix_event_search_matches_the_full_wake_search(monkeypatch):
+    # ff, mregret and mostc read the domains alone, so propagating through the
+    # fixpoint view must leave every column but propagations as with every
+    # wake, and never take more passes: on whole models and on decomposed
+    # subproblems, in every mode, with an incumbent bound in OPTIMIZE mode.
+    rng = random.Random("fix-event-search")
+    cases = []
+    models = 0
+    while models < 100:
+        optimizing = models % 2 == 1
+        m = _random_search_model(rng, optimizing)
+        try:
+            root_domains(m)
+        except InconsistentProblem:
+            continue
+        models += 1
+        modes = [SolveMode.OPTIMIZE, SolveMode.FIRST_SOLUTION] if optimizing else [
+            SolveMode.ALL_SOLUTIONS, SolveMode.FIRST_SOLUTION]
+        subs = decompose(m, DecompositionConfig(target_count=rng.randint(2, 8))).subproblems
+        for sid in DOMAIN_ONLY:
+            for mode in modes:
+                bound = None
+                if mode is SolveMode.OPTIMIZE and rng.random() < 0.5:
+                    bound = rng.choice(m.variables[m.objective.var].values)
+                cases.append((m, sid, mode, bound, None))
+                for sub in subs:
+                    cases.append((m, sid, mode, bound, sub.domains))
+
+    def run(case):
+        m, sid, mode, bound, domains = case
+        return _row(solve(m, (), sid, mode, bound=bound, domains=domains))
+
+    through_view = [run(c) for c in cases]
+    monkeypatch.setattr(Model, "fixpoint_view", lambda self: self)
+    full = [run(c) for c in cases]
+    fewer = 0
+    for case, got, want in zip(cases, through_view, full):
+        assert got[:6] == want[:6], case
+        assert got[6] <= want[6], case
+        fewer += got[6] < want[6]
+    # the view skipped wakes, solutions were found and nodes failed, and the
+    # incumbent bound pruned (more than one improving solution)
+    assert fewer > len(cases) // 4
+    assert any(row[1] > 0 for row in full) and any(row[5] > 0 for row in full)
+    assert any(c[2] is SolveMode.OPTIMIZE and row[1] > 1 for c, row in zip(cases, full))
