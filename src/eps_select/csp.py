@@ -10,11 +10,27 @@ first out:
 
 * ``all_different``  -- value consistency: assigned values are removed from
   the other domains in scope, repeated to a local fixpoint; duplicate
-  assigned values fail. The propagator is incremental: one scan collects the
-  assigned values, then each scan removes only the values that the previous
-  scan assigned (older ones are gone from every open domain already) and
-  stops once a scan assigns nothing. Two variables assigned the same value in
-  one scan fail when that scan ends.
+  assigned values fail. The propagator is told what changed instead of
+  re-deriving it. Each call keeps, per ``all_different``, the values fixed
+  in its scope since its last pass: every prune that fixes a variable ORs
+  the value into the entry of each ``all_different`` over it, once per place
+  the variable takes in the scope (``Model.alldiffs_of``), except into the
+  one running, and an entry that receives one value twice becomes -1. A pass
+  fails at once on -1; otherwise its first scan removes the pending values
+  from the open domains, each further scan removes only the values the
+  previous scan fixed, and the pass stops once a scan fixes nothing. Two
+  variables fixed to the same value in one scan fail when that scan ends,
+  and so does a fix of a variable the scope repeats. The caller seeds the
+  entries: without ``set_vars`` every fixed variable seeds them, which
+  holds from any domains; with it, only the fixed variables among those it
+  names, which holds when the domains were a fixpoint of every
+  ``all_different`` before the caller set them. Then a value fixed before
+  the call is gone from every open domain of the scope, and a pass ends
+  with every value fixed so far gone from them, so a value fixed before an
+  ``all_different``'s last pass cannot prune, and a pass with nothing
+  pending is at its fixpoint: it counts as a pass and ends at once. Each
+  pass therefore prunes, fails and counts exactly as one that scans its
+  scope for every fixed value.
 * ``linear_eq`` / ``linear_le`` -- bounds consistency on the weighted sum.
   Each round computes the sum's bounds once and then tightens every term
   against them; rounds repeat until one changes nothing. A ``linear_le``
@@ -55,7 +71,9 @@ first out:
   \\|a - b\\| = v, and the round keeps v through (a, b) and b through (v, a),
   and likewise for y. When z is x or y, or x is y, one variable's domain is
   written twice in a round, so rounds repeat until one leaves x and y
-  unchanged.
+  unchanged. Both writes start from the round's first domain, so the second
+  may undo a value the first fixed: such a round hands the ``all_different``
+  pending values only what its final domains fixed.
 * ``not_equal`` (x != y + offset) -- value removal once one side is assigned.
 
 A prune that fixes a variable wakes every constraint that watches it
@@ -199,6 +217,16 @@ class Model:
 
     A Model is built once and shared read-only by every worker; all mutable
     search state lives in the domain-mask lists handed to :func:`_propagate`.
+    The tables, per variable ``v``:
+
+    * ``watchers[v]`` -- the constraints over ``v``, each once, woken when a
+      prune fixes ``v``;
+    * ``change_watchers[v]`` -- those woken when a prune leaves ``v`` open
+      (see :meth:`fixpoint_view`);
+    * ``alldiffs_of[v]`` -- the ``all_different`` constraints over ``v``,
+      once per place ``v`` takes in the scope, which a fix of ``v`` hands
+      its value to;
+    * ``static_degree[v]`` -- the number of constraints over ``v``.
     """
 
     def __init__(
@@ -279,6 +307,16 @@ class Model:
                 raise TypeError(f"unknown constraint type {type(c).__name__}")
         self._props = tuple(props)
 
+        # the all_different constraints over each variable, once per place
+        # the variable takes in the scope: a fix hands its value to each, so
+        # a variable that a scope repeats hands it twice and fails there
+        places: list[list[int]] = [[] for _ in range(self.n)]
+        for ci, p in enumerate(props):
+            if p[0] == _ALLDIFF:
+                for v in p[1]:
+                    places[v].append(ci)
+        self.alldiffs_of = tuple(tuple(a) for a in places)
+
         watch: list[list[int]] = [[] for _ in range(self.n)]
         for ci, c in enumerate(self.constraints):
             for v in c.scope:
@@ -344,19 +382,23 @@ def _propagate(
     doms: list[int],
     wake: Iterable[int],
     pruned: list[int],
+    set_vars: Optional[Iterable[int]] = None,
 ) -> tuple[int, int]:
     """Fixpoint loop over a FIFO queue of constraint indices.
 
     Mutates ``doms`` in place and appends every pruned variable index to
     ``pruned`` (duplicates possible; callers dedupe per decision). Returns
     ``(failing_constraint_index_or_minus_1, propagator_passes)``.
+
+    ``set_vars`` names the variables the caller has just set on domains where
+    every ``all_different`` was at its fixpoint; the fixed ones among them
+    seed the ``all_different`` pending values. Without it, every fixed
+    variable seeds them, which holds from any domains.
     """
     props = model._props
     watchers = model.watchers
     chg = model.change_watchers
-    # the tables differ only in a fixpoint view: on a model, a prune site that
-    # has not tested its new domain for a singleton skips that test
-    split = chg is not watchers
+    alldiffs_of = model.alldiffs_of
     base = model.lo
     ubits = model.ubits
     inq = bytearray(len(props))
@@ -367,6 +409,15 @@ def _propagate(
             q.append(ci)
     qpush = q.append
     passes = 0
+    # per all_different, the values fixed in its scope since its last pass,
+    # or -1 once one of them arrived twice
+    pend = [0] * len(props)
+    for v in range(model.n) if set_vars is None else set_vars:
+        d = doms[v]
+        if d & (d - 1) == 0:
+            for a in alldiffs_of[v]:
+                e = pend[a]
+                pend[a] = -1 if e & d else e | d
 
     # a list iterated while it grows is a FIFO queue; inq marks the unvisited
     for ci in q:
@@ -376,16 +427,14 @@ def _propagate(
         passes += 1
 
         if kind == _ALLDIFF:
+            new = pend[ci]
+            if new < 0:
+                return ci, passes
+            pend[ci] = 0
             scope = p[1]
-            new = 0
-            for v in scope:
-                d = doms[v]
-                if d & (d - 1) == 0:
-                    if new & d:
-                        return ci, passes
-                    new |= d
-            # Each scan removes only the values the previous scan fixed: the
-            # older ones are gone from every open domain already.
+            # Each scan removes only the values fixed since the previous one,
+            # or since the last pass for the first scan: the older ones are
+            # gone from every open domain already.
             while new:
                 fixed = 0
                 dup = False
@@ -404,6 +453,10 @@ def _propagate(
                             if fixed & nd:
                                 dup = True
                             fixed |= nd
+                            for a in alldiffs_of[v]:
+                                if a != ci:
+                                    e = pend[a]
+                                    pend[a] = -1 if e & nd else e | nd
                         for w in wl:
                             if w != ci and not inq[w]:
                                 inq[w] = 1
@@ -481,7 +534,14 @@ def _propagate(
                                 or nhi < vmax and not nd >> (nhi - base) & 1
                             ):
                                 rerun = True
-                            for w in chg[v] if split and nd & (nd - 1) else watchers[v]:
+                            if nd & (nd - 1):
+                                wl = chg[v]
+                            else:
+                                wl = watchers[v]
+                                for a in alldiffs_of[v]:
+                                    e = pend[a]
+                                    pend[a] = -1 if e & nd else e | nd
+                            for w in wl:
                                 if w != ci and not inq[w]:
                                     inq[w] = 1
                                     qpush(w)
@@ -520,7 +580,15 @@ def _propagate(
                     pruned.append(z)
                     if not nz:
                         return ci, passes
-                    for w in chg[z] if split and nz & (nz - 1) else watchers[z]:
+                    if nz & (nz - 1):
+                        wl = chg[z]
+                    else:
+                        wl = watchers[z]
+                        if p[4]:  # an aliased scope hands its fixes over below
+                            for a in alldiffs_of[z]:
+                                e = pend[a]
+                                pend[a] = -1 if e & nz else e | nz
+                    for w in wl:
                         if w != ci and not inq[w]:
                             inq[w] = 1
                             qpush(w)
@@ -529,7 +597,15 @@ def _propagate(
                     pruned.append(x)
                     if not nx:
                         return ci, passes
-                    for w in chg[x] if split and nx & (nx - 1) else watchers[x]:
+                    if nx & (nx - 1):
+                        wl = chg[x]
+                    else:
+                        wl = watchers[x]
+                        if p[4]:  # an aliased scope hands its fixes over below
+                            for a in alldiffs_of[x]:
+                                e = pend[a]
+                                pend[a] = -1 if e & nx else e | nx
+                    for w in wl:
                         if w != ci and not inq[w]:
                             inq[w] = 1
                             qpush(w)
@@ -538,14 +614,34 @@ def _propagate(
                     pruned.append(y)
                     if not ny:
                         return ci, passes
-                    for w in chg[y] if split and ny & (ny - 1) else watchers[y]:
+                    if ny & (ny - 1):
+                        wl = chg[y]
+                    else:
+                        wl = watchers[y]
+                        if p[4]:  # an aliased scope hands its fixes over below
+                            for a in alldiffs_of[y]:
+                                e = pend[a]
+                                pend[a] = -1 if e & ny else e | ny
+                    for w in wl:
                         if w != ci and not inq[w]:
                             inq[w] = 1
                             qpush(w)
-                # z only narrows to the values x and y support, so a round
-                # that left x and y as they were has nothing left to prune;
                 # on a distinct scope no second round prunes anything
-                if p[4] or (doms[x] == dx and doms[y] == dy):
+                if p[4]:
+                    break
+                # An aliased scope wrote a variable twice, each time from its
+                # domain at the round's start, so the first write may have
+                # fixed it to a value the second does not keep: hand over
+                # the values the round's final domains fixed, once each.
+                for u, du in {z: dz, x: dx, y: dy}.items():
+                    nu = doms[u]
+                    if nu != du and nu & (nu - 1) == 0:
+                        for a in alldiffs_of[u]:
+                            e = pend[a]
+                            pend[a] = -1 if e & nu else e | nu
+                # z only narrows to the values x and y support, so a round
+                # that left x and y as they were has nothing left to prune
+                if doms[x] == dx and doms[y] == dy:
                     break
 
         else:  # _NOTEQ
@@ -568,6 +664,9 @@ def _propagate(
                                 inq[w] = 1
                                 qpush(w)
                         continue
+                    for a in alldiffs_of[y]:
+                        e = pend[a]
+                        pend[a] = -1 if e & dy else e | dy
                     for w in watchers[y]:
                         if w != ci and not inq[w]:
                             inq[w] = 1
@@ -580,7 +679,14 @@ def _propagate(
                     pruned.append(x)
                     if not nd:
                         return ci, passes
-                    for w in chg[x] if split and nd & (nd - 1) else watchers[x]:
+                    if nd & (nd - 1):
+                        wl = chg[x]
+                    else:
+                        wl = watchers[x]
+                        for a in alldiffs_of[x]:
+                            e = pend[a]
+                            pend[a] = -1 if e & nd else e | nd
+                    for w in wl:
                         if w != ci and not inq[w]:
                             inq[w] = 1
                             qpush(w)

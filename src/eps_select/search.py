@@ -15,12 +15,19 @@ below it reaches the same domains, or the same failure, as with every wake
 (see :mod:`eps_select.csp`); only ``propagations``, the propagator passes,
 differs. The other four read the pruned variables or the failing
 constraint, so their search wakes every constraint on a pruned variable.
-The search is one loop over an explicit stack of the right branches still
-to take, so its depth is bounded by memory, not by the interpreter's
-recursion limit, which it never changes. One work unit is one committed branch; a failed propagation adds one
-more. The budget, and in wall mode the deadline, is tested once before every
-branch, left or right, so a run can overshoot its limit by at most one
-fixpoint -- and ``BudgetExhausted`` always implies ``work_used >= limit``.
+Every node is a fixpoint, so each propagation names the variables the branch
+has just set -- the branch variable, and the objective after a bound prune
+-- and only their fixed values seed the ``all_different`` pending values
+(see :func:`~eps_select.csp._propagate`). The chooser scans only the
+variables still open in the root domains, in index order: a root singleton
+stays fixed below the root, so every strategy picks what a scan of every
+variable picks. The search is one loop over an explicit stack of the right
+branches still to take, so its depth is bounded by memory, not by the
+interpreter's recursion limit, which it never changes. One work unit is one
+committed branch; a failed propagation adds one more. The budget, and in
+wall mode the deadline, is tested once before every branch, left or right,
+so a run can overshoot its limit by at most one fixpoint -- and
+``BudgetExhausted`` always implies ``work_used >= limit``.
 
 The work counter is the primary "time" measure: identical inputs give
 identical outcomes, which is what makes races and the statistics on top of
@@ -178,7 +185,11 @@ def solve(
         ]
     else:
         wake_obj = None
-    chooser = variable_chooser(model, sid, counters)
+    # a variable fixed at the root stays fixed below it, so the chooser scans
+    # only the ones open there, in the same order
+    chooser = variable_chooser(
+        model, sid, counters, [v for v, d in enumerate(masks) if d & (d - 1)]
+    )
     # only the chooser reads the counters, so keep just the ones it reads
     keep_activity = sid is StrategyId.ACT
     keep_wdeg = sid in _WDEG_STRATEGIES
@@ -238,6 +249,7 @@ def solve(
         node[var] = mask
         decisions += 1
         wake = change_watchers[var] if mask & (mask - 1) else watchers[var]
+        set_vars = (var,)
         if optimizing and cur_bound is not None:
             od = node[objvar]
             if maximize:
@@ -253,8 +265,10 @@ def solve(
                     continue
                 node[objvar] = nod
                 wake = wake_obj[var]
+                if var != objvar:
+                    set_vars = (var, objvar)
         pruned.clear()
-        fc, np_ = _propagate(pmodel, node, wake, pruned)
+        fc, np_ = _propagate(pmodel, node, wake, pruned, set_vars)
         propagations += np_
         if keep_activity and pruned:
             counters.bump_pruned_many(pruned, decisions)

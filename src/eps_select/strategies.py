@@ -10,7 +10,7 @@ The counters never decay.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional, Sequence
 
 from .csp import Model
 
@@ -77,21 +77,27 @@ class CounterState:
 
 
 def variable_chooser(
-    model: Model, sid: StrategyId, counters: CounterState
+    model: Model,
+    sid: StrategyId,
+    counters: CounterState,
+    scan: Optional[Sequence[int]] = None,
 ) -> Callable[[list[int]], int]:
     """Compile ``sid`` into a closure ``doms -> var index`` (-1 = all assigned).
 
     The returned function is the hot path of the search; it scans domains once
-    and keeps the first variable achieving the best criterion value.
+    and keeps the first variable achieving the best criterion value. It scans
+    the variables of ``scan`` in its order, by default every variable in index
+    order; a caller may leave out only variables that are fixed in every
+    domain list it will pass.
     """
-    n = model.n
+    vs = range(model.n) if scan is None else tuple(scan)
 
     if sid is StrategyId.FF:
 
         def choose(doms: list[int]) -> int:
             best = -1
             bk = 0
-            for v in range(n):
+            for v in vs:
                 d = doms[v]
                 if d & (d - 1) == 0:
                     continue
@@ -108,7 +114,7 @@ def variable_chooser(
         def choose(doms: list[int]) -> int:
             best = -1
             bk = -1
-            for v in range(n):
+            for v in vs:
                 d = doms[v]
                 if d & (d - 1) == 0:
                     continue
@@ -126,7 +132,7 @@ def variable_chooser(
             best = -1
             bs = 0
             bw = 1
-            for v in range(n):
+            for v in vs:
                 d = doms[v]
                 if d & (d - 1) == 0:
                     continue
@@ -152,7 +158,7 @@ def variable_chooser(
         def choose(doms: list[int]) -> int:
             best = -1
             bk = 0
-            for v in range(n):
+            for v in vs:
                 d = doms[v]
                 if d & (d - 1) == 0:
                     continue

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,8 @@ from eps_select.csp import (
     VariableDecl,
     _propagate,
 )
-from eps_select.search import solve
+from eps_select.decomposition import DecompositionConfig, decompose
+from eps_select.search import root_domains, solve
 
 from bruteforce import assignment_space, brute_solutions, satisfies
 from reference_propagate import reference_propagate
@@ -356,6 +358,128 @@ def test_linear_eq_rounds_match_reference():
             assert (got, got_doms, got_pruned) == (want, want_doms, want_pruned), (
                 m.constraints, doms, wake)
     assert shapes == {"unit", "non-unit", "repeated"}
+
+
+def _set_like_the_search(rng: random.Random, m: Model, doms: list[int]):
+    """From the fixpoint ``doms``, what the search propagates next: an open
+    variable fixed, or pruned and perhaps left open (``_narrow``), and on a
+    model with an objective, half the time, the objective bound-pruned below
+    one of its values. Returns (domains, wake, set variables), or None when
+    no variable is open."""
+    open_vars = [v for v, d in enumerate(doms) if d & (d - 1)]
+    if not open_vars:
+        return None
+    v = rng.choice(open_vars)
+    new = list(doms)
+    new[v] = _narrow(rng, doms[v])
+    wake, set_vars = m.watchers[v], (v,)
+    obj = m.objective.var if m.objective is not None else -1
+    if obj >= 0 and rng.random() < 0.5:
+        od = new[obj]
+        nod = od & m.range_mask(m.lo, rng.choice(m.decode(od)) - 1)
+        if nod and nod != od:
+            new[obj] = nod
+            # the search's merged wake list after a bound prune
+            wake += tuple(c for c in m.watchers[obj] if c not in wake)
+            if obj != v:
+                set_vars = (v, obj)
+    return new, wake, set_vars
+
+
+def _assert_seeded_parity(rng: random.Random, m: Model, start: list[int], steps: int, seen):
+    """Walk down from the fixpoint ``start`` as the search does, and check each
+    seeded call against the reference with the same full wake, call for call.
+    ``seen`` counts the outcomes: passed, failed, and failed at an
+    all_different whose scope repeats a variable."""
+    doms = start
+    for _ in range(steps):
+        step = _set_like_the_search(rng, m, doms)
+        if step is None:
+            return
+        new, wake, set_vars = step
+        got_doms, want_doms = list(new), list(new)
+        got_pruned, want_pruned = [], []
+        got = _propagate(m, got_doms, wake, got_pruned, set_vars)
+        want = reference_propagate(m, want_doms, wake, want_pruned)
+        assert (got, got_doms, got_pruned) == (want, want_doms, want_pruned), (
+            m.name, new, wake, set_vars)
+        fail = want[0]
+        if fail < 0:
+            seen["passed"] += 1
+            doms = want_doms
+            continue
+        seen["failed"] += 1
+        c = m.constraints[fail]
+        if isinstance(c, AllDifferent) and len(set(c.vars)) < len(c.vars):
+            seen["repeated all_different"] += 1
+        return
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("nqueens", lambda: nqueens(8)),
+        ("allinterval", lambda: allinterval(8)),
+        ("latin", lambda: latin(5)),
+        ("golomb", lambda: golomb(5)),
+        ("magicsquare", lambda: magicsquare(3)),
+        ("degenerate", _degenerate_model),
+    ],
+)
+def test_seeded_propagate_matches_reference_kernel(name, make):
+    # The search names the variables it has just set, and only their fixed
+    # values seed the all_different pending values, which is sound only
+    # from a fixpoint. Start from the root fixpoint and from decomposed
+    # subproblems' domains, and walk down as the search does.
+    m = make()
+    rng = random.Random(f"seeded-{name}")
+    seen = Counter()
+    starts = [root_domains(m)[0]]
+    starts += [list(s.domains) for s in decompose(m, DecompositionConfig(target_count=20)).subproblems]
+    while seen["passed"] + seen["failed"] < 600:
+        _assert_seeded_parity(rng, m, rng.choice(starts), m.n, seen)
+    assert seen["passed"] > 0 and seen["failed"] > 0, seen
+    if name == "degenerate":
+        assert seen["repeated all_different"] > 0, seen
+
+
+def test_seeded_propagate_matches_reference_on_aliased_scopes():
+    # _scope_model's aliased abs_diff and linear_le scopes, plus an
+    # all_different that repeats a variable half the time: a fix of that
+    # variable, by the search or by a propagator, must fail there as the
+    # reference's collection scan does. An aliased abs_diff writes a
+    # variable twice in a round, so the value it hands over must be the one
+    # the round leaves; unseeded calls from random sub-masks check that too.
+    rng = random.Random("seeded-aliased-scopes")
+    seen = Counter()
+    models = 0
+    while models < 40:
+        base, _ = _scope_model(rng)
+        scope = rng.sample(range(base.n), rng.randint(2, base.n))
+        if rng.random() < 0.5:
+            scope.insert(rng.randrange(len(scope) + 1), rng.choice(scope))
+        cons = list(base.constraints)
+        cons.insert(rng.randrange(len(cons) + 1), AllDifferent(tuple(scope)))
+        m = Model("scopes", base.variables, cons)
+        try:
+            root = root_domains(m)[0]
+        except InconsistentProblem:
+            continue
+        models += 1
+        for _ in range(20):
+            _assert_seeded_parity(rng, m, root, m.n, seen)
+        ncons = len(m.constraints)
+        for _ in range(50):
+            doms = _random_submasks(rng, m)
+            wake = [rng.randrange(ncons) for _ in range(rng.randint(1, 2 * ncons))]
+            got_doms, want_doms = list(doms), list(doms)
+            got_pruned, want_pruned = [], []
+            got = _propagate(m, got_doms, wake, got_pruned)
+            want = reference_propagate(m, want_doms, wake, want_pruned)
+            assert (got, got_doms, got_pruned) == (want, want_doms, want_pruned), (
+                m.constraints, doms, wake)
+    assert seen["passed"] > 0 and seen["failed"] > 0, seen
+    assert seen["repeated all_different"] > 0, seen
 
 
 @pytest.mark.parametrize("kind", [LinearEq, LinearLe])

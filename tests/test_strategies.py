@@ -180,6 +180,16 @@ def _ff_full_scan(doms):
     return min(sizes)[1] if sizes else -1
 
 
+def _descendant(rng, root):
+    """Random domains below ``root``: each a non-empty subset of the root's,
+    so a root singleton stays fixed."""
+    doms = []
+    for d in root:
+        bits = [1 << i for i in range(d.bit_length()) if d >> i & 1]
+        doms.append(sum(rng.sample(bits, rng.randint(1, len(bits)))))
+    return doms
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_ff_matches_a_full_scan(seed):
     # ff stops at the first open domain of two values; that must not change
@@ -191,3 +201,20 @@ def test_ff_matches_a_full_scan(seed):
     for _ in range(300):
         doms = [rng.randint(1, 63) for _ in range(n)]
         assert choose(doms) == _ff_full_scan(doms), doms
+    # The search scans only the variables open at its root. Below a root,
+    # where a root singleton stays fixed, every strategy must pick what a
+    # scan of every variable picks, under random activity and wdeg counters.
+    m = _model([range(6)] * n, [NotEqual(*rng.sample(range(n), 2)) for _ in range(n // 2)])
+    counters = CounterState(n)
+    root = [rng.randint(1, 63) for _ in range(n)]
+    open_at_root = [v for v, d in enumerate(root) if d & (d - 1)]
+    for sid in ALL_STRATEGIES:
+        full = variable_chooser(m, sid, counters)
+        restricted = variable_chooser(m, sid, counters, open_at_root)
+        for _ in range(100):
+            counters.activity[:] = [float(rng.randint(0, 3)) for _ in range(n)]
+            counters.wdeg[:] = [rng.randint(0, 3) for _ in range(n)]
+            doms = _descendant(rng, root)
+            assert restricted(doms) == full(doms), (sid, root, doms)
+            if sid is StrategyId.FF:
+                assert full(doms) == _ff_full_scan(doms), doms
