@@ -58,8 +58,8 @@ first out:
   another size rounds the bounds, and a repeated variable aliases two
   terms, so such a ``linear_eq`` keeps its rounds until one prunes nothing.
   A coefficient of 0 is refused.
-* ``abs_diff`` (z = \\|x - y\\|) -- value consistency on all three variables:
-  a value survives iff it has a support in the other two domains, checked
+* ``abs_diff`` (z = \\|x - y\\|) -- value consistency on three distinct
+  variables: a value survives iff it has a support in the other two domains, checked
   word-parallel with mask shifts. Each round walks z's values once: for a
   value v, ``t = (dy << v) | (dy >> v)`` holds the values at distance v from
   y's, so v is supported iff ``dx & t``, and a supported v adds ``t`` to x's
@@ -73,7 +73,15 @@ first out:
   written twice in a round, so rounds repeat until one leaves x and y
   unchanged. Both writes start from the round's first domain, so the second
   may undo a value the first fixed: such a round hands the ``all_different``
-  pending values only what its final domains fixed.
+  pending values only what its final domains fixed. An aliased scope falls
+  short of value consistency, because a round checks the two places of one
+  variable as if they were two variables: ``AbsDiff(0, 1, 1)`` (y = \\|x -
+  y\\|) with x = 4 and y in 0..7 stops at y in 0..4, although only y = 2
+  has a support. Once every variable is fixed the check is exact, so no
+  wrong solution follows; but with its other variables fixed such a
+  constraint need not accept every value left to the last one, which is
+  why the decomposition's prefix rule (:mod:`eps_select.decomposition`)
+  holds only over a distinct scope.
 * ``not_equal`` (x != y + offset) -- value removal once one side is assigned.
 
 A prune that fixes a variable wakes every constraint that watches it

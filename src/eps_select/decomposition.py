@@ -23,10 +23,25 @@ starts from them without a root pass. The extensions propagate through
 variable wakes no ``all_different`` or ``not_equal``: from a parent's
 domains, which are a fixpoint, that reaches the same child domains, or the
 same failure, as the model itself (see :mod:`eps_select.csp`), and the
-decomposition reads nothing else of a propagation. An entry whose next
-variable its propagation already fixed is its own only child, with no copy
-and no propagation: re-fixing a variable of a fixpoint prunes nothing and
-cannot fail. Its one assignment still counts in the work.
+decomposition reads nothing else of a propagation. Each depth narrows the
+view to the wakes its prefix leaves open (:func:`_prefix_view`): an entry
+of the depth-d frontier is a fixpoint in which variables 0..d-1 are fixed,
+so a constraint whose scope repeats no variable and whose other variables
+all lie in that prefix accepts every value left to the remaining one (over
+a distinct scope with all but one variable fixed, a pass of every kind
+keeps exactly the values that satisfy the constraint), and waking it on a
+prune of that variable can neither prune nor fail. Those wakes are left
+out. A scope that repeats a variable keeps all its wakes:
+it constrains that variable against itself, and over such a scope
+``abs_diff`` is not even value-consistent (see :mod:`eps_select.csp`). The
+fixpoint is unique, so the children, their domains, the prefix length and
+the work are those of the full view. The parent is a fixpoint of every
+``all_different`` as well, so the extension names the variable it fixes
+as ``set_vars``, and only that variable seeds the ``all_different``
+pending values. An entry whose next variable its propagation already fixed
+is its own only child, with no copy and no propagation: re-fixing a
+variable of a fixpoint prunes nothing and cannot fail. Its one assignment
+still counts in the work.
 
 Each depth is extended through :func:`~eps_select.runner.run_pool` with
 ``processes=True``. A depth of at least ``FORK_MIN_ASSIGNMENTS`` enumeration
@@ -41,6 +56,7 @@ the calling process.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from dataclasses import dataclass, field
@@ -56,10 +72,14 @@ from .search import root_domains
 # propagation costs less than forking workers and pickling their replies.
 # Tuned on nqueens only: an assignment's cost differs between models, so the
 # count does not track a depth's cost elsewhere (BENCH_forked_decomposition.json).
-# Re-measured with the extensions propagating through the fixpoint view, on
-# 2 cores (BENCH_fix_event_decomposition.json): nqueens(10)'s depths 5 and 6
-# still pay to fork (15-60 ms each); its depths 4 and 7 and latin(5)'s depth
-# 8 about break even, and latin(5)'s depth 7 loses 5-10 ms by forking.
+# Re-measured with each depth skipping the wakes its prefix decided, on 2
+# cores (BENCH_prefix_wakes.json, medians of 11 interleaved runs): forking
+# saves 5-6 ms on each of nqueens(10)'s depths 5 and 6 and costs 7-8 ms on
+# each of its depths 4 and 7, so its four forked depths about break even;
+# latin(5)'s depth 7 loses 6 ms and its depth 8 breaks even, while
+# allinterval(10)'s depth 4 saves 26 ms. Two depths below the threshold
+# would pay to fork: allinterval(10)'s depth 3 (680 assignments, 12 ms) and
+# golomb(8)'s depth 3 (833 assignments, 75 ms).
 FORK_MIN_ASSIGNMENTS = 1000
 # a larger depth is cut into this many contiguous spans of its frontier; the
 # cut depends on the frontier only, so the subproblems do not depend on the
@@ -145,7 +165,7 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
         results, _ = run_pool(
             [(start, min(start + size, n)) for start in range(0, n, size)],
             cfg.worker_count,
-            partial(_extend, view, frontier, depth),
+            partial(_extend, _prefix_view(view, depth), frontier, depth),
             processes=True,
         )
         raise_failures(results)
@@ -183,12 +203,34 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
     )
 
 
+def _prefix_view(view: Model, depth: int) -> Model:
+    """``view`` without the wakes that the prefix of ``depth`` variables has
+    decided: a constraint leaves the wakes of ``v`` when its scope repeats no
+    variable and its other variables are all below ``depth`` (see the module
+    docstring)."""
+
+    def live(ci: int, v: int) -> bool:
+        scope = view.scopes[ci]
+        return len(set(scope)) < len(scope) or any(u >= depth for u in scope if u != v)
+
+    table = copy.copy(view)
+    table.watchers = tuple(
+        tuple(ci for ci in w if live(ci, v)) for v, w in enumerate(view.watchers)
+    )
+    table.change_watchers = tuple(
+        tuple(ci for ci in w if live(ci, v)) for v, w in enumerate(view.change_watchers)
+    )
+    return table
+
+
 def _extend(
     model: Model, frontier: list[list[int]], depth: int, span: tuple[int, int]
 ) -> list[list[int]]:
     """The consistent children of ``frontier[start:stop]`` in order: each
     entry's variable ``depth`` fixed to each of its values, ascending, and
-    propagated from the entry's domains, which are a fixpoint."""
+    propagated from the entry's domains, which are a fixpoint of every
+    constraint, so only the fixed variable seeds the ``all_different``
+    pending values."""
     watch = model.watchers[depth]
     children = []
     for doms in frontier[span[0] : span[1]]:
@@ -205,7 +247,7 @@ def _extend(
             d ^= low
             d2 = doms[:]
             d2[depth] = low
-            fc, _ = _propagate(model, d2, watch, [])
+            fc, _ = _propagate(model, d2, watch, [], (depth,))
             if fc < 0:
                 children.append(d2)
     return children

@@ -1,10 +1,19 @@
 import math
+import random
 
 import pytest
 
 from eps_select.benchmarks import allinterval, golomb, latin, magicsquare, nqueens
 from eps_select.cli import main
-from eps_select.csp import AllDifferent, InconsistentProblem, Model, VariableDecl
+from eps_select.csp import (
+    AbsDiff,
+    AllDifferent,
+    InconsistentProblem,
+    LinearEq,
+    Model,
+    NotEqual,
+    VariableDecl,
+)
 from eps_select import decomposition
 from eps_select.decomposition import (
     DecompositionConfig,
@@ -18,6 +27,7 @@ from eps_select.strategies import ALL_STRATEGIES, StrategyId
 
 from bruteforce import consistent_prefixes, reference_decomposition
 from conftest import all_reaped, fork_only
+from test_csp import _model, _scope_model
 
 
 def test_target_one_gives_empty_prefix():
@@ -135,6 +145,68 @@ def test_stored_domains_are_the_root_fixpoint(model_fn, target, shortfall):
         assert s.domains == tuple(root_domains(m, s.assignment)[0])
 
 
+def _aliased_models():
+    """Models whose scopes repeat a variable, each with a wake that a prefix
+    would decide if the repetition were ignored."""
+    yield "abs_diff y=|x-y|", _model([range(8), range(8)], [AbsDiff(0, 1, 1)])
+    # v1 != v1 fails once v1 is fixed, at prefix length 2
+    yield "not_equal x!=x", _model(
+        [range(3), range(3), range(3)], [NotEqual(0, 2, 1), NotEqual(1, 1, 0)]
+    )
+    # v0 + 2 v1 = 6 through two terms over v1: only v1 = (6 - v0) / 2 survives
+    yield "linear_eq repeated", _model(
+        [range(8), range(8), range(3)], [LinearEq((1, 1, 1), (0, 1, 1), 6), NotEqual(1, 2, 0)]
+    )
+    # v1 twice in one all_different: no prefix that fixes v1 survives
+    yield "all_different repeated", _model(
+        [range(4), range(4), range(4)], [AllDifferent((0, 1, 1)), NotEqual(0, 2, 0)]
+    )
+
+
+@pytest.mark.parametrize("target", [10, 30, 100])
+def test_aliased_scopes_keep_their_wakes(target):
+    # a constraint leaves the wakes that its prefix decides only when its
+    # scope repeats no variable; with the repetition ignored, each of these
+    # models decomposes into prefixes the reference rejects
+    for name, m in _aliased_models():
+        prefixes, depth = reference_decomposition(m, target)
+        d = decompose(m, DecompositionConfig(target_count=target))
+        assert ([s.assignment for s in d.subproblems], d.prefix_len) == (prefixes, depth), name
+    rng = random.Random("aliased-decomposition")
+    models = 0
+    while models < 40:
+        m, _ = _scope_model(rng)
+        try:
+            root_domains(m)
+        except InconsistentProblem:
+            continue
+        models += 1
+        prefixes, depth = reference_decomposition(m, target)
+        d = decompose(m, DecompositionConfig(target_count=target))
+        assert ([s.assignment for s in d.subproblems], d.prefix_len) == (prefixes, depth), (
+            m.constraints)
+
+
+def test_prefix_view_drops_the_wakes_the_prefix_decides():
+    # nqueens(10) at prefix length 5: q5 no longer wakes the ten not_equal
+    # constraints it shares with q0-q4, and keeps the others in order
+    m = nqueens(10)
+    view = m.fixpoint_view()
+    table = decomposition._prefix_view(view, 5)
+    shared = {NotEqual(i, 5, off) for i in range(5) for off in (5 - i, i - 5)}
+    assert [ci for ci in view.watchers[5] if m.constraints[ci] not in shared] == list(
+        table.watchers[5]
+    )
+    # every queen loses the not_equal it shares with another prefix queen;
+    # the all_different reaches past the prefix and keeps all its wakes
+    for v in range(10):
+        lost = [m.constraints[ci] for ci in view.watchers[v] if ci not in table.watchers[v]]
+        assert all(isinstance(c, NotEqual) and {c.x, c.y} - {v} < set(range(5)) for c in lost)
+        assert len(lost) == 2 * (5 - (v < 5))
+    assert table.change_watchers == view.change_watchers  # empty on nqueens
+    assert decomposition._prefix_view(view, 0).watchers == view.watchers
+
+
 def test_root_inconsistent_raises():
     m = Model("bad", [VariableDecl("a", (1,)), VariableDecl("b", (1,))], [AllDifferent((0, 1))])
     with pytest.raises(InconsistentProblem, match="model 'bad' is inconsistent"):
@@ -197,11 +269,11 @@ def test_failing_extension_raises_task_failed(forks, monkeypatch, workers):
     m = nqueens(10)
     real = decomposition._propagate
 
-    def broken(model, masks, watch, stack):
+    def broken(model, masks, watch, stack, set_vars=None):
         # depth 5 (3724 assignments) forks at 2 workers, after depth 4
         if watch is model.watchers[4] and masks[0] == 1 << 7:
             raise ValueError("extension broke")
-        return real(model, masks, watch, stack)
+        return real(model, masks, watch, stack, set_vars)
 
     monkeypatch.setattr(decomposition, "_propagate", broken)
     with pytest.raises(TaskFailed) as exc:
