@@ -55,16 +55,14 @@ def reward(t: float, rc: RewardConfig) -> float:
 @dataclass
 class BanditState:
     arms: int
-    counts: list[int] = field(default_factory=list)
-    reward_sums: list[float] = field(default_factory=list)
+    counts: list[int] = field(init=False)
+    reward_sums: list[float] = field(init=False)
 
     def __post_init__(self):
         if self.arms < 1:
             raise ValueError("need at least one arm")
-        if not self.counts:
-            self.counts = [0] * self.arms
-        if not self.reward_sums:
-            self.reward_sums = [0.0] * self.arms
+        self.counts = [0] * self.arms
+        self.reward_sums = [0.0] * self.arms
 
     @property
     def m(self) -> int:

@@ -1,8 +1,13 @@
 """Command line entry point.
 
-Subcommands: solve, decompose, pss, mab, portfolio, compare. Reports go to
-stdout as plain tables; ``--out`` writes the full report as JSON and, for
-``pss`` and ``compare`` only, ``--csv`` appends one row per strategy/mode.
+Subcommands and the options each takes (any other is a usage error): solve
+takes model, --strategy, --budget and --first; decompose model, pool and
+sample; pss and compare all six sets; mab model, pool and --time-mode;
+portfolio those and --strategies. The sets are model (--model or --json,
+--n, --maxlen, --out), pool (--workers, --target-subproblems), sample
+(--seed, --sample-size), race (--alpha, --timeout-factor), --time-mode and
+--csv. Reports go to stdout as plain tables; ``--out`` writes the full
+report as JSON and ``--csv`` appends one row per strategy/mode.
 Exit codes: 0 success, 1 runtime failure, 2 usage error. EPS_SELECT_LOG
 sets the log level; the only log record is ``compare``'s one INFO line per
 single strategy, with its total.
@@ -45,24 +50,6 @@ from .strategies import ALL_STRATEGIES, StrategyId, parse_strategies, parse_stra
 log = logging.getLogger("eps_select")
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", help="builtin model name: " + ", ".join(sorted(GENERATORS)))
-    p.add_argument("--n", type=int, help="size parameter for builtin models")
-    p.add_argument("--maxlen", type=int, help="ruler length cap (golomb only)")
-    p.add_argument("--json", dest="json_path", help="path to a JSON model file")
-
-
-def _add_run_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target-subproblems", type=int, default=None)
-    p.add_argument("--sample-size", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--timeout-factor", type=float, default=2.0)
-    p.add_argument("--time-mode", choices=["work", "wall"], default="work")
-    p.add_argument("--out", help="write the JSON report here")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="eps-select",
@@ -70,41 +57,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve with a single strategy")
-    _add_model_args(p)
-    _add_run_args(p)
+    model = argparse.ArgumentParser(add_help=False)
+    source = model.add_mutually_exclusive_group()
+    source.add_argument("--model", help="builtin model name: " + ", ".join(sorted(GENERATORS)))
+    model.add_argument("--n", type=int, help="size parameter for builtin models")
+    model.add_argument("--maxlen", type=int, help="ruler length cap (golomb only)")
+    source.add_argument("--json", dest="json_path", help="path to a JSON model file")
+    model.add_argument("--out", help="write the JSON report here")
+    pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument("--workers", type=int, default=1)
+    pool.add_argument("--target-subproblems", type=int, default=None)
+    sample = argparse.ArgumentParser(add_help=False)
+    sample.add_argument("--seed", type=int, default=0)
+    sample.add_argument("--sample-size", type=int, default=None)
+    race = argparse.ArgumentParser(add_help=False)
+    race.add_argument("--alpha", type=float, default=0.01)
+    race.add_argument("--timeout-factor", type=float, default=2.0)
+    timing = argparse.ArgumentParser(add_help=False)
+    timing.add_argument("--time-mode", choices=["work", "wall"], default="work")
+    rows = argparse.ArgumentParser(add_help=False)
+    rows.add_argument("--csv", dest="csv_path", help="append per-strategy rows here")
+
+    p = sub.add_parser("solve", parents=[model], help="solve with a single strategy")
     p.add_argument("--strategy", default="ff")
     p.add_argument("--budget", type=int, default=None, help="work-unit budget")
     p.add_argument("--first", action="store_true", help="stop at the first solution")
-
-    p = sub.add_parser("decompose", help="dump the subproblem decomposition")
-    _add_model_args(p)
-    _add_run_args(p)
-
-    p = sub.add_parser("pss", help="parallel strategy selection run")
-    _add_model_args(p)
-    _add_run_args(p)
-    p.add_argument("--csv", dest="csv_path", help="append per-strategy rows here")
-
-    p = sub.add_parser("mab", help="UCB1 multi-armed bandit baseline")
-    _add_model_args(p)
-    _add_run_args(p)
-
-    p = sub.add_parser("portfolio", help="run several strategies on everything")
-    _add_model_args(p)
-    _add_run_args(p)
+    sub.add_parser("decompose", parents=[model, pool, sample],
+                   help="dump the subproblem decomposition")
+    everything = [model, pool, sample, race, timing, rows]
+    sub.add_parser("pss", parents=everything, help="parallel strategy selection run")
+    sub.add_parser("mab", parents=[model, pool, timing], help="UCB1 multi-armed bandit baseline")
+    p = sub.add_parser("portfolio", parents=[model, pool, timing],
+                       help="run several strategies on everything")
     p.add_argument("--strategies", default="ff,act,wdegm,wdegM")
-
-    p = sub.add_parser("compare", help="all single strategies + pss + mab + portfolio-x4")
-    _add_model_args(p)
-    _add_run_args(p)
-    p.add_argument("--csv", dest="csv_path", help="append per-strategy rows here")
-
+    sub.add_parser("compare", parents=everything,
+                   help="all single strategies + pss + mab + portfolio-x4")
     return ap
 
 
 def _load_model(args) -> Model:
     if args.json_path:
+        if args.n is not None or args.maxlen is not None:
+            raise ValueError("--n and --maxlen size a builtin --model, not a --json model")
         return load_json(args.json_path)
     if not args.model:
         raise ModelFormatError("either --model or --json is required")
@@ -116,11 +110,13 @@ def _load_model(args) -> Model:
     return generate(args.model, **params)
 
 
+def _decomposition(args) -> DecompositionConfig:
+    return DecompositionConfig(target_count=args.target_subproblems, worker_count=args.workers)
+
+
 def _configs(args) -> PssConfig:
     return PssConfig(
-        decomposition=DecompositionConfig(
-            target_count=args.target_subproblems, worker_count=args.workers
-        ),
+        decomposition=_decomposition(args),
         race=RaceConfig(
             timeout_factor=args.timeout_factor,
             alpha=args.alpha,
@@ -307,8 +303,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _dispatch(args) -> int:
     model = _load_model(args)
-    cfg = _configs(args)
-    time_mode = cfg.race.time_mode
 
     if args.command == "solve":
         sid = parse_strategy(args.strategy)
@@ -334,6 +328,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "decompose":
+        cfg = PssConfig(decomposition=_decomposition(args), sample_size=args.sample_size)
         decomp = decompose(model, cfg.decomposition)
         sample = srs_sample(len(decomp), cfg.sample_size_for(len(decomp)), args.seed)
         print(
@@ -356,17 +351,18 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "pss":
+        cfg = _configs(args)
         rep = pss_select(model, cfg)
         _print_selection_report(model, rep)
         _write_out(args, {"model": model.name, "pss": rep.to_dict()})
         totals = {s.token: rep.sample_totals[s] for s in rep.strategies}
-        _write_csv(args, _csv_rows(model.name, totals, rep.winner.token, time_mode,
+        _write_csv(args, _csv_rows(model.name, totals, rep.winner.token, cfg.race.time_mode,
                                    {s.token: c for s, c in rep.race_censored_counts.items()}))
         return 0
 
     if args.command == "mab":
-        decomp = decompose(model, cfg.decomposition)
-        oracle = ModelOracle(model, decomp.subproblems, time_mode=time_mode)
+        decomp = decompose(model, _decomposition(args))
+        oracle = ModelOracle(model, decomp.subproblems, time_mode=TimeMode(args.time_mode))
         rep = mab_on_oracle(oracle)
         print(f"{model.name} MAB: total={_fmt(rep.total_cost)} "
               f"(warm start={_fmt(rep.warm_start_cost)})")
@@ -380,10 +376,10 @@ def _dispatch(args) -> int:
 
     if args.command == "portfolio":
         sids = parse_strategies(args.strategies)
-        decomp = decompose(model, cfg.decomposition)
+        decomp = decompose(model, _decomposition(args))
         # an oracle over every strategy, as pss, mab and compare use, so the
         # warm start and its charge are theirs
-        oracle = ModelOracle(model, decomp.subproblems, time_mode=time_mode)
+        oracle = ModelOracle(model, decomp.subproblems, time_mode=TimeMode(args.time_mode))
         rep = portfolio_on_oracle(oracle, sids)
         print(f"{model.name} portfolio[{args.strategies}]: total={_fmt(rep.total_cost)} "
               f"(warm start={_fmt(rep.warm_start_cost)})")
@@ -392,7 +388,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "compare":
-        _print_comparison(args, compare(model, cfg))
+        _print_comparison(args, compare(model, _configs(args)))
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")
@@ -411,9 +407,11 @@ def _print_comparison(args, cmp: Comparison) -> None:
         for label, total in totals.items()
     ]
     rep = cmp.pss
+    time_mode = TimeMode(args.time_mode)
     print(f"model: {model.name}   {rep.population} subproblems, sample {len(rep.sample_ids)} "
           f"({100 * rep.sample_share:.1f} % of {rep.population})")
-    print(_table(("method", "total work", "ratio"), rows))
+    unit = "work" if time_mode is TimeMode.WORK else "ms"
+    print(_table(("method", f"total {unit}", "ratio"), rows))
     print(f"pss winner: {cmp.pss.winner.token} (true best: {min(singles, key=singles.get).token})")
     _write_out(args, {
         "model": model.name,
@@ -422,7 +420,7 @@ def _print_comparison(args, cmp: Comparison) -> None:
         "mab": cmp.mab.to_dict(),
         "portfolio_x4": cmp.portfolio.to_dict(),
     })
-    _write_csv(args, _csv_rows(model.name, totals, cmp.pss.winner.token, TimeMode(args.time_mode)))
+    _write_csv(args, _csv_rows(model.name, totals, cmp.pss.winner.token, time_mode))
 
 
 def cli() -> None:

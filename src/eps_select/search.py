@@ -85,9 +85,9 @@ class SolveOutcome:
 class Incumbent:
     """Monotone best-objective holder shared by the oracles of one run."""
 
-    def __init__(self, maximize: bool = False, value: Optional[int] = None):
+    def __init__(self, maximize: bool = False):
         self.maximize = maximize
-        self.value = value
+        self.value: Optional[int] = None
 
     def propose(self, value: Optional[int]) -> bool:
         if value is None:

@@ -43,7 +43,11 @@ def parse_strategy(token: str) -> StrategyId:
 
 
 def parse_strategies(tokens: str) -> tuple[StrategyId, ...]:
-    return tuple(parse_strategy(t.strip()) for t in tokens.split(",") if t.strip())
+    sids = tuple(parse_strategy(t.strip()) for t in tokens.split(",") if t.strip())
+    for i, sid in enumerate(sids):
+        if sid in sids[:i]:
+            raise ValueError(f"strategy {sid.token!r} is listed twice")
+    return sids
 
 
 class CounterState:

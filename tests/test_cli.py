@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,13 +39,91 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["solve", "decompose", "mab", "portfolio"])
-def test_csv_refused_where_no_rows_are_written(command, tmp_path):
-    csv_path = tmp_path / "rows.csv"
+# the options each subcommand reads besides the model set (--model, --n,
+# --maxlen, --json, --out), and a valid value for every option
+_POOL = ("--workers", "--target-subproblems")
+_PSS = (*_POOL, "--seed", "--sample-size", "--alpha", "--timeout-factor", "--time-mode", "--csv")
+_READS = {
+    "solve": ("--strategy", "--budget", "--first"),
+    "decompose": (*_POOL, "--seed", "--sample-size"),
+    "pss": _PSS,
+    "mab": (*_POOL, "--time-mode"),
+    "portfolio": (*_POOL, "--time-mode", "--strategies"),
+    "compare": _PSS,
+}
+_VALUES = {
+    "--workers": "2", "--target-subproblems": "10", "--seed": "5", "--sample-size": "5",
+    "--alpha": "0.05", "--timeout-factor": "3", "--time-mode": "wall", "--csv": "rows.csv",
+    "--strategy": "ff", "--budget": "10", "--first": None, "--strategies": "ff,act",
+}
+
+
+@pytest.mark.parametrize("command", list(_READS))
+def test_csv_refused_where_no_rows_are_written(command, tmp_path, monkeypatch):
+    # --csv, like every other option the subcommand does not read, is a
+    # usage error before any file is written or any work is done
+    import eps_select.cli as cli_module
+
+    calls = []
+    for name in ("decompose", "pss_select", "compare", "solve"):
+        monkeypatch.setattr(cli_module, name, lambda *a, **k: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    unread = [o for o in _VALUES if o not in _READS[command]]
+    assert ("--csv" in unread) == (command not in ("pss", "compare"))
+    for option in unread:
+        value = [] if _VALUES[option] is None else [_VALUES[option]]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", "nqueens", "--n", "6", "--out", "report.json",
+                  option, *value])
+        assert exc.value.code == 2, option
+    assert list(tmp_path.iterdir()) == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", list(_READS))
+def test_help_lists_the_options_read(command, capsys):
     with pytest.raises(SystemExit) as exc:
-        main([command, "--model", "nqueens", "--n", "6", "--csv", str(csv_path)])
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z-]+", capsys.readouterr().out))
+    model = {"--model", "--n", "--maxlen", "--json", "--out"}
+    assert listed == {"--help", *model, *_READS[command]}
+
+
+def test_model_and_json_are_exclusive(tmp_path, capsys):
+    from eps_select.modelio import save_json
+
+    p = tmp_path / "q6.json"
+    save_json(nqueens(6), p)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--model", "nqueens", "--json", str(p)])
     assert exc.value.code == 2
-    assert not csv_path.exists()
+    assert "not allowed with argument --model" in capsys.readouterr().err
+    for size in (["--n", "8"], ["--maxlen", "20"]):
+        assert main(["solve", "--json", str(p), *size]) == 1
+        assert capsys.readouterr().err == (
+            "error: --n and --maxlen size a builtin --model, not a --json model\n"
+        )
+
+
+def test_portfolio_refuses_a_repeated_strategy(monkeypatch, capsys):
+    import eps_select.cli as cli_module
+
+    calls = []
+    monkeypatch.setattr(cli_module, "decompose", lambda *a, **k: calls.append(a))
+    rc = main(["portfolio", "--model", "nqueens", "--n", "6", "--target-subproblems", "10",
+               "--strategies", "ff,act,ff"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: strategy 'ff' is listed twice\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode,header", [("work", "total work"), ("wall", "total ms")])
+def test_compare_heads_its_totals_with_the_time_mode(mode, header, capsys):
+    rc = main(["compare", "--model", "nqueens", "--n", "6", "--target-subproblems", "10",
+               "--time-mode", mode])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["method", *header.split(), "ratio"]
 
 
 def test_negative_budget_exits_1(capsys):
@@ -450,11 +529,10 @@ def test_non_finite_timeout_factor_rejected_before_any_work(monkeypatch, capsys)
     monkeypatch.setattr(cli_module, "pss_select", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(cli_module, "decompose", lambda *a, **k: calls.append(a))
     for factor in ("nan", "inf", "-inf"):
-        for command in ("pss", "decompose"):
-            rc = main([command, "--model", "nqueens", "--n", "6", "--target-subproblems", "15",
-                       "--sample-size", "10", f"--timeout-factor={factor}"])
-            assert rc == 1
-            assert "timeout_factor must be finite and > 1" in capsys.readouterr().err
+        rc = main(["pss", "--model", "nqueens", "--n", "6", "--target-subproblems", "15",
+                   "--sample-size", "10", f"--timeout-factor={factor}"])
+        assert rc == 1
+        assert "timeout_factor must be finite and > 1" in capsys.readouterr().err
     assert calls == []
 
 
