@@ -8,7 +8,9 @@ portfolio those and --strategies. The sets are model (--model or --json,
 (--seed, --sample-size), race (--alpha, --timeout-factor), --time-mode and
 --csv. Reports go to stdout as plain tables; ``--out`` writes the full
 report as JSON and ``--csv`` appends one row per strategy/mode.
-Exit codes: 0 success, 1 runtime failure, 2 usage error. EPS_SELECT_LOG
+Only the listed option spellings are accepted, never an abbreviation.
+Exit codes: 0 success, 1 runtime failure, 2 usage error, 141 (quietly) when
+the reader of stdout closes it before the report is written. EPS_SELECT_LOG
 sets the log level; the only log record is ``compare``'s one INFO line per
 single strategy, with its total.
 """
@@ -49,11 +51,17 @@ from .strategies import ALL_STRATEGIES, StrategyId, parse_strategies, parse_stra
 
 log = logging.getLogger("eps_select")
 
+# the exit code when the reader of stdout closes it early: 128 + SIGPIPE, as a
+# shell reports a command that a broken pipe stopped
+EXIT_BROKEN_PIPE = 141
+
 
 def build_parser() -> argparse.ArgumentParser:
+    # no parser takes an abbreviated option: only the listed spellings parse
     ap = argparse.ArgumentParser(
         prog="eps-select",
         description="Strategy selection for embarrassingly parallel constraint search",
+        allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -78,19 +86,22 @@ def build_parser() -> argparse.ArgumentParser:
     rows = argparse.ArgumentParser(add_help=False)
     rows.add_argument("--csv", dest="csv_path", help="append per-strategy rows here")
 
-    p = sub.add_parser("solve", parents=[model], help="solve with a single strategy")
+    p = sub.add_parser("solve", parents=[model], allow_abbrev=False,
+                       help="solve with a single strategy")
     p.add_argument("--strategy", default="ff")
     p.add_argument("--budget", type=int, default=None, help="work-unit budget")
     p.add_argument("--first", action="store_true", help="stop at the first solution")
-    sub.add_parser("decompose", parents=[model, pool, sample],
+    sub.add_parser("decompose", parents=[model, pool, sample], allow_abbrev=False,
                    help="dump the subproblem decomposition")
     everything = [model, pool, sample, race, timing, rows]
-    sub.add_parser("pss", parents=everything, help="parallel strategy selection run")
-    sub.add_parser("mab", parents=[model, pool, timing], help="UCB1 multi-armed bandit baseline")
-    p = sub.add_parser("portfolio", parents=[model, pool, timing],
+    sub.add_parser("pss", parents=everything, allow_abbrev=False,
+                   help="parallel strategy selection run")
+    sub.add_parser("mab", parents=[model, pool, timing], allow_abbrev=False,
+                   help="UCB1 multi-armed bandit baseline")
+    p = sub.add_parser("portfolio", parents=[model, pool, timing], allow_abbrev=False,
                        help="run several strategies on everything")
     p.add_argument("--strategies", default="ff,act,wdegm,wdegM")
-    sub.add_parser("compare", parents=everything,
+    sub.add_parser("compare", parents=everything, allow_abbrev=False,
                    help="all single strategies + pss + mab + portfolio-x4")
     return ap
 
@@ -295,7 +306,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: stop without a word, and point stdout
+        # at devnull so the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ModelFormatError, InconsistentProblem, ValueError, OSError, TaskFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -235,6 +235,10 @@ class Model:
       once per place ``v`` takes in the scope, which a fix of ``v`` hands
       its value to;
     * ``static_degree[v]`` -- the number of constraints over ``v``.
+
+    ``open_domains_decide`` is True when every constraint is an
+    ``all_different`` or a ``not_equal`` over a scope that repeats no
+    variable.
     """
 
     def __init__(
@@ -314,6 +318,12 @@ class Model:
             else:
                 raise TypeError(f"unknown constraint type {type(c).__name__}")
         self._props = tuple(props)
+        # on such a model no propagator acts on a fixed variable's value below
+        # a fixpoint, so the open domains decide the search under it (see
+        # eps_select.search)
+        self.open_domains_decide = all(
+            p[0] == _ALLDIFF and not p[2] or p[0] == _NOTEQ and p[1] != p[2] for p in props
+        )
 
         # the all_different constraints over each variable, once per place
         # the variable takes in the scope: a fix hands its value to each, so

@@ -29,6 +29,32 @@ wall mode the deadline, is tested once before every branch, left or right,
 so a run can overshoot its limit by at most one fixpoint -- and
 ``BudgetExhausted`` always implies ``work_used >= limit``.
 
+A search may take a subtree memo (``subtrees``). Its key is a propagated
+node's domains with every fixed variable's mask replaced by 0 -- one byte
+per variable when every mask fits in a byte, else a tuple -- and its value
+is the ``(decisions, failures, solutions, propagations)`` of the subtree
+below that node. A node whose key is in the memo adds those counts and is
+not searched; any other node records them once the stack of pending right
+branches drops back below it. The memo applies only when all of these
+hold, and is ignored otherwise: the strategy is ``ff``, ``mregret`` or
+``mostc``; the mode is ``ALL_SOLUTIONS`` with no budget and no wall limit;
+and the model's :attr:`~eps_select.csp.Model.open_domains_decide` holds,
+every constraint being an ``all_different`` or a ``not_equal`` over a scope
+that repeats no variable. Then two nodes with one key have one subtree, pass
+counts included. Both are fixpoints, so every fixed value is gone from the
+open domains it constrains. Below them an ``all_different`` is handed only
+the values fixed there, and a ``not_equal`` with one side fixed only ever
+finds the other side's excluded value already gone; so every propagator
+prunes, fails and counts the same whatever the fixed values are, the queue
+follows the scopes alone, and a chooser that reads the domains alone picks
+the same variable and value. An ``abs_diff`` or a linear constraint reads
+its fixed variables' values -- ``z = |x - y|`` with ``x`` fixed prunes
+``z`` by distances from ``x``'s value, and a sum's bounds add the fixed
+terms -- so equal open domains can head different subtrees there, and such
+models stay out; a key that also carried those values would rarely repeat.
+A memo holds at most ``SUBTREE_MEMO_ENTRIES`` entries; a full one still
+serves hits.
+
 The work counter is the primary "time" measure: identical inputs give
 identical outcomes, which is what makes races and the statistics on top of
 them exactly reproducible. Wall-clock limits are available for realistic
@@ -48,6 +74,15 @@ from .strategies import CounterState, StrategyId, variable_chooser
 
 _NO_LIMIT = 1 << 62
 _WDEG_STRATEGIES = (StrategyId.WDEG_MIN, StrategyId.WDEG_MAX, StrategyId.DWDEG)
+
+# The most entries one subtree memo takes; a full memo still serves hits. An
+# entry measured 180 bytes on latin(5), whose key is 25 bytes, and 230 bytes
+# on nqueens(10), whose key is a tuple of 10 masks, so a full memo holds 6 to
+# 8 MB on models of that size; latin(5)/3000's remainder under ff takes
+# 28 021 entries.
+SUBTREE_MEMO_ENTRIES = 1 << 15
+# each mask below 256 as a subtree key byte: itself if open, 0 if fixed
+_OPEN_BYTE = bytes(m if m & (m - 1) else 0 for m in range(256))
 
 
 class SolveMode(Enum):
@@ -137,6 +172,7 @@ def solve(
     wall_limit_ms: Optional[float] = None,
     *,
     domains: Optional[Sequence[int]] = None,
+    subtrees: Optional[dict] = None,
 ) -> SolveOutcome:
     """Solve the model under a partial assignment with one strategy.
 
@@ -152,7 +188,10 @@ def solve(
     each one tightens the bound for the rest of the run. In
     ``FIRST_SOLUTION`` mode the bound is not applied, and on a model with an
     objective the first solution's objective is reported. A negative
-    ``budget`` raises :class:`ValueError`.
+    ``budget`` raises :class:`ValueError`. ``subtrees`` is a subtree memo
+    that the search reads and fills where the module docstring lets it, and
+    leaves untouched elsewhere; each memo must serve one model and one
+    strategy.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -195,10 +234,18 @@ def solve(
     keep_wdeg = sid in _WDEG_STRATEGIES
     # a chooser that reads the domains alone sees the same nodes through the
     # fixpoint view, which skips wakes that cannot prune (see the docstring)
-    pmodel = model if keep_activity or keep_wdeg else model.fixpoint_view()
+    domain_only = not (keep_activity or keep_wdeg)
+    pmodel = model.fixpoint_view() if domain_only else model
     change_watchers = pmodel.change_watchers
     pick_max = sid is StrategyId.WDEG_MAX
     first_only = mode is SolveMode.FIRST_SOLUTION
+    # the subtree memo serves only searches whose open domains decide every
+    # subtree and that run each one to its end (see the docstring)
+    memo = subtrees if (
+        domain_only and mode is SolveMode.ALL_SOLUTIONS and budget is None
+        and wall_limit_ms is None and model.open_domains_decide
+    ) else None
+    byte_keys = model.ubits <= 8
 
     limit = _NO_LIMIT if budget is None else budget
     deadline = None if wall_limit_ms is None else t0 + wall_limit_ms / 1000.0
@@ -214,9 +261,35 @@ def solve(
 
     # right branches still to take: (parent domains, var, var's remaining mask)
     pending: list[tuple[list[int], int, int]] = []
+    # the memoized nodes whose subtrees are still open: (key, the length of
+    # pending and the four counts when the node was reached)
+    frames: list[tuple] = []
     node: Optional[list[int]] = masks  # a propagated node not yet branched on
     while True:
-        if node is not None:
+        if node is None:
+            # a subtree is done once pending is back to its length at the node
+            while frames and frames[-1][1] == len(pending):
+                key, _, d0, f0, s0, p0 = frames.pop()
+                if len(memo) < SUBTREE_MEMO_ENTRIES:
+                    memo[key] = (decisions - d0, failures - f0, solutions - s0, propagations - p0)
+            if not pending:
+                break
+            parent, var, mask = pending.pop()
+        else:
+            if memo is not None:
+                key = (
+                    bytes(node).translate(_OPEN_BYTE) if byte_keys
+                    else tuple([d if d & (d - 1) else 0 for d in node])
+                )
+                seen = memo.get(key)
+                if seen is not None:
+                    decisions += seen[0]
+                    failures += seen[1]
+                    solutions += seen[2]
+                    propagations += seen[3]
+                    node = None
+                    continue
+                frames.append((key, len(pending), decisions, failures, solutions, propagations))
             var = chooser(node)
             if var < 0:
                 solutions += 1
@@ -235,10 +308,6 @@ def solve(
             vbit = (1 << (d.bit_length() - 1)) if pick_max else d & -d
             pending.append((node, var, d & ~vbit))
             parent, mask = node, vbit
-        elif pending:
-            parent, var, mask = pending.pop()
-        else:
-            break
         if decisions + failures >= limit or (
             deadline is not None and perf_counter() > deadline
         ):

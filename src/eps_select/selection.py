@@ -210,6 +210,13 @@ class ModelOracle:
     and stops a run at its budget. The optimization incumbent lives
     here; races pin a bound explicitly so all paired runs see the same one.
     :meth:`warm_start` seeds it before the first race.
+
+    In work mode the oracle also owns one subtree memo per strategy (see
+    :mod:`eps_select.search`), kept in the shared cache under
+    ``("subtrees", sid)`` and handed to every full run, so oracles sharing a
+    cache share it. A forked pool worker fills its own copy, lost when the
+    worker ends; every hit is exact, so no result depends on which memo a
+    run saw. Wall mode hands none, so reuse cuts no strategy's measured time.
     """
 
     def __init__(
@@ -267,9 +274,15 @@ class ModelOracle:
 
     def _solve(self, sub: int, sid: StrategyId, bound, wall_ms=None):
         s = self.subs[sub]
+        # work mode hands every full run its strategy's subtree memo; wall
+        # mode hands none, so no strategy's measured time is cut by reuse
+        subtrees = (
+            self._cache.setdefault(("subtrees", sid), {})
+            if self.has_true_costs else None
+        )
         return solve(
             self.model, s.assignment, sid, self.mode,
-            bound=bound, wall_limit_ms=wall_ms, domains=s.domains,
+            bound=bound, wall_limit_ms=wall_ms, domains=s.domains, subtrees=subtrees,
         )
 
     def full(self, sub: int, sid: StrategyId, bound=_LIVE) -> Observation:

@@ -90,6 +90,46 @@ def test_help_lists_the_options_read(command, capsys):
     assert listed == {"--help", *model, *_READS[command]}
 
 
+@pytest.mark.parametrize("command", list(_READS))
+def test_abbreviated_options_are_usage_errors(command, tmp_path, monkeypatch):
+    # an option that only begins a listed one is refused like any other
+    # unlisted option, before any file is written or any work is done
+    import eps_select.cli as cli_module
+
+    calls = []
+    for name in ("decompose", "pss_select", "compare", "solve"):
+        monkeypatch.setattr(cli_module, name, lambda *a, **k: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    values = {**_VALUES, "--model": "nqueens", "--maxlen": "5", "--json": "m.json",
+              "--out": "report.json"}
+    for option in ("--model", "--maxlen", "--json", "--out", *_READS[command]):
+        value = [] if values[option] is None else [values[option]]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", "nqueens", "--n", "6", option[:-1], *value])
+        assert exc.value.code == 2, option
+    assert list(tmp_path.iterdir()) == []
+    assert calls == []
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly():
+    from eps_select.cli import EXIT_BROKEN_PIPE
+
+    src = str(Path(eps_select.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eps_select.cli", "pss", "--model", "nqueens", "--n", "6",
+             "--target-subproblems", "10", "--sample-size", "5"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == EXIT_BROKEN_PIPE
+
+
 def test_model_and_json_are_exclusive(tmp_path, capsys):
     from eps_select.modelio import save_json
 

@@ -303,14 +303,18 @@ def _row(o):
             o.decisions, o.failures, o.propagations)
 
 
-def test_solve_outcomes_pinned(monkeypatch):
-    models = {
+def _pinned_models():
+    return {
         "nqueens": (nqueens(7), SolveMode.ALL_SOLUTIONS),
         "allinterval": (allinterval(7), SolveMode.ALL_SOLUTIONS),
         "latin": (latin(4), SolveMode.ALL_SOLUTIONS),
         "magicsquare": (magicsquare(3), SolveMode.ALL_SOLUTIONS),
         "golomb": (golomb(5), SolveMode.OPTIMIZE),
     }
+
+
+def test_solve_outcomes_pinned(monkeypatch):
+    models = _pinned_models()
     assert len(PINNED_SOLVES) == len(models) * len(ALL_STRATEGIES)
     assert set(FIX_EVENT_PROPAGATIONS) == {
         key for key in PINNED_SOLVES if StrategyId(key[1]) in DOMAIN_ONLY
@@ -330,6 +334,131 @@ def test_solve_outcomes_pinned(monkeypatch):
         if key in FIX_EVENT_PROPAGATIONS:
             want = want[:6] + (FIX_EVENT_PROPAGATIONS[key],)
         assert fix_events[key] == want, key
+
+
+def test_pinned_outcomes_hold_with_a_cold_and_a_warm_subtree_memo():
+    # a fresh memo, then the same memo filled by the first solve: both give
+    # the pinned row; only the domain-only strategies on the models of
+    # all_different and not_equal constraints ever write to it
+    models = _pinned_models()
+    for (name, token), want in PINNED_SOLVES.items():
+        model, mode = models[name]
+        sid = StrategyId(token)
+        want = want[:6] + (FIX_EVENT_PROPAGATIONS.get((name, token), want[6]),)
+        memo = {}
+        cold = _row(solve(model, (), sid, mode, subtrees=memo))
+        filled = dict(memo)
+        warm = _row(solve(model, (), sid, mode, subtrees=memo))
+        assert (cold, warm) == (want, want), (name, token)
+        used = sid in DOMAIN_ONLY and name in ("nqueens", "latin")
+        assert bool(filled) == used, (name, token)
+        # the warm solve hits at the root and adds nothing
+        assert memo == filled
+
+
+def _random_distinct_model(rng):
+    """Four to seven variables under one or two all_different and one to four
+    not_equal constraints, none of which repeats a variable; value spans of
+    up to ten bits, so keys come both as bytes and as tuples."""
+    n = rng.randint(4, 7)
+    decls = []
+    for i in range(n):
+        lo = rng.randint(-2, 2)
+        decls.append(var_range(f"v{i}", lo, lo + rng.randint(1, 5)))
+    cons = [AllDifferent(tuple(rng.sample(range(n), rng.randint(2, n))))
+            for _ in range(rng.randint(1, 2))]
+    for _ in range(rng.randint(1, 4)):
+        a, b = rng.sample(range(n), 2)
+        cons.append(NotEqual(a, b, rng.randint(-2, 2)))
+    rng.shuffle(cons)
+    return Model("distinct", decls, cons)
+
+
+def test_subtree_memo_outcomes_equal_the_memo_less_search(monkeypatch):
+    # every subproblem of each decomposition, solved under one memo per
+    # (decomposition, strategy) in task order and under another in reverse
+    # order, matches its memo-less solve in every field but wall_ms; the
+    # all_different/not_equal models reuse subtrees, and the abs_diff and
+    # linear models, whose fixed values steer their subtrees, take no entry
+    from eps_select import search
+
+    rng = random.Random("subtree-memo")
+    reused = [latin(4), nqueens(7)]
+    while len(reused) < 32:
+        m = _random_distinct_model(rng)
+        try:
+            root_domains(m)
+        except InconsistentProblem:
+            continue
+        reused.append(m)
+    refused = [allinterval(8), magicsquare(3)]
+    refused += [_random_search_model(random.Random(f"refused-{i}"), False) for i in range(20)]
+    assert all(m.open_domains_decide for m in reused)
+    assert {m.ubits <= 8 for m in reused} == {True, False}  # bytes and tuple keys
+    assert not any(m.open_domains_decide for m in refused)
+
+    calls = [0]
+    real = search._propagate
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(search, "_propagate", counted)
+    saved = {True: 0, False: 0}
+    for m in reused + refused:
+        try:
+            subs = decompose(m, DecompositionConfig(target_count=40)).subproblems
+        except InconsistentProblem:
+            continue
+        for sid in DOMAIN_ONLY:
+            calls[0] = 0
+            want = [_row(solve(m, s.assignment, sid, domains=s.domains)) for s in subs]
+            without = calls[0]
+            for order in (subs, subs[::-1]):
+                memo = {}
+                calls[0] = 0
+                got = {s.id: _row(solve(m, s.assignment, sid, domains=s.domains,
+                                        subtrees=memo))
+                       for s in order}
+                assert [got[s.id] for s in subs] == want, (m.name, sid)
+                assert bool(memo) == m.open_domains_decide, (m.name, sid)
+                saved[m.open_domains_decide] += without - calls[0]
+    assert saved[True] > 0 and saved[False] == 0
+
+
+def test_subtree_memo_is_left_alone_where_open_domains_do_not_decide(monkeypatch):
+    # a budget, a wall limit, another mode or a strategy that reads counters
+    # leaves the memo untouched; a memo at its cap keeps serving hits
+    from eps_select import search
+
+    m = latin(4)
+    for kwargs in ({"budget": 10**6}, {"wall_limit_ms": 10**6},
+                   {"mode": SolveMode.FIRST_SOLUTION}, {"sid": StrategyId.ACT},
+                   {"sid": StrategyId.DWDEG}):
+        memo = {}
+        solve(m, **kwargs, subtrees=memo)
+        assert memo == {}, kwargs
+
+    class CountingHits(dict):
+        hits = 0
+
+        def get(self, key):
+            seen = super().get(key)
+            CountingHits.hits += seen is not None
+            return seen
+
+    monkeypatch.setattr(search, "SUBTREE_MEMO_ENTRIES", 5)
+    memo = CountingHits()
+    full_at = None  # the hits counted when the memo filled
+    subs = decompose(m, DecompositionConfig(target_count=40)).subproblems
+    for s in subs:
+        got = solve(m, s.assignment, StrategyId.FF, domains=s.domains, subtrees=memo)
+        assert _row(got) == _row(solve(m, s.assignment, StrategyId.FF, domains=s.domains))
+        if len(memo) == 5 and full_at is None:
+            full_at = CountingHits.hits
+    assert len(memo) == 5
+    assert CountingHits.hits > full_at
 
 
 def _random_search_model(rng, objective):

@@ -671,6 +671,45 @@ def test_remember_fills_the_shared_memo_of_satisfaction_models_only():
         ModelOracle(golomb(5), []).remember(0, S[0], obs)
 
 
+def test_work_mode_oracles_share_one_subtree_memo_per_strategy(monkeypatch):
+    # every full run of a work-mode oracle gets its strategy's memo from the
+    # shared cache, so oracles over one cache share it; wall mode gets none
+    from eps_select import selection
+    from eps_select.benchmarks import latin
+    from eps_select.decomposition import DecompositionConfig, decompose
+    from eps_select.search import TimeMode, solve
+    from eps_select.selection import ModelOracle, _observe
+    from eps_select.strategies import StrategyId
+
+    model = latin(4)
+    subs = decompose(model, DecompositionConfig(target_count=40)).subproblems
+    handed = []
+    monkeypatch.setattr(
+        selection, "solve", lambda *a, **k: handed.append((a[2], k["subtrees"])) or solve(*a, **k)
+    )
+    cache: dict = {}
+    first = ModelOracle(model, subs, shared_cache=cache)
+    second = ModelOracle(model, subs, shared_cache=cache)
+    ff, mostc = StrategyId.FF, StrategyId.MOSTC
+    for i, s in enumerate(subs):
+        oracle = first if i % 2 else second
+        for sid in (ff, mostc):
+            fresh = _observe(solve(model, s.assignment, sid, domains=s.domains), TimeMode.WORK)
+            assert oracle.full(s.id, sid) == fresh
+    assert len(handed) == 2 * len(subs)
+    for sid in (ff, mostc):
+        memos = {id(memo) for got, memo in handed if got is sid}
+        assert memos == {id(cache[("subtrees", sid)])}
+        assert cache[("subtrees", sid)]
+    assert cache[("subtrees", ff)] is not cache[("subtrees", mostc)]
+
+    handed.clear()
+    wall = ModelOracle(model, subs, time_mode=TimeMode.WALL)
+    wall.full(subs[0].id, ff)
+    wall.limited(subs[1].id, ff, 10.0)
+    assert handed == [(ff, None), (ff, None)]
+
+
 @pytest.mark.parametrize("name, bound", [("golomb", 20), ("allinterval", None)])
 def test_oracle_from_stored_domains_matches_a_fresh_solve(name, bound):
     # the oracle starts each solve from the subproblem's stored root domains;
