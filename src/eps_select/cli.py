@@ -11,8 +11,10 @@ report as JSON and ``--csv`` appends one row per strategy/mode.
 Only the listed option spellings are accepted, never an abbreviation.
 Exit codes: 0 success, 1 runtime failure, 2 usage error, 141 (quietly) when
 the reader of stdout closes it before the report is written. EPS_SELECT_LOG
-sets the log level; the only log record is ``compare``'s one INFO line per
-single strategy, with its total.
+sets the log level. The log records are INFO lines: ``compare``'s one per
+single strategy, with its total, and one per work-mode ``pss`` or
+``compare`` run with its subproblems and distinct roots (see
+:class:`~eps_select.selection.ModelOracle`).
 """
 
 from __future__ import annotations
@@ -219,7 +221,9 @@ def compare(model: Model, cfg: PssConfig) -> Comparison:
 
     Each single strategy solves every subproblem in its own task pool, one
     pool per strategy in ``ALL_STRATEGIES`` order (in worker processes on a
-    satisfaction model with more than one worker); PSS, the bandit and the
+    satisfaction model with more than one worker), which runs each twin
+    class once (see :class:`~eps_select.selection.ModelOracle`) and still
+    returns one result per subproblem; PSS, the bandit and the
     portfolio then read the same oracle cache through oracles over all
     strategies, so on an optimization model all three start from the same
     warm-start incumbent and pay the same warm-start cost. The portfolio's
@@ -245,6 +249,7 @@ def compare(model: Model, cfg: PssConfig) -> Comparison:
             lambda sub: single.full(sub, sid),
             cost_fn=lambda obs: obs.value,
             processes=bound_free,
+            key=single.twin,
         )
         raise_failures(results)
         if bound_free:  # PSS, the bandit and the portfolio read these

@@ -22,19 +22,29 @@ per-worker loads that do not depend on scheduling: the ledger charges each
 task ``cost_fn(result)`` in either time mode. The pool times nothing itself;
 in wall-clock mode the solve pools' results are observations whose value is
 the milliseconds their solve took. Results do not depend on the worker
-count. Every task is deterministic, so a task that raises is run once and
-reported as failed, and the results stop there. In the calling thread no later task
-runs; with worker processes no further chunk is handed out, and the outcomes
-of later tasks that other processes had already solved are dropped. A worker
-process that dies mid-chunk counts as a failure of the first task of its
-chunk. :func:`raise_failures` turns the failed task into an error.
+count.
+
+A caller may name a ``key`` under which tasks give equal results. Each
+class of tasks with one key then runs once, on its first task, and every
+task of the class gets that result; a forked pool sends only those first
+tasks to its workers, and forks no more workers than there are classes.
+The solve pools of ``pss`` and ``compare`` key their tasks by the
+oracle's twin classes (see :class:`~eps_select.selection.ModelOracle`).
+
+Every task is deterministic, so a task that raises is run once and
+reported as failed, and the results stop there. In the calling thread no
+later task runs; with worker processes no further chunk is handed out, and
+the outcomes of later tasks that other processes had already solved are
+dropped. A worker process that dies mid-chunk counts as a failure of the
+first task of its chunk. :func:`raise_failures` turns the failed task
+into an error.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Hashable, Optional, Sequence
 
 Outcome = tuple[Any, bool]  # (result or exception, failed)
 
@@ -73,39 +83,61 @@ def run_pool(
     executor: Callable[[Any], Any],
     cost_fn: Optional[Callable[[Any], float]] = None,
     processes: bool = False,
+    key: Optional[Callable[[Any], Hashable]] = None,
 ) -> tuple[list[TaskResult], CostLedger]:
     """Run the tasks once each; results come back in task order, up to and
     including the first that fails.
 
-    With ``processes=True``, more than one worker and ``os.fork`` available,
-    ``min(worker_count, usable CPUs, len(tasks))`` forked worker processes
-    solve the tasks (see the module docstring): results and exceptions travel
-    pickled, and an exception that does not pickle arrives as
-    ``RuntimeError(repr(exc))``. A result that does not pickle ends its
-    worker process, which fails like any worker process that dies.
-    Once a task fails no further chunk is handed out, so tasks after it may
-    have run but return nothing. Every worker process is reaped before this
-    returns or raises. Otherwise the tasks run in the calling thread and none
-    runs after the first that fails.
+    With ``key``, the tasks of equal keys form a class that is run once: the
+    executor runs on the class's first task, every task of the class gets
+    that result and is charged it, and a failure ends the results at the
+    class's first task. With ``processes=True``, more than one worker and
+    ``os.fork`` available, ``min(worker_count, usable CPUs, classes)``
+    forked worker processes solve the classes' first tasks (see the module
+    docstring): results and exceptions travel pickled, and an exception
+    that does not pickle arrives as ``RuntimeError(repr(exc))``. A result
+    that does not pickle ends its worker process, which fails like any
+    worker process that dies. Once a task fails no further chunk is handed
+    out, so tasks after it may have run but return nothing. Every worker
+    process is reaped before this returns or raises. Otherwise the tasks run
+    in the calling thread and none runs after the first that fails.
     """
     if worker_count < 1:
         raise ValueError("worker_count must be >= 1")
     if cost_fn is None:
         cost_fn = lambda r: float(getattr(r, "work_used", 0.0))
 
-    procs = _process_count(len(tasks), worker_count) if processes else 0
+    if key is None:
+        distinct: Sequence[Any] = tasks
+        classes: Sequence[int] = range(len(tasks))
+    else:
+        # classes are numbered in the order of their first tasks
+        seen: dict = {}
+        distinct, classes = [], []
+        for task in tasks:
+            c = seen.setdefault(key(task), len(seen))
+            if c == len(distinct):
+                distinct.append(task)
+            classes.append(c)
+    procs = _process_count(len(distinct), worker_count) if processes else 0
     if procs > 1:
         # loaded on first use: most runs never fork, and compiling the module
         # and its imports would show in every start-up
         from .forkpool import forked_outcomes
 
-        outcomes = forked_outcomes(tasks, executor, procs)
+        outcomes = iter(forked_outcomes(distinct, executor, procs))
     else:  # lazily, so no task runs after the loop below stops
-        outcomes = (_attempt(executor, task) for task in tasks)
+        outcomes = (_attempt(executor, task) for task in distinct)
     ledger = CostLedger(per_worker=[0.0] * worker_count)
     clocks = ledger.per_worker
     results: list[TaskResult] = []
-    for idx, (task, (result, failed)) in enumerate(zip(tasks, outcomes)):
+    got: list[Any] = []  # each class's result, drawn at its first task
+    for idx, (task, c) in enumerate(zip(tasks, classes)):
+        if c == len(got):
+            result, failed = next(outcomes)
+            got.append(result)
+        else:  # a failed class ends the results at its first task
+            result, failed = got[c], False
         w = min(range(worker_count), key=clocks.__getitem__)
         if not failed:
             clocks[w] += cost_fn(result)

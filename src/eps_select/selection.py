@@ -13,7 +13,10 @@ race tries, and the race's cost without timeouts is known for reporting.
 On a satisfaction model :func:`pss_select` solves those full runs before the
 race, every (sampled subproblem, strategy) cell the memo lacks, in one task
 pool that forks workers when there is more than one; the race then reads the
-memo in the calling process. On an optimization model each race pins the
+memo in the calling process. The winner's remainder is one pool as well.
+Both pools key their cells by twin class (see :class:`ModelOracle`), so in
+work mode each class of twin subproblems is solved once per strategy, in
+one worker, and the memo answers for every member. On an optimization model each race pins the
 incumbent its predecessors raised, so its cells are solved in the calling
 process as the race reaches them.
 In wall mode runs are stopped by elapsed time, and that cost is unknown;
@@ -41,6 +44,7 @@ outside the sample.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -56,7 +60,7 @@ from .decomposition import (
     srs_sample,
 )
 from .runner import raise_failures, run_pool
-from .search import Incumbent, SolveMode, SolveOutcome, TimeMode, solve
+from .search import Incumbent, SolveMode, SolveOutcome, TimeMode, solve, twin_key
 from .strategies import ALL_STRATEGIES, StrategyId
 from .wsr import (
     CensorPlan,
@@ -69,6 +73,8 @@ from .wsr import (
 )
 
 _LIVE = object()  # sentinel: use the oracle's current incumbent
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,6 +223,15 @@ class ModelOracle:
     cache share it. A forked pool worker fills its own copy, lost when the
     worker ends; every hit is exact, so no result depends on which memo a
     run saw. Wall mode hands none, so reuse cuts no strategy's measured time.
+
+    A work-mode oracle also sorts its subproblems into twin classes by
+    :func:`~eps_select.search.twin_key`, once per shared cache (under
+    ``"twins"``). Twins give equal outcomes in every field but ``wall_ms``
+    under every strategy (see :mod:`eps_select.search`), so :meth:`full`,
+    :meth:`remember` and :meth:`memoized` key the memo by each class's first
+    subproblem, :meth:`twin`, and the task pools key their tasks by it.
+    ``distinct_roots`` counts the classes. Wall mode and optimization models
+    have no twins: each subproblem is its own class.
     """
 
     def __init__(
@@ -240,6 +255,28 @@ class ModelOracle:
             SolveMode.OPTIMIZE if model.objective is not None else SolveMode.ALL_SOLUTIONS
         )
         self._cache = shared_cache if shared_cache is not None else {}
+        # the first subproblem of each twin's class, for the twins after it
+        self._twins = self._twin_classes(subproblems) if self.has_true_costs else {}
+        self.distinct_roots = len(self.sub_ids) - len(self._twins)
+
+    def _twin_classes(self, subproblems: Sequence[Subproblem]) -> dict[int, int]:
+        twins = self._cache.get("twins")
+        if twins is None:
+            twins = {}
+            key = twin_key(self.model)
+            if key is not None:
+                first: dict = {}
+                for s in subproblems:
+                    head = first.setdefault(key(s.domains), s.id)
+                    if head != s.id:
+                        twins[s.id] = head
+            self._cache["twins"] = twins
+        return twins
+
+    def twin(self, sub: int) -> int:
+        """The first subproblem of ``sub``'s twin class, whose full runs
+        stand for ``sub``'s; ``sub`` itself when it has no twin before it."""
+        return self._twins.get(sub, sub)
 
     def current_bound(self) -> Optional[int]:
         return self.incumbent.value if self.incumbent is not None else None
@@ -288,7 +325,7 @@ class ModelOracle:
     def full(self, sub: int, sid: StrategyId, bound=_LIVE) -> Observation:
         live = bound is _LIVE
         b = self.current_bound() if live else bound
-        key = (sub, sid, b)
+        key = (self.twin(sub), sid, b)
         obs = self._cache.get(key)
         if obs is None:
             obs = _observe(self._solve(sub, sid, b), self.time_mode)
@@ -303,11 +340,11 @@ class ModelOracle:
         read no bound."""
         if self.incumbent is not None:
             raise ValueError("only bound-free runs can be remembered")
-        self._cache.setdefault((sub, sid, None), obs)
+        self._cache.setdefault((self.twin(sub), sid, None), obs)
 
     def memoized(self, sub: int, sid: StrategyId) -> bool:
         """Whether :meth:`full` at the live bound would read the memo."""
-        return (sub, sid, self.current_bound()) in self._cache
+        return (self.twin(sub), sid, self.current_bound()) in self._cache
 
     def limited(self, sub: int, sid: StrategyId, limit: float, bound=_LIVE) -> Observation:
         b = self.current_bound() if bound is _LIVE else bound
@@ -691,6 +728,9 @@ def pss_select(
     sample = srs_sample(population, cfg.sample_size_for(population), rc.sample_seed)
     if oracle is None:
         oracle = ModelOracle(model, subs, time_mode=rc.time_mode)
+    if oracle.has_true_costs:
+        log.info("%s: %d subproblems, %d distinct roots",
+                 model.name, population, oracle.distinct_roots)
 
     workers = cfg.decomposition.worker_count
     # on an optimization model every solve reads and raises the live
@@ -735,16 +775,25 @@ def _solve_into_memo(
     oracle: ModelOracle, cells: list[tuple[int, StrategyId]], worker_count: int, processes: bool
 ) -> list[Observation]:
     """The full run of each (subproblem, strategy) cell at the live bound, in
-    cell order, from one :func:`run_pool` call. With ``processes`` the cells
-    may be solved in forked workers (bound-free runs only), and their runs are
-    remembered in the oracle's memo. A failed cell raises
+    cell order, from one :func:`run_pool` call that runs the cells of one
+    twin class and strategy once. With ``processes`` the cells may be solved
+    in forked workers (bound-free runs only), and their runs are remembered
+    in the oracle's memo. A failed cell raises
     :class:`~eps_select.runner.TaskFailed` with its error as the cause."""
+
+    def twin_cell(cell: tuple[int, StrategyId]) -> tuple[int, StrategyId]:
+        # a class's first cell is its own key, so the pool's key table makes
+        # a new tuple only for the twins after it
+        head = oracle.twin(cell[0])
+        return cell if head == cell[0] else (head, cell[1])
+
     results, _ = run_pool(
         cells,
         worker_count,
         lambda cell: oracle.full(*cell),
         cost_fn=lambda obs: obs.value,
         processes=processes,
+        key=twin_cell,
     )
     raise_failures(results)
     if processes:

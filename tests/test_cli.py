@@ -366,6 +366,40 @@ def test_compare_reads_the_memoized_remainder_in_process(forks, monkeypatch):
     assert all_reaped(forks)
 
 
+@fork_only
+def test_compare_where_every_root_is_one_twin_forks_no_single(forks, tmp_path, capsys):
+    # latin(4) cut to its 576 solutions: every root is fixed, so all are
+    # twins, each single strategy runs once in this process, and the report
+    # is the one-worker report
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"cmp-{workers}.json"
+        assert main(["compare", "--model", "latin", "--n", "4", "--target-subproblems",
+                     "3000", "--workers", workers, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    assert forks == []
+    assert reports[0] == reports[1]
+    assert reports[0]["pss"]["population"] == 576
+    assert reports[0]["pss"]["solutions_found"] == 576
+    assert set(reports[0]["singles"].values()) == {0}
+
+
+def test_work_mode_runs_log_subproblems_against_distinct_roots(tmp_path, capsys, caplog):
+    # one INFO line per work-mode pss and compare run; stdout and --out do not
+    # depend on it
+    argv = ["--model", "latin", "--n", "4", "--target-subproblems", "100"]
+    lines = {}
+    for command in ("pss", "compare"):
+        with caplog.at_level("INFO", logger="eps_select"):
+            assert main([command] + argv) == 0
+        lines[command] = [r.getMessage() for r in caplog.records if "distinct roots" in r.getMessage()]
+        caplog.clear()
+    assert lines["pss"] == lines["compare"] == ["latin-4: 168 subproblems, 102 distinct roots"]
+    with caplog.at_level("INFO", logger="eps_select"):
+        assert main(["pss", "--time-mode", "wall"] + argv) == 0
+    assert not [r for r in caplog.records if "distinct roots" in r.getMessage()]
+
+
 @pytest.mark.parametrize("command", ["compare", "pss"])
 @pytest.mark.parametrize("model,n", [("golomb", "7"), ("latin", "4"), ("nqueens", "8")])
 def test_report_independent_of_worker_count_with_and_without_objective(

@@ -205,3 +205,77 @@ def test_worker_processes_capped_by_usable_cpus(forks, monkeypatch):
     # two pools, the sample race and the remainder, of three usable CPUs each
     assert len(forks) == 2 * 3
     assert all_reaped(forks)
+
+
+# ---------------------------------------------------------------------------
+# classes of tasks with one key (key=...), in the calling thread and forked
+# under conftest.py's two-CPU forks fixture
+
+
+def _logged(path):
+    """An executor that appends each task it runs to ``path``, from any
+    process; task 13 raises."""
+
+    def run(t):
+        with open(path, "a") as fh:
+            fh.write(f"{t}\n")
+        if t == 13:
+            raise ValueError(f"task {t} is broken")
+        return FakeResult(t * 10)
+
+    return run
+
+
+def _runs(path):
+    return sorted(int(t) for t in path.read_text().split()) if path.exists() else []
+
+
+@pytest.mark.parametrize("processes", [False, pytest.param(True, marks=fork_only)])
+def test_equal_keys_run_once_and_each_task_gets_its_class_result(processes, forks, tmp_path):
+    tasks = [4, 9, 14, 5, 19, 10, 30, 12, 15, 7]  # classes by t % 5: heads 4, 5, 12
+    results, ledger = run_pool(tasks, 2, _logged(tmp_path / "runs"), processes=processes,
+                               key=lambda t: t % 5)
+    assert len(forks) == (2 if processes else 0)
+    assert all_reaped(forks)
+    assert _runs(tmp_path / "runs") == [4, 5, 12]
+    head = {4: 4, 0: 5, 2: 12}
+    assert [(r.index, r.task, r.result, r.failed) for r in results] == [
+        (i, t, FakeResult(head[t % 5] * 10), False) for i, t in enumerate(tasks)
+    ]
+    # every task is charged its class's result, as without a key
+    assert ledger.per_worker == run_pool(
+        [head[t % 5] for t in tasks], 2, lambda t: FakeResult(t * 10))[1].per_worker
+
+
+@pytest.mark.parametrize("processes", [False, pytest.param(True, marks=fork_only)])
+def test_a_failing_class_head_fails_at_its_own_index(processes, forks, tmp_path):
+    tasks = [1, 6, 13, 11, 8, 2, 16, 4]  # classes by t % 5: task 13 heads class 3
+    results, ledger = run_pool(tasks, 2, _logged(tmp_path / "runs"), processes=processes,
+                               key=lambda t: t % 5)
+    assert all_reaped(forks)
+    assert [(r.index, r.task, r.failed) for r in results] == [
+        (0, 1, False), (1, 6, False), (2, 13, True)
+    ]
+    assert [r.result for r in results[:2]] == [FakeResult(10)] * 2
+    assert str(results[2].result) == "task 13 is broken"
+    assert ledger.grand_total == 20.0
+    runs = _runs(tmp_path / "runs")
+    # nothing ran twice; in the calling thread nothing ran after the failure
+    assert len(set(runs)) == len(runs) and {1, 13} <= set(runs)
+    if not processes:
+        assert runs == [1, 13]
+
+
+@fork_only
+def test_a_pool_forks_no_more_workers_than_classes(forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2}, raising=False)
+    tasks = list(range(12))
+    results, _ = run_pool(tasks, 4, lambda t: FakeResult(t), processes=True,
+                          key=lambda t: t % 2)
+    assert len(forks) == 2
+    assert [r.result.work_used for r in results] == [t % 2 for t in tasks]
+    # one class: no fork at all, and the one run serves every task
+    results, _ = run_pool(tasks, 4, lambda t: FakeResult(t), processes=True, key=lambda t: 0)
+    assert len(forks) == 2
+    assert [r.result.work_used for r in results] == [0] * 12
+    assert all_reaped(forks)

@@ -17,7 +17,7 @@ from eps_select.csp import (
     var_range,
 )
 from eps_select.decomposition import DecompositionConfig, decompose
-from eps_select.search import SolveMode, SolveStatus, count_all, root_domains, solve
+from eps_select.search import SolveMode, SolveStatus, count_all, root_domains, solve, twin_key
 from eps_select.strategies import ALL_STRATEGIES, StrategyId
 
 from bruteforce import allinterval_count, brute_count, brute_optimum, golomb_optimum
@@ -534,3 +534,82 @@ def test_fix_event_search_matches_the_full_wake_search(monkeypatch):
     assert fewer > len(cases) // 4
     assert any(row[1] > 0 for row in full) and any(row[5] > 0 for row in full)
     assert any(c[2] is SolveMode.OPTIMIZE and row[1] > 1 for c, row in zip(cases, full))
+
+
+def _random_twin_model(rng):
+    """Five to eight variables with values below zero under one or two
+    all_different, one to three abs_diff and up to three not_equal
+    constraints, none of which repeats a variable."""
+    n = rng.randint(5, 8)
+    decls = []
+    for i in range(n):
+        lo = rng.randint(-3, 1)
+        decls.append(var_range(f"v{i}", lo, lo + rng.randint(2, 5)))
+    cons = [AllDifferent(tuple(rng.sample(range(n), rng.randint(2, n))))
+            for _ in range(rng.randint(1, 2))]
+    cons += [AbsDiff(*rng.sample(range(n), 3)) for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.sample(range(n), 2)
+        cons.append(NotEqual(a, b, rng.randint(-2, 2)))
+    rng.shuffle(cons)
+    return Model("twins", decls, cons)
+
+
+def test_twin_subproblems_give_equal_outcomes():
+    # every subproblem whose twin key an earlier one of its decomposition
+    # has gives that one's outcome in every field but wall_ms, under every
+    # strategy: to the end, under a random budget and to the first solution
+    rng = random.Random("twin-roots")
+    models = [allinterval(8), allinterval(9), latin(4), nqueens(8)]
+    while len(models) < 4 + 50:
+        m = _random_twin_model(rng)
+        try:
+            root_domains(m)
+        except InconsistentProblem:
+            continue
+        models.append(m)
+    pairs = 0
+    # subproblems whose open masks match an earlier one of another class:
+    # only the abs_diff ends in the key keep the two apart
+    anchored = 0
+    for m in models:
+        key = twin_key(m)
+        assert key is not None, m.name
+        for target in ((20, 150) if m.name != "twins" else (4, 12, 40)):
+            subs = decompose(m, DecompositionConfig(target_count=target)).subproblems
+            heads = {}
+            open_heads = {}
+            for s in subs:
+                head = heads.setdefault(key(s.domains), s)
+                open_key = tuple(d if d & (d - 1) else 0 for d in s.domains)
+                anchored += open_heads.setdefault(open_key, head) is not head
+                if head is s:
+                    continue
+                pairs += 1
+                for sid in ALL_STRATEGIES:
+                    budget = rng.randint(0, 40)
+                    for mode, b in ((SolveMode.ALL_SOLUTIONS, None),
+                                    (SolveMode.ALL_SOLUTIONS, budget),
+                                    (SolveMode.FIRST_SOLUTION, None)):
+                        want, got = (_row(solve(m, t.assignment, sid, mode, budget=b,
+                                                domains=t.domains)) for t in (head, s))
+                        assert got == want, (m.name, target, s.id, head.id, sid, mode, b)
+    assert pairs > 1000 and anchored > 0
+
+
+def test_no_twins_where_fixed_values_steer_the_search():
+    # a linear constraint reads its fixed terms, an objective's bound reads
+    # the objective, and an aliased scope constrains a variable against
+    # itself: such models get no twin key
+    x = [var_range(f"v{i}", -1, 3) for i in range(3)]
+    assert twin_key(Model("ok", x, [AbsDiff(0, 1, 2), AllDifferent((0, 1)),
+                                    NotEqual(0, 2, 1)])) is not None
+    for cons, obj in (
+        ([AllDifferent((0, 1)), LinearLe((1, 1), (0, 1), 3)], None),
+        ([AllDifferent((0, 1)), LinearEq((1, -1), (1, 2), 0)], None),
+        ([AllDifferent((0, 1, 2))], Objective(0, False)),
+        ([AllDifferent((0, 1)), AbsDiff(0, 1, 1)], None),
+        ([AllDifferent((0, 1, 1))], None),
+    ):
+        assert twin_key(Model("steered", x, cons, obj)) is None, (cons, obj)
+    assert twin_key(golomb(5)) is None and twin_key(magicsquare(3)) is None

@@ -710,6 +710,43 @@ def test_work_mode_oracles_share_one_subtree_memo_per_strategy(monkeypatch):
     assert handed == [(ff, None), (ff, None)]
 
 
+def test_work_mode_oracle_solves_each_twin_class_once(monkeypatch):
+    # full, remember and memoized go by the first subproblem of each twin
+    # class; wall mode and an optimization model have no twins
+    from eps_select import selection
+    from eps_select.benchmarks import golomb, latin
+    from eps_select.decomposition import DecompositionConfig, decompose
+    from eps_select.search import TimeMode, solve
+    from eps_select.selection import ModelOracle
+
+    model = latin(4)
+    subs = decompose(model, DecompositionConfig(target_count=100)).subproblems
+    solved = []
+    monkeypatch.setattr(selection, "solve", lambda *a, **k: solved.append(a[1]) or solve(*a, **k))
+    oracle = ModelOracle(model, subs)
+    assert (len(subs), oracle.distinct_roots) == (168, 102)
+    heads = [oracle.twin(s.id) for s in subs]
+    assert all(h <= s.id and oracle.twin(h) == h for h, s in zip(heads, subs))
+    for s in subs:
+        for sid in ALL_STRATEGIES:
+            assert oracle.full(s.id, sid) is oracle.full(oracle.twin(s.id), sid)
+    assert len(solved) == 7 * 102
+
+    twin = next(s.id for s, h in zip(subs, heads) if h != s.id)
+    fresh = ModelOracle(model, subs)
+    obs = oracle.full(twin, S[0])
+    assert not fresh.memoized(twin, S[0])
+    fresh.remember(fresh.twin(twin), S[0], obs)
+    assert fresh.memoized(twin, S[0]) and fresh.full(twin, S[0]) is obs
+
+    wall = ModelOracle(model, subs, time_mode=TimeMode.WALL)
+    g = golomb(6)
+    optimizing = ModelOracle(g, decompose(g, DecompositionConfig(target_count=40)).subproblems)
+    for other in (wall, optimizing):
+        assert other.distinct_roots == len(other.sub_ids)
+        assert [other.twin(s) for s in other.sub_ids] == other.sub_ids
+
+
 @pytest.mark.parametrize("name, bound", [("golomb", 20), ("allinterval", None)])
 def test_oracle_from_stored_domains_matches_a_fresh_solve(name, bound):
     # the oracle starts each solve from the subproblem's stored root domains;
