@@ -225,7 +225,8 @@ class Model:
 
     A Model is built once and shared read-only by every worker; all mutable
     search state lives in the domain-mask lists handed to :func:`_propagate`.
-    The tables, per variable ``v``:
+    Only ``removal_rows`` grows, as a cache of values that the model's
+    constraints determine. The tables, per variable ``v``:
 
     * ``watchers[v]`` -- the constraints over ``v``, each once, woken when a
       prune fixes ``v``;
@@ -234,7 +235,9 @@ class Model:
     * ``alldiffs_of[v]`` -- the ``all_different`` constraints over ``v``,
       once per place ``v`` takes in the scope, which a fix of ``v`` hands
       its value to;
-    * ``static_degree[v]`` -- the number of constraints over ``v``.
+    * ``static_degree[v]`` -- the number of constraints over ``v``;
+    * ``removal_rows[v]`` -- the :meth:`removals` of ``v`` computed so far,
+      keyed by bit index (filled on first use).
 
     ``open_domains_decide`` is True when every constraint is an
     ``all_different`` or a ``not_equal`` over a scope that repeats no
@@ -348,6 +351,37 @@ class Model:
 
         # static "most constrained" degree: number of constraints per variable
         self.static_degree = tuple(len(w) for w in self.watchers)
+        self.removal_rows: tuple[dict[int, tuple[tuple[int, int], ...]], ...] = tuple(
+            {} for _ in range(self.n)
+        )
+
+    def removals(self, v: int, i: int) -> tuple[tuple[int, int], ...]:
+        """What fixing ``v`` to the value of bit ``i`` removes from the other
+        variables through its ``all_different`` and ``not_equal``
+        constraints: one ``(u, mask)`` pair per variable ``u`` that loses a
+        value of the span, in the order the constraints over ``v`` first
+        name ``u``. Each ``all_different`` over ``v`` removes bit ``i`` from
+        the rest of its scope; ``NotEqual(v, y, offset)`` removes the bit of
+        the value minus ``offset`` from ``y``, ``NotEqual(x, v, offset)``
+        the bit of the value plus ``offset`` from ``x``. Computed once per
+        ``(v, i)`` and kept in ``removal_rows[v][i]``; on a model that
+        ``open_domains_decide`` it is all that the fix propagates."""
+        row = self.removal_rows[v]
+        got = row.get(i)
+        if got is None:
+            masks: dict[int, int] = {}
+            for ci in self.watchers[v]:
+                p = self._props[ci]
+                if p[0] == _ALLDIFF:
+                    for u in p[1]:
+                        if u != v:
+                            masks[u] = masks.get(u, 0) | 1 << i
+                elif p[0] == _NOTEQ:
+                    u, o = (p[2], i - p[3]) if p[1] == v else (p[1], i + p[3])
+                    if 0 <= o < self.ubits:
+                        masks[u] = masks.get(u, 0) | 1 << o
+            got = row[i] = tuple(masks.items())
+        return got
 
     def fixpoint_view(self) -> Model:
         """This model, with prunes that leave a variable open waking only its

@@ -18,7 +18,7 @@ of the root's solution space. Each subproblem keeps the domains its
 propagation left, which are its root fixpoint (every propagator is monotone,
 so propagating the prefix from the parent's domains reaches the same
 fixpoint as propagating it from the model's initial domains), and the search
-starts from them without a root pass. The extensions propagate through
+starts from them without a root pass. Extensions that propagate go through
 :meth:`~eps_select.csp.Model.fixpoint_view`, where a prune that fixes no
 variable wakes no ``all_different`` or ``not_equal``: from a parent's
 domains, which are a fixpoint, that reaches the same child domains, or the
@@ -43,15 +43,38 @@ is its own only child, with no copy and no propagation: re-fixing a
 variable of a fixpoint prunes nothing and cannot fail. Its one assignment
 still counts in the work.
 
-Each depth is extended through :func:`~eps_select.runner.run_pool` with
-``processes=True``. A depth of at least ``FORK_MIN_ASSIGNMENTS`` enumeration
-assignments is cut into ``SPANS`` contiguous spans of the frontier, which
-forked worker processes extend when there is more than one worker, on any
-model: the decomposition only propagates and reads no incumbent. The parent
-concatenates the spans' children in task order and counts the assignments
-itself, so the subproblems, their domains, the prefix length and the work do
-not depend on the worker count. A smaller depth is one span, which runs in
-the calling process.
+On a model that :attr:`~eps_select.csp.Model.open_domains_decide` (every
+constraint an ``all_different``, or a ``not_equal`` whose scope repeats no
+variable) the extensions forward-check instead of propagating
+(:func:`_forward_check`). There every propagator acts on fixed variables
+only, and every parent is a fixpoint, so the child's fixpoint is the closure
+of one rule: a variable fixed to a value removes from each neighbour the
+values that value excludes (:meth:`~eps_select.csp.Model.removals`, filled
+on first use, so a wide value span costs only the pairs actually fixed); an
+emptied domain fails, and a neighbour that a removal fixes applies the rule
+in turn. Each removal is one that an ``all_different`` or ``not_equal``
+pass would make, so no fixpoint below the child's start keeps a removed
+value; and where no domain empties, the closure is a fixpoint of every
+constraint, since every fixed variable has made its removals (those fixed
+in the parent there, the others by the rule). It is therefore the unique
+fixpoint that ``_propagate`` reaches, and it fails where ``_propagate``
+fails: the children, their domains and their order, the prefix length and
+the work stay those of the propagating extension. Forward checking
+nqueens(10) to target 3000 costs about a quarter of propagating it, and
+forked spans would give most of the saving back to forking workers and
+unpickling their replies, so such a depth is one span in the calling
+process (BENCH_forward_check.json).
+
+Every other model's depths are extended through
+:func:`~eps_select.runner.run_pool` with ``processes=True``: a depth of at
+least ``FORK_MIN_ASSIGNMENTS`` enumeration assignments is cut into ``SPANS``
+contiguous spans of the frontier, which forked worker processes extend when
+there is more than one worker; the decomposition only propagates and reads
+no incumbent. The parent concatenates the spans' children in task order and
+counts the assignments itself, so the subproblems, their domains, the
+prefix length and the work do not depend on the worker count. A smaller
+depth is one span, which runs in the calling process, as does every depth
+that forward-checks.
 """
 
 from __future__ import annotations
@@ -67,19 +90,16 @@ from .csp import Model, _propagate
 from .runner import raise_failures, run_pool
 from .search import root_domains
 
-# a depth with fewer enumeration assignments than this is one span, which
-# run_pool extends in the calling process (it never forks for one task): its
-# propagation costs less than forking workers and pickling their replies.
-# Tuned on nqueens only: an assignment's cost differs between models, so the
-# count does not track a depth's cost elsewhere (BENCH_forked_decomposition.json).
-# Re-measured with each depth skipping the wakes its prefix decided, on 2
-# cores (BENCH_prefix_wakes.json, medians of 11 interleaved runs): forking
-# saves 5-6 ms on each of nqueens(10)'s depths 5 and 6 and costs 7-8 ms on
-# each of its depths 4 and 7, so its four forked depths about break even;
-# latin(5)'s depth 7 loses 6 ms and its depth 8 breaks even, while
-# allinterval(10)'s depth 4 saves 26 ms. Two depths below the threshold
-# would pay to fork: allinterval(10)'s depth 3 (680 assignments, 12 ms) and
-# golomb(8)'s depth 3 (833 assignments, 75 ms).
+# a propagating depth (one that does not forward-check) with fewer
+# enumeration assignments than this is one span, which run_pool extends in
+# the calling process (it never forks for one task): its propagation costs
+# less than forking workers and pickling their replies. An assignment's cost
+# differs between models, so the count does not track a depth's cost
+# everywhere (BENCH_forked_decomposition.json). Measured on 2 cores
+# (BENCH_prefix_wakes.json, medians of 11 interleaved runs): allinterval(10)'s
+# depth 4 saves 26 ms by forking. Two depths below the threshold would pay
+# to fork: allinterval(10)'s depth 3 (680 assignments, 12 ms) and golomb(8)'s
+# depth 3 (833 assignments, 75 ms).
 FORK_MIN_ASSIGNMENTS = 1000
 # a larger depth is cut into this many contiguous spans of its frontier; the
 # cut depends on the frontier only, so the subproblems do not depend on the
@@ -142,7 +162,6 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
     target = cfg.effective_target()
 
     root, _ = root_domains(model)
-    view = model.fixpoint_view()
 
     total_work = 0
     depth = 0
@@ -161,11 +180,17 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
             )
         total_work += assignments
         n = len(frontier)
-        size = -(-n // SPANS) if assignments >= FORK_MIN_ASSIGNMENTS else n
+        if model.open_domains_decide:
+            size = n
+            extend = partial(_forward_check, model, frontier, depth)
+        else:
+            size = -(-n // SPANS) if assignments >= FORK_MIN_ASSIGNMENTS else n
+            view = _prefix_view(model.fixpoint_view(), depth)
+            extend = partial(_extend, view, frontier, depth)
         results, _ = run_pool(
             [(start, min(start + size, n)) for start in range(0, n, size)],
             cfg.worker_count,
-            partial(_extend, _prefix_view(view, depth), frontier, depth),
+            extend,
             processes=True,
         )
         raise_failures(results)
@@ -249,6 +274,49 @@ def _extend(
             d2[depth] = low
             fc, _ = _propagate(model, d2, watch, [], (depth,))
             if fc < 0:
+                children.append(d2)
+    return children
+
+
+def _forward_check(
+    model: Model, frontier: list[list[int]], depth: int, span: tuple[int, int]
+) -> list[list[int]]:
+    """The children that :func:`_extend` gives on a model that
+    ``open_domains_decide``, reached without ``_propagate``: each value
+    fixed to variable ``depth`` removes :meth:`~eps_select.csp.Model.removals`
+    from its neighbours, and so does each neighbour that a removal fixes,
+    until a domain empties (no child) or no fix is left (see the module
+    docstring)."""
+    rows = model.removal_rows
+    removals = model.removals
+    children = []
+    for doms in frontier[span[0] : span[1]]:
+        d = doms[depth]
+        if d & (d - 1) == 0:
+            children.append(doms)  # its own only child, as in _extend
+            continue
+        while d:
+            low = d & -d
+            d ^= low
+            d2 = doms[:]
+            d2[depth] = low
+            fixed = [depth]
+            while fixed:
+                v = fixed.pop()
+                i = d2[v].bit_length() - 1
+                for u, m in rows[v].get(i) or removals(v, i):
+                    du = d2[u]
+                    if du & m:
+                        du &= ~m
+                        if not du:
+                            break
+                        d2[u] = du
+                        if du & (du - 1) == 0:
+                            fixed.append(u)
+                else:
+                    continue
+                break  # a domain emptied
+            else:
                 children.append(d2)
     return children
 

@@ -9,8 +9,9 @@ Régin, Rezgui & Malapert, CP 2013) and send back the pickled outcomes
 (:mod:`eps_select.forkpool`). A worker process runs on the copy of the
 parent's memory taken at the fork, so whatever a task writes stays there;
 only the returned results come back. Four callers do: the decomposition,
-for each depth it cuts into spans (on any model, since it only propagates),
-and, on satisfaction models, the PSS sample race in work mode (the sampled
+for each depth it cuts into spans (on any model whose depths propagate
+rather than forward-check, since it reads no incumbent), and, on
+satisfaction models, the PSS sample race in work mode (the sampled
 cells the oracle's memo lacks), the PSS remainder solve (unless the memo
 holds all of it, as after ``compare``'s single-strategy runs) and those
 single-strategy runs; optimization solves read the incumbent that earlier

@@ -21,6 +21,7 @@ from eps_select.decomposition import (
     sample_size_rule,
     srs_sample,
 )
+from eps_select.modelio import model_from_dict
 from eps_select.runner import TaskFailed
 from eps_select.search import SolveMode, root_domains, solve
 from eps_select.strategies import ALL_STRATEGIES, StrategyId
@@ -28,6 +29,7 @@ from eps_select.strategies import ALL_STRATEGIES, StrategyId
 from bruteforce import consistent_prefixes, reference_decomposition
 from conftest import all_reaped, fork_only
 from test_csp import _model, _scope_model
+from test_search import _random_distinct_model
 
 
 def test_target_one_gives_empty_prefix():
@@ -207,6 +209,123 @@ def test_prefix_view_drops_the_wakes_the_prefix_decides():
     assert decomposition._prefix_view(view, 0).watchers == view.watchers
 
 
+def _forward_check_models():
+    """nqueens(2..10), latin(3..5) and 40 random models of all_different and
+    not_equal constraints over distinct scopes with consistent roots."""
+    models = [nqueens(n) for n in range(2, 11)] + [latin(n) for n in (3, 4, 5)]
+    rng = random.Random("forward-check")
+    while len(models) < 52:
+        m = _random_distinct_model(rng)
+        try:
+            root_domains(m)
+        except InconsistentProblem:
+            continue
+        models.append(m)
+    return models
+
+
+def test_forward_check_gives_the_children_of_the_propagate_extension():
+    # at every depth a 3000 target visits, from the same frontier: the same
+    # children in the same order, and a fixed next variable's entry is its
+    # own only child, the same object
+    seen = {"negative lo": 0, "removal off the span": 0, "cascade fix": 0, "cascade failure": 0}
+    for m in _forward_check_models():
+        assert m.open_domains_decide
+        view = m.fixpoint_view()
+        seen["negative lo"] += m.lo < 0
+        frontier = [root_domains(m)[0]]
+        depth = 0
+        while frontier and len(frontier) < 3000 and depth < m.n:
+            span = (0, len(frontier))
+            want = decomposition._extend(
+                decomposition._prefix_view(view, depth), frontier, depth, span
+            )
+            got = decomposition._forward_check(m, frontier, depth, span)
+            assert got == want, (m.name, m.constraints, depth)
+            parents = {id(doms) for doms in frontier}
+            assert [c for c in got if id(c) in parents] == [
+                doms for doms in frontier if doms[depth].bit_count() == 1
+            ]
+            # the fixes that a removal made, and the extensions whose first
+            # removals empty nothing yet still fail
+            prefixes = {tuple(c[: depth + 1]) for c in got}
+            for doms in frontier:
+                d = doms[depth]
+                while d & (d - 1):
+                    low = d & -d
+                    d ^= low
+                    child = doms[:]
+                    child[depth] = low
+                    fixes = False
+                    for u, mask in m.removals(depth, low.bit_length() - 1):
+                        if child[u] & mask:
+                            child[u] &= ~mask
+                            fixes |= child[u] & (child[u] - 1) == 0
+                    if all(child):
+                        survives = tuple(child[: depth + 1]) in prefixes
+                        seen["cascade fix"] += fixes and survives
+                        seen["cascade failure"] += not survives
+            frontier = want
+            depth += 1
+        for c in m.constraints:
+            if isinstance(c, NotEqual):
+                # x - offset or y + offset off the span for some declared value
+                off = {v - c.offset for v in m.variables[c.x].values}
+                off |= {v + c.offset for v in m.variables[c.y].values}
+                seen["removal off the span"] += any(
+                    not m.lo <= v < m.lo + m.ubits for v in off
+                )
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("target", [5, 40, 300])
+def test_forward_check_decomposes_as_the_reference(target):
+    for m in _forward_check_models()[::4]:
+        prefixes, depth = reference_decomposition(m, target)
+        d = decompose(m, DecompositionConfig(target_count=target))
+        assert ([s.assignment for s in d.subproblems], d.prefix_len) == (prefixes, depth), (
+            m.name, m.constraints)
+
+
+def test_removal_table_holds_only_the_pairs_the_decomposition_fixed():
+    # three variables whose values span 0..65535 under one all_different:
+    # an eager table would hold 65 536 rows per variable
+    doc = {
+        "name": "wide",
+        "variables": [
+            {"id": "a", "domain": {"values": [0, 40000, 65535]}},
+            {"id": "b", "domain": [0, 1, 40000, 65535]},
+            {"id": "c", "domain": [1, 2, 65535]},
+        ],
+        "constraints": [{"kind": "all_different", "vars": ["a", "b", "c"]}],
+    }
+    m = model_from_dict(doc)
+    assert m.ubits == 1 << 16 and m.open_domains_decide
+    d = decompose(m, DecompositionConfig(target_count=10))
+    closed = model_from_dict(doc)
+    closed.open_domains_decide = False  # extends through _propagate
+    assert decompose(closed, DecompositionConfig(target_count=10)) == d
+    assert closed.removal_rows == ({}, {}, {})
+    # the pairs each depth fixes: its variable's values, and the variables
+    # that its children's propagation fixed
+    fixed = set()
+    frontier = [root_domains(m)[0]]
+    for depth in range(d.prefix_len):
+        fixed |= {(depth, v) for doms in frontier for v in m.decode(doms[depth])}
+        parents = frontier
+        frontier = decomposition._extend(closed, parents, depth, (0, len(parents)))
+        fixed |= {
+            (u, m.decode(child[u])[0])
+            for child in frontier
+            for u in range(m.n)
+            if child[u].bit_count() == 1 and all(doms[u] != child[u] for doms in parents)
+        }
+    table = {(v, i + m.lo) for v, row in enumerate(m.removal_rows) for i in row}
+    assert table == fixed
+    # at most one row per declared value, and one for each value of a
+    assert len(table) <= 10 and {v for u, v in table if u == 0} == {0, 40000, 65535}
+
+
 def test_root_inconsistent_raises():
     m = Model("bad", [VariableDecl("a", (1,)), VariableDecl("b", (1,))], [AllDifferent((0, 1))])
     with pytest.raises(InconsistentProblem, match="model 'bad' is inconsistent"):
@@ -234,16 +353,15 @@ def test_unsatisfiable_consistent_root_gives_the_root(n, workers):
 @pytest.mark.parametrize(
     "model_fn, target, threshold, forked_depths",
     [
-        # the module's threshold: depths 4-7 of nqueens(10) fork, and the
-        # target is never reached (shortfall, all ten depths)
-        (lambda: nqueens(10), 3000, None, 4),
-        (lambda: latin(5), 3000, None, 2),  # depths 7 and 8
+        # the module's threshold: depth 4 of allinterval(10) forks (3728
+        # assignments) and reaches the target
+        (lambda: allinterval(10), 3000, None, 1),
         # a low threshold makes the small depths of these fork as well:
         # golomb(8) is an optimization model, magicsquare(3) falls short
         (lambda: golomb(8), 500, 10, 1),  # depth 3; depth 2 has one parent
         (lambda: magicsquare(3), 10**9, 10, 3),  # depths 2-4
     ],
-    ids=["nqueens10", "latin5", "golomb8", "magicsquare3"],
+    ids=["allinterval10", "golomb8", "magicsquare3"],
 )
 def test_spans_and_forks_leave_the_decomposition_unchanged(
     forks, monkeypatch, model_fn, target, threshold, forked_depths
@@ -264,14 +382,31 @@ def test_spans_and_forks_leave_the_decomposition_unchanged(
 
 
 @fork_only
+@pytest.mark.parametrize(
+    "model_fn, target",
+    [(lambda: nqueens(10), 3000), (lambda: latin(5), 3000)],
+    ids=["nqueens10", "latin5"],
+)
+def test_open_domain_models_fork_no_decomposition_worker(forks, model_fn, target):
+    # their depths of over FORK_MIN_ASSIGNMENTS assignments (nqueens(10)'s
+    # 4-7, latin(5)'s 7 and 8) are forward-checked in the calling process
+    m = model_fn()
+    assert m.open_domains_decide
+    one = decompose(m, DecompositionConfig(target_count=target))
+    assert decompose(m, DecompositionConfig(target_count=target, worker_count=2)) == one
+    assert forks == []
+
+
+@fork_only
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failing_extension_raises_task_failed(forks, monkeypatch, workers):
-    m = nqueens(10)
+    m = allinterval(10)
     real = decomposition._propagate
 
     def broken(model, masks, watch, stack, set_vars=None):
-        # depth 5 (3724 assignments) forks at 2 workers, after depth 4
-        if watch is model.watchers[4] and masks[0] == 1 << 7:
+        # depth 4 (3728 assignments) forks at 2 workers, after three serial
+        # depths; x0 = 7 lies in a span past the first
+        if watch is model.watchers[3] and masks[0] == 1 << 7:
             raise ValueError("extension broke")
         return real(model, masks, watch, stack, set_vars)
 
@@ -280,8 +415,28 @@ def test_failing_extension_raises_task_failed(forks, monkeypatch, workers):
         decompose(m, DecompositionConfig(target_count=3000, worker_count=workers))
     assert isinstance(exc.value.__cause__, ValueError)
     assert str(exc.value.__cause__) == "extension broke"
-    assert len(forks) == (4 if workers == 2 else 0)  # depths 4 and 5
+    assert len(forks) == (2 if workers == 2 else 0)  # depth 4
     assert all_reaped(forks)
+
+
+@fork_only
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_forward_check_raises_task_failed(forks, monkeypatch, workers):
+    # depth 5 of nqueens(10) (3724 assignments) ends the run in the calling
+    # process, at either worker count
+    real = decomposition._forward_check
+
+    def broken(model, frontier, depth, span):
+        if depth == 4:
+            raise ValueError("forward check broke")
+        return real(model, frontier, depth, span)
+
+    monkeypatch.setattr(decomposition, "_forward_check", broken)
+    with pytest.raises(TaskFailed) as exc:
+        decompose(nqueens(10), DecompositionConfig(target_count=3000, worker_count=workers))
+    assert isinstance(exc.value.__cause__, ValueError)
+    assert str(exc.value.__cause__) == "forward check broke"
+    assert forks == []
 
 
 @fork_only
