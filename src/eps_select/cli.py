@@ -2,12 +2,13 @@
 
 Subcommands and the options each takes (any other is a usage error): solve
 takes model, --strategy, --budget and --first; decompose model, pool and
-sample; pss and compare all six sets; mab model, pool and --time-mode;
-portfolio those and --strategies. The sets are model (--model or --json,
---n, --maxlen, --out), pool (--workers, --target-subproblems), sample
-(--seed, --sample-size), race (--alpha, --timeout-factor), --time-mode and
---csv. Reports go to stdout as plain tables; ``--out`` writes the full
-report as JSON and ``--csv`` appends one row per strategy/mode.
+sample; pss and compare all four sets. The sets are model (--model or
+--json, --n, --maxlen, --out), pool (--workers, --target-subproblems),
+sample (--seed, --sample-size) and race (--alpha, --timeout-factor,
+--time-mode, --csv). Reports go to stdout as plain tables; ``--out`` writes
+the full report as JSON and ``--csv`` appends one row per strategy/mode.
+The bandit and portfolio baselines run only inside ``compare``, from the
+oracle memo its PSS run reads.
 Only the listed option spellings are accepted, never an abbreviation.
 Exit codes: 0 success, 1 runtime failure, 2 usage error, 141 (quietly) when
 the reader of stdout closes it before the report is written. EPS_SELECT_LOG
@@ -49,7 +50,7 @@ from .selection import (
     pss_select,
     selection_cost_bound,
 )
-from .strategies import ALL_STRATEGIES, StrategyId, parse_strategies, parse_strategy
+from .strategies import ALL_STRATEGIES, StrategyId, parse_strategy
 
 log = logging.getLogger("eps_select")
 
@@ -83,10 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     race = argparse.ArgumentParser(add_help=False)
     race.add_argument("--alpha", type=float, default=0.01)
     race.add_argument("--timeout-factor", type=float, default=2.0)
-    timing = argparse.ArgumentParser(add_help=False)
-    timing.add_argument("--time-mode", choices=["work", "wall"], default="work")
-    rows = argparse.ArgumentParser(add_help=False)
-    rows.add_argument("--csv", dest="csv_path", help="append per-strategy rows here")
+    race.add_argument("--time-mode", choices=["work", "wall"], default="work")
+    race.add_argument("--csv", dest="csv_path", help="append per-strategy rows here")
 
     p = sub.add_parser("solve", parents=[model], allow_abbrev=False,
                        help="solve with a single strategy")
@@ -95,14 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--first", action="store_true", help="stop at the first solution")
     sub.add_parser("decompose", parents=[model, pool, sample], allow_abbrev=False,
                    help="dump the subproblem decomposition")
-    everything = [model, pool, sample, race, timing, rows]
+    everything = [model, pool, sample, race]
     sub.add_parser("pss", parents=everything, allow_abbrev=False,
                    help="parallel strategy selection run")
-    sub.add_parser("mab", parents=[model, pool, timing], allow_abbrev=False,
-                   help="UCB1 multi-armed bandit baseline")
-    p = sub.add_parser("portfolio", parents=[model, pool, timing], allow_abbrev=False,
-                       help="run several strategies on everything")
-    p.add_argument("--strategies", default="ff,act,wdegm,wdegM")
     sub.add_parser("compare", parents=everything, allow_abbrev=False,
                    help="all single strategies + pss + mab + portfolio-x4")
     return ap
@@ -219,6 +213,8 @@ class Comparison:
 def compare(model: Model, cfg: PssConfig) -> Comparison:
     """Run every method of :class:`Comparison` on one decomposition.
 
+    This is the only driver of the bandit and portfolio baselines: they are
+    charged from the memo that PSS reads, never from a run of their own.
     Each single strategy solves every subproblem in its own task pool, one
     pool per strategy in ``ALL_STRATEGIES`` order (in worker processes on a
     satisfaction model with more than one worker), which runs each twin
@@ -288,10 +284,7 @@ def _print_selection_report(model: Model, rep: SelectionReport) -> None:
         print("tie-break among:", ", ".join(s.token for s in rep.survivors_tiebreak))
     measured, bound = selection_cost_bound(rep)
     no_timeouts = rep.race_cost_without_timeouts  # unknown in wall-clock mode
-    print(
-        f"winner: {rep.winner.token}   confidence: {rep.overall_confidence:.4f} "
-        f"({rep.comparisons} comparisons at alpha={rep.alpha})"
-    )
+    print(f"winner: {rep.winner.token}")
     print(
         f"costs: selection={_fmt(rep.selection_cost)} "
         f"(race={_fmt(rep.race_cost)} <= bound {_fmt(bound)}; "
@@ -381,33 +374,6 @@ def _dispatch(args) -> int:
         totals = {s.token: rep.sample_totals[s] for s in rep.strategies}
         _write_csv(args, _csv_rows(model.name, totals, rep.winner.token, cfg.race.time_mode,
                                    {s.token: c for s, c in rep.race_censored_counts.items()}))
-        return 0
-
-    if args.command == "mab":
-        decomp = decompose(model, _decomposition(args))
-        oracle = ModelOracle(model, decomp.subproblems, time_mode=TimeMode(args.time_mode))
-        rep = mab_on_oracle(oracle)
-        print(f"{model.name} MAB: total={_fmt(rep.total_cost)} "
-              f"(warm start={_fmt(rep.warm_start_cost)})")
-        print(_table(("arm", "pulls"), [(s.token, c) for s, c in rep.pulls.items()]))
-        if rep.solutions_found is not None:
-            print(f"solutions: {rep.solutions_found}")
-        if rep.best_objective is not None:
-            print(f"best objective: {rep.best_objective}")
-        _write_out(args, {"model": model.name, "mab": rep.to_dict()})
-        return 0
-
-    if args.command == "portfolio":
-        sids = parse_strategies(args.strategies)
-        decomp = decompose(model, _decomposition(args))
-        # an oracle over every strategy, as pss, mab and compare use, so the
-        # warm start and its charge are theirs
-        oracle = ModelOracle(model, decomp.subproblems, time_mode=TimeMode(args.time_mode))
-        rep = portfolio_on_oracle(oracle, sids)
-        print(f"{model.name} portfolio[{args.strategies}]: total={_fmt(rep.total_cost)} "
-              f"(warm start={_fmt(rep.warm_start_cost)})")
-        print(_table(("strategy", "total"), [(s.token, _fmt(v)) for s, v in rep.per_strategy.items()]))
-        _write_out(args, {"model": model.name, "portfolio": rep.to_dict()})
         return 0
 
     if args.command == "compare":

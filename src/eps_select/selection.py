@@ -516,6 +516,9 @@ class SelectionReport:
     uncensor_cost: float
     resolve_cost: float
     warm_start_cost: float
+    # WSR tests run. Each is one-tailed against an anchor the data chose, so
+    # (1 - alpha) ** comparisons is no confidence (test_selection.py's
+    # calibration tests)
     comparisons: int
     reversals: int
     alpha: float
@@ -539,10 +542,6 @@ class SelectionReport:
     @property
     def strategies(self) -> tuple[StrategyId, ...]:
         return self.matrix.strategies
-
-    @property
-    def overall_confidence(self) -> float:
-        return (1.0 - self.alpha) ** self.comparisons
 
     @property
     def best_total(self) -> float:
@@ -576,7 +575,6 @@ class SelectionReport:
                 if self.survivors_tiebreak
                 else None
             ),
-            "overall_confidence": self.overall_confidence,
             "selection_cost": self.selection_cost,
             "solve_cost": self.solve_cost,
             "total_cost": self.total_cost,

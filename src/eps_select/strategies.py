@@ -42,14 +42,6 @@ def parse_strategy(token: str) -> StrategyId:
         raise ValueError(f"unknown strategy {token!r} (expected one of: {valid})") from None
 
 
-def parse_strategies(tokens: str) -> tuple[StrategyId, ...]:
-    sids = tuple(parse_strategy(t.strip()) for t in tokens.split(",") if t.strip())
-    for i, sid in enumerate(sids):
-        if sid in sids[:i]:
-            raise ValueError(f"strategy {sid.token!r} is listed twice")
-    return sids
-
-
 class CounterState:
     """Per-search-run activity and weighted-degree counters.
 

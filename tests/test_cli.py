@@ -47,14 +47,12 @@ _READS = {
     "solve": ("--strategy", "--budget", "--first"),
     "decompose": (*_POOL, "--seed", "--sample-size"),
     "pss": _PSS,
-    "mab": (*_POOL, "--time-mode"),
-    "portfolio": (*_POOL, "--time-mode", "--strategies"),
     "compare": _PSS,
 }
 _VALUES = {
     "--workers": "2", "--target-subproblems": "10", "--seed": "5", "--sample-size": "5",
     "--alpha": "0.05", "--timeout-factor": "3", "--time-mode": "wall", "--csv": "rows.csv",
-    "--strategy": "ff", "--budget": "10", "--first": None, "--strategies": "ff,act",
+    "--strategy": "ff", "--budget": "10", "--first": None,
 }
 
 
@@ -146,18 +144,6 @@ def test_model_and_json_are_exclusive(tmp_path, capsys):
         )
 
 
-def test_portfolio_refuses_a_repeated_strategy(monkeypatch, capsys):
-    import eps_select.cli as cli_module
-
-    calls = []
-    monkeypatch.setattr(cli_module, "decompose", lambda *a, **k: calls.append(a))
-    rc = main(["portfolio", "--model", "nqueens", "--n", "6", "--target-subproblems", "10",
-               "--strategies", "ff,act,ff"])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: strategy 'ff' is listed twice\n"
-    assert calls == []
-
-
 @pytest.mark.parametrize("mode,header", [("work", "total work"), ("wall", "total ms")])
 def test_compare_heads_its_totals_with_the_time_mode(mode, header, capsys):
     rc = main(["compare", "--model", "nqueens", "--n", "6", "--target-subproblems", "10",
@@ -169,6 +155,23 @@ def test_compare_heads_its_totals_with_the_time_mode(mode, header, capsys):
 def test_negative_budget_exits_1(capsys):
     assert main(["solve", "--model", "nqueens", "--n", "6", "--budget", "-3"]) == 1
     assert capsys.readouterr().err.startswith("error: budget")
+
+
+@pytest.mark.parametrize("command", ["mab", "portfolio"])
+def test_baselines_run_only_inside_compare(command, tmp_path, monkeypatch):
+    # the bandit and the portfolio have no subcommand of their own: asking
+    # for one is a usage error before any file is written or any work is done
+    import eps_select.cli as cli_module
+
+    calls = []
+    for name in ("decompose", "mab_on_oracle", "portfolio_on_oracle"):
+        monkeypatch.setattr(cli_module, name, lambda *a, **k: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--model", "nqueens", "--n", "6", "--out", "report.json"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+    assert calls == []
 
 
 def test_missing_subcommand_exits_2():
@@ -250,26 +253,6 @@ def test_wall_mode_csv_rows_hold_milliseconds(tmp_path, capsys):
     assert sum(int(row["winner_flag"]) for row in rows) == 1
 
 
-def test_mab_command(capsys):
-    rc = main(["mab", "--model", "nqueens", "--n", "6", "--target-subproblems", "20"])
-    assert rc == 0
-    assert "MAB: total=" in capsys.readouterr().out
-
-
-def test_portfolio_command(capsys):
-    rc = main(
-        [
-            "portfolio",
-            "--model", "latin", "--n", "3",
-            "--strategies", "ff,mostc",
-            "--target-subproblems", "5",
-        ]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "portfolio[ff,mostc]" in out
-
-
 def test_compare_command(tmp_path, capsys):
     out_path = tmp_path / "cmp.json"
     rc = main(
@@ -312,18 +295,6 @@ def test_compare_methods_start_from_one_warm_start():
     assert cmp.portfolio.warm_start_cost == warm
     assert tuple(cmp.portfolio.per_strategy) == cmp.best4
     assert cmp.portfolio.total_cost == sum(cmp.portfolio.per_strategy.values()) + warm
-
-
-def test_portfolio_pays_the_warm_start_of_mab(capsys):
-    # the standalone portfolio warm-starts every strategy, as mab and pss do,
-    # not only its own arms
-    argv = ["--model", "golomb", "--n", "7", "--target-subproblems", "200"]
-    warm = []
-    for command in (["mab"], ["portfolio", "--strategies", "ff,mostc"]):
-        assert main(command + argv) == 0
-        first = capsys.readouterr().out.splitlines()[0]
-        warm.append(first[first.index("(warm start="):])
-    assert warm[0] == warm[1] == "(warm start=48)"
 
 
 def test_compare_report_independent_of_worker_count(tmp_path, capsys):

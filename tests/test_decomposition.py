@@ -455,6 +455,7 @@ def test_fixpoint_view_leaves_the_decomposition_unchanged(forks, monkeypatch, mo
     # the extensions propagate through the fixpoint view; through the model
     # itself they must give the same decomposition, at 1 and 2 workers
     m = model_fn()
+    m.open_domains_decide = False  # nqueens and latin extend through _propagate too
     assert m.fixpoint_view().change_watchers != m.watchers
     cfgs = [DecompositionConfig(target_count=target, worker_count=w) for w in (1, 2)]
     through_view = [decompose(m, cfg) for cfg in cfgs]
@@ -515,6 +516,7 @@ def test_fixed_variable_rule_leaves_the_decomposition_unchanged(
     # against a one-span reference that propagates every extension, at 1 and
     # 2 workers (the module's threshold forks the larger depths at 2)
     m = model_fn()
+    m.open_domains_decide = False  # nqueens and latin extend through _extend too
     cfgs = [DecompositionConfig(target_count=target, worker_count=w) for w in (1, 2)]
     ruled = [decompose(m, cfg) for cfg in cfgs]
     monkeypatch.setattr(decomposition, "_extend", _extend_propagating_every_value)

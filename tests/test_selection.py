@@ -204,7 +204,7 @@ def test_select_on_matrix_golden_winner():
     assert [s for s, _ in rep.eliminated] == [S[2], S[3], S[1]]  # ascending totals
     assert rep.survivors_tiebreak is None
     assert rep.comparisons == 3
-    assert rep.overall_confidence == pytest.approx(0.95**3)
+    assert rep.alpha == 0.05
     assert rep.race_cost == sum(GOLDEN_CENSORED_TOTALS)
     assert rep.race_cost_without_timeouts == sum(GOLDEN_UNCENSORED_TOTALS)
     assert rep.best_total == 1257
@@ -222,11 +222,54 @@ def test_single_strategy_trivial_selection():
     rep = select_on_matrix({S[0]: [4, 5, 6]})
     assert rep.winner is S[0]
     assert rep.comparisons == 0
-    assert rep.overall_confidence == 1.0
+    assert "overall_confidence" not in rep.to_dict()
     assert rep.eliminated == []
     measured, bound = selection_cost_bound(rep)
     assert measured == 15  # the lone strategy just runs uncensored
     assert bound == 2 * 15
+
+
+def _lognormal_matrices(seed, count, fast_factor=1.0):
+    """``count`` matrices of 30 rows over all seven strategies, each cell a
+    per-row lognormal(6, 1.5) scale times a per-cell lognormal(0, 1) factor,
+    in whole work units; one strategy per matrix, in turn, has its cells
+    scaled by ``fast_factor``. Yields (that strategy, costs)."""
+    rng = random.Random(seed)
+    for k in range(count):
+        scales = [rng.lognormvariate(6.0, 1.5) for _ in range(30)]
+        fast = S[k % len(S)]
+        yield fast, {
+            s: [
+                max(1, round(scale * rng.lognormvariate(0.0, 1.0) * (fast_factor if s is fast else 1.0)))
+                for scale in scales
+            ]
+            for s in S
+        }
+
+
+def test_calibration_identical_strategies_are_eliminated_beyond_the_naive_figure():
+    # every elimination among identical strategies is false; the anchor is
+    # chosen from the data, so each one-tailed test against it errs about
+    # twice as often as alpha, and some strategy falls in well over the
+    # 1 - (1 - alpha)^comparisons that fixed tests would give
+    alpha, count = 0.01, 400
+    reports = [select_on_matrix(m, RaceConfig(alpha=alpha)) for _, m in _lognormal_matrices(7, count)]
+    rate = sum(bool(rep.eliminated) for rep in reports) / count
+    naive = 1 - (1 - alpha) ** max(rep.comparisons for rep in reports)
+    se = (naive * (1 - naive) / count) ** 0.5
+    assert rate > naive + 3 * se
+
+
+def test_calibration_a_faster_strategy_is_almost_never_eliminated():
+    # one strategy 30 % cheaper per cell: the rule may drop it at most at
+    # about its level alpha, give or take three binomial standard errors
+    alpha, count = 0.01, 300
+    eliminated = 0
+    for fast, m in _lognormal_matrices(11, count, fast_factor=0.7):
+        rep = select_on_matrix(m, RaceConfig(alpha=alpha))
+        eliminated += fast in [s for s, _ in rep.eliminated]
+    se = (alpha * (1 - alpha) / count) ** 0.5
+    assert eliminated / count <= alpha + 3 * se
 
 
 def test_reversal_restart_at_selection_level():
@@ -446,7 +489,7 @@ def test_pss_select_end_to_end_satisfaction():
     assert rep.selection_cost == rep.race_cost + rep.uncensor_cost + rep.resolve_cost
     # the winner's selection is sound enough to keep the exact model count
     assert rep.solutions_found == count_all(model).solutions_found
-    assert 0 < rep.overall_confidence <= 1
+    assert (rep.to_dict()["comparisons"], rep.to_dict()["alpha"]) == (rep.comparisons, 0.05)
 
 
 def test_pss_select_end_to_end_optimization():

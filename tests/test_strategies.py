@@ -8,7 +8,6 @@ from eps_select.strategies import (
     ALL_STRATEGIES,
     CounterState,
     StrategyId,
-    parse_strategies,
     parse_strategy,
     variable_chooser,
 )
@@ -32,7 +31,6 @@ def test_tokens_roundtrip():
     ]
     for s in ALL_STRATEGIES:
         assert parse_strategy(s.token) is s
-    assert parse_strategies("ff, wdegM") == (StrategyId.FF, StrategyId.WDEG_MAX)
     with pytest.raises(ValueError):
         parse_strategy("wdegm ")
 
