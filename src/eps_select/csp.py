@@ -100,7 +100,10 @@ decomposition reads the fixpoint alone, and so does the search under ``ff``,
 ``mregret`` and ``mostc``, which choose from the domains alone: both
 propagate through the view. The search under ``act``, which reads the pruned
 variables, and under the weighted-degree strategies, which read the failing
-constraint, propagates through the model.
+constraint, propagates through the model. On a model that
+``open_domains_decide`` the decomposition and the search under those three
+strategies do not propagate below the root at all: they forward-check with
+:func:`_cascade`, which reaches the same fixpoint.
 """
 
 from __future__ import annotations
@@ -115,6 +118,12 @@ from typing import Iterable, Optional, Sequence, Union
 # domain mask is that many bits wide, so a wider span is refused before any
 # mask or value tuple is built.
 MAX_DOMAIN_WIDTH = 1 << 16
+# The most removal rows (Model.removals) one model stores in a process; past
+# it each further row is computed on every use. A row over the widest span
+# holds masks of up to 8 KB (one, shared, per all_different fix), so a full
+# table of a 3-variable all_different over 0..65535 takes at most about
+# 35 MB; nqueens(10) and latin(5) need 100 and 125 rows, latin(10) 1 000.
+REMOVAL_ROWS = 1 << 12
 
 
 class InconsistentProblem(ValueError):
@@ -226,7 +235,8 @@ class Model:
     A Model is built once and shared read-only by every worker; all mutable
     search state lives in the domain-mask lists handed to :func:`_propagate`.
     Only ``removal_rows`` grows, as a cache of values that the model's
-    constraints determine. The tables, per variable ``v``:
+    constraints determine, and it stops at ``REMOVAL_ROWS`` rows, shared by
+    the model and its views. The tables, per variable ``v``:
 
     * ``watchers[v]`` -- the constraints over ``v``, each once, woken when a
       prune fixes ``v``;
@@ -237,11 +247,14 @@ class Model:
       its value to;
     * ``static_degree[v]`` -- the number of constraints over ``v``;
     * ``removal_rows[v]`` -- the :meth:`removals` of ``v`` computed so far,
-      keyed by bit index (filled on first use).
+      keyed by bit index (filled on first use, until the table holds
+      ``REMOVAL_ROWS`` rows).
 
     ``open_domains_decide`` is True when every constraint is an
     ``all_different`` or a ``not_equal`` over a scope that repeats no
-    variable.
+    variable. Then the fixpoint below a fixpoint is the closure of the
+    removal rows (:func:`_cascade`), which the decomposition and the search
+    under ``ff``, ``mregret`` and ``mostc`` compute instead of propagating.
     """
 
     def __init__(
@@ -354,6 +367,8 @@ class Model:
         self.removal_rows: tuple[dict[int, tuple[tuple[int, int], ...]], ...] = tuple(
             {} for _ in range(self.n)
         )
+        # the rows stored in removal_rows, in a cell that views share
+        self._rows_stored = [0]
 
     def removals(self, v: int, i: int) -> tuple[tuple[int, int], ...]:
         """What fixing ``v`` to the value of bit ``i`` removes from the other
@@ -364,23 +379,30 @@ class Model:
         the rest of its scope; ``NotEqual(v, y, offset)`` removes the bit of
         the value minus ``offset`` from ``y``, ``NotEqual(x, v, offset)``
         the bit of the value plus ``offset`` from ``x``. Computed once per
-        ``(v, i)`` and kept in ``removal_rows[v][i]``; on a model that
-        ``open_domains_decide`` it is all that the fix propagates."""
+        ``(v, i)`` and kept in ``removal_rows[v][i]`` while the table holds
+        fewer than ``REMOVAL_ROWS`` rows, else computed on every call; on a
+        model that ``open_domains_decide`` it is all that the fix
+        propagates."""
         row = self.removal_rows[v]
         got = row.get(i)
         if got is None:
+            # a variable that loses only the value itself shares one mask
+            bit = 1 << i
             masks: dict[int, int] = {}
             for ci in self.watchers[v]:
                 p = self._props[ci]
                 if p[0] == _ALLDIFF:
                     for u in p[1]:
                         if u != v:
-                            masks[u] = masks.get(u, 0) | 1 << i
+                            masks[u] = masks[u] | bit if u in masks else bit
                 elif p[0] == _NOTEQ:
                     u, o = (p[2], i - p[3]) if p[1] == v else (p[1], i + p[3])
                     if 0 <= o < self.ubits:
                         masks[u] = masks.get(u, 0) | 1 << o
-            got = row[i] = tuple(masks.items())
+            got = tuple(masks.items())
+            if self._rows_stored[0] < REMOVAL_ROWS:
+                row[i] = got
+                self._rows_stored[0] += 1
         return got
 
     def fixpoint_view(self) -> Model:
@@ -427,6 +449,38 @@ class Model:
             out.append(low.bit_length() - 1 + base)
             mask ^= low
         return tuple(out)
+
+
+def _cascade(model: Model, doms: list[int], fixed: list[int]) -> tuple[int, int]:
+    """Forward checking: the removal cascade of the variables in ``fixed``.
+
+    Each variable popped from ``fixed`` (a singleton in ``doms``) removes its
+    :meth:`Model.removals` row from its neighbours, and a neighbour that a
+    removal fixes is pushed in turn, until a domain empties or ``fixed`` is
+    empty. Mutates ``doms`` and ``fixed`` in place. Returns ``(emptied
+    variable or -1, rows applied)``, the row that emptied a domain included.
+    On a model that ``open_domains_decide``, from a fixpoint in which the
+    variables in ``fixed`` were just set, this reaches the fixpoint that
+    :func:`_propagate` reaches, and fails where it fails (see
+    :mod:`eps_select.decomposition`).
+    """
+    rows = model.removal_rows
+    removals = model.removals
+    applied = 0
+    while fixed:
+        v = fixed.pop()
+        i = doms[v].bit_length() - 1
+        applied += 1
+        for u, m in rows[v].get(i) or removals(v, i):
+            du = doms[u]
+            if du & m:
+                du &= ~m
+                if not du:
+                    return u, applied
+                doms[u] = du
+                if du & (du - 1) == 0:
+                    fixed.append(u)
+    return -1, applied
 
 
 def _propagate(

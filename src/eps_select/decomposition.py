@@ -48,18 +48,21 @@ constraint an ``all_different``, or a ``not_equal`` whose scope repeats no
 variable) the extensions forward-check instead of propagating
 (:func:`_forward_check`). There every propagator acts on fixed variables
 only, and every parent is a fixpoint, so the child's fixpoint is the closure
-of one rule: a variable fixed to a value removes from each neighbour the
-values that value excludes (:meth:`~eps_select.csp.Model.removals`, filled
-on first use, so a wide value span costs only the pairs actually fixed); an
-emptied domain fails, and a neighbour that a removal fixes applies the rule
-in turn. Each removal is one that an ``all_different`` or ``not_equal``
-pass would make, so no fixpoint below the child's start keeps a removed
-value; and where no domain empties, the closure is a fixpoint of every
-constraint, since every fixed variable has made its removals (those fixed
-in the parent there, the others by the rule). It is therefore the unique
-fixpoint that ``_propagate`` reaches, and it fails where ``_propagate``
-fails: the children, their domains and their order, the prefix length and
-the work stay those of the propagating extension. Forward checking
+of one rule, which :func:`~eps_select.csp._cascade` applies for the
+decomposition and the search alike: a variable fixed to a value removes
+from each neighbour the values that value excludes
+(:meth:`~eps_select.csp.Model.removals`, filled on first use and capped at
+``REMOVAL_ROWS`` stored rows, so a wide value span costs only the pairs
+actually fixed); an emptied domain fails, and a neighbour that a removal
+fixes applies the rule in turn. Each removal is one that an
+``all_different`` or ``not_equal`` pass would make, so no fixpoint below
+the child's start keeps a removed value; and where no domain empties, the
+closure is a fixpoint of every constraint, since every fixed variable has
+made its removals (those fixed in the parent there, the others by the
+rule). It is therefore the unique fixpoint that ``_propagate`` reaches, and
+it fails where ``_propagate`` fails: the children, their domains and their
+order, the prefix length and the work stay those of the propagating
+extension. Forward checking
 nqueens(10) to target 3000 costs about a quarter of propagating it, and
 forked spans would give most of the saving back to forking workers and
 unpickling their replies, so such a depth is one span in the calling
@@ -86,7 +89,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
-from .csp import Model, _propagate
+from .csp import Model, _cascade, _propagate
 from .runner import raise_failures, run_pool
 from .search import root_domains
 
@@ -283,12 +286,10 @@ def _forward_check(
 ) -> list[list[int]]:
     """The children that :func:`_extend` gives on a model that
     ``open_domains_decide``, reached without ``_propagate``: each value
-    fixed to variable ``depth`` removes :meth:`~eps_select.csp.Model.removals`
-    from its neighbours, and so does each neighbour that a removal fixes,
-    until a domain empties (no child) or no fix is left (see the module
-    docstring)."""
-    rows = model.removal_rows
-    removals = model.removals
+    fixed to variable ``depth`` runs :func:`~eps_select.csp._cascade`: it
+    removes :meth:`~eps_select.csp.Model.removals` from its neighbours, and
+    so does each neighbour that a removal fixes, until a domain empties (no
+    child) or no fix is left (see the module docstring)."""
     children = []
     for doms in frontier[span[0] : span[1]]:
         d = doms[depth]
@@ -300,23 +301,7 @@ def _forward_check(
             d ^= low
             d2 = doms[:]
             d2[depth] = low
-            fixed = [depth]
-            while fixed:
-                v = fixed.pop()
-                i = d2[v].bit_length() - 1
-                for u, m in rows[v].get(i) or removals(v, i):
-                    du = d2[u]
-                    if du & m:
-                        du &= ~m
-                        if not du:
-                            break
-                        d2[u] = du
-                        if du & (du - 1) == 0:
-                            fixed.append(u)
-                else:
-                    continue
-                break  # a domain emptied
-            else:
+            if _cascade(model, d2, [depth])[0] < 0:
                 children.append(d2)
     return children
 

@@ -13,8 +13,23 @@ prune or a right branch that fixes no variable wakes no ``all_different`` or
 ``not_equal``: every node is a fixpoint of all constraints, so each node
 below it reaches the same domains, or the same failure, as with every wake
 (see :mod:`eps_select.csp`); only ``propagations``, the propagator passes,
-differs. The other four read the pruned variables or the failing
-constraint, so their search wakes every constraint on a pruned variable.
+differs. On a model whose
+:attr:`~eps_select.csp.Model.open_domains_decide` (nqueens, latin) those
+three forward-check instead, as the decomposition does: a branch that fixes
+its variable runs :func:`~eps_select.csp._cascade`, which removes that
+value's :meth:`~eps_select.csp.Model.removals` row from the neighbours and
+does the same for each neighbour a removal fixes, and fails when a domain
+empties; a branch that leaves its variable open propagates nothing, since
+no ``all_different`` or ``not_equal`` acts on an open variable. In
+``OPTIMIZE`` mode a bound prune that fixes the objective joins the cascade,
+and one that leaves it open prunes nothing further for the same reason.
+From a fixpoint that cascade reaches the unique fixpoint that
+``_propagate`` reaches, or fails where it fails (see
+:mod:`eps_select.decomposition`), so every decision, failure, solution and
+status stays the same; ``propagations`` then counts the root passes plus the
+removal rows applied, one per fix. The other four read the pruned variables
+or the failing constraint, so their search wakes every constraint on a
+pruned variable.
 Every node is a fixpoint, so each propagation names the variables the branch
 has just set -- the branch variable, and the objective after a bound prune
 -- and only their fixed values seed the ``all_different`` pending values
@@ -87,7 +102,9 @@ from enum import Enum
 from time import perf_counter
 from typing import Callable, Hashable, Optional, Sequence
 
-from .csp import AbsDiff, AllDifferent, InconsistentProblem, Model, NotEqual, _propagate
+from .csp import (
+    AbsDiff, AllDifferent, InconsistentProblem, Model, NotEqual, _cascade, _propagate,
+)
 from .strategies import CounterState, StrategyId, variable_chooser
 
 _NO_LIMIT = 1 << 62
@@ -297,6 +314,9 @@ def solve(
     # fixpoint view, which skips wakes that cannot prune (see the docstring)
     domain_only = not (keep_activity or keep_wdeg)
     pmodel = model.fixpoint_view() if domain_only else model
+    # where the open domains decide the search, such a chooser's fixpoint is
+    # the removal cascade of the fixes (see the docstring)
+    forward = domain_only and model.open_domains_decide
     change_watchers = pmodel.change_watchers
     pick_max = sid is StrategyId.WDEG_MAX
     first_only = mode is SolveMode.FIRST_SOLUTION
@@ -397,6 +417,16 @@ def solve(
                 wake = wake_obj[var]
                 if var != objvar:
                     set_vars = (var, objvar)
+        if forward:
+            # only a fix propagates, by its removal cascade (see the docstring)
+            fixed = [v for v in set_vars if node[v] & (node[v] - 1) == 0]
+            if fixed:
+                fv, rows = _cascade(model, node, fixed)
+                propagations += rows
+                if fv >= 0:
+                    failures += 1
+                    node = None
+            continue
         pruned.clear()
         fc, np_ = _propagate(pmodel, node, wake, pruned, set_vars)
         propagations += np_

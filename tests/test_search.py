@@ -295,6 +295,19 @@ FIX_EVENT_PROPAGATIONS = {
     ("golomb", "mostc"): 370,
 }
 
+# The propagations of the rows whose search forward-checks: a domain-only
+# strategy on a model of all_different and not_equal constraints counts the
+# root passes and then the removal rows its fixes applied. Every other column
+# is the full-wake record above.
+FORWARD_CHECK_PROPAGATIONS = {
+    ("nqueens", "ff"): 436,
+    ("nqueens", "mregret"): 491,
+    ("nqueens", "mostc"): 438,
+    ("latin", "ff"): 4752,
+    ("latin", "mregret"): 4906,
+    ("latin", "mostc"): 4776,
+}
+
 DOMAIN_ONLY = (StrategyId.FF, StrategyId.MREGRET, StrategyId.MOSTC)
 
 
@@ -303,37 +316,55 @@ def _row(o):
             o.decisions, o.failures, o.propagations)
 
 
-def _pinned_models():
-    return {
+def _pinned_models(propagating=False):
+    """The pinned models; with ``propagating``, nqueens and latin search
+    through ``_propagate`` under every strategy, as the other models do."""
+    models = {
         "nqueens": (nqueens(7), SolveMode.ALL_SOLUTIONS),
         "allinterval": (allinterval(7), SolveMode.ALL_SOLUTIONS),
         "latin": (latin(4), SolveMode.ALL_SOLUTIONS),
         "magicsquare": (magicsquare(3), SolveMode.ALL_SOLUTIONS),
         "golomb": (golomb(5), SolveMode.OPTIMIZE),
     }
+    if propagating:
+        for m, _ in models.values():
+            m.open_domains_decide = False
+    return models
+
+
+def _pinned_row(key):
+    """The pinned row of ``key`` as the search counts it by default."""
+    want = PINNED_SOLVES[key]
+    return want[:6] + (
+        FORWARD_CHECK_PROPAGATIONS.get(key) or FIX_EVENT_PROPAGATIONS.get(key, want[6]),
+    )
 
 
 def test_solve_outcomes_pinned(monkeypatch):
-    models = _pinned_models()
-    assert len(PINNED_SOLVES) == len(models) * len(ALL_STRATEGIES)
+    assert len(PINNED_SOLVES) == len(_pinned_models()) * len(ALL_STRATEGIES)
     assert set(FIX_EVENT_PROPAGATIONS) == {
         key for key in PINNED_SOLVES if StrategyId(key[1]) in DOMAIN_ONLY
     }
+    assert set(FORWARD_CHECK_PROPAGATIONS) == {
+        key for key in FIX_EVENT_PROPAGATIONS if key[0] in ("nqueens", "latin")
+    }
 
-    def outcomes():
+    def outcomes(models):
         return {(name, token): _row(solve(models[name][0], (), StrategyId(token),
                                           models[name][1]))
                 for name, token in PINNED_SOLVES}
 
-    fix_events = outcomes()
+    forward = outcomes(_pinned_models())
+    fix_events = outcomes(_pinned_models(propagating=True))
     # with every prune waking every constraint on its variable, each row
     # matches its record in all seven columns
     monkeypatch.setattr(Model, "fixpoint_view", lambda self: self)
-    assert outcomes() == PINNED_SOLVES
+    assert outcomes(_pinned_models(propagating=True)) == PINNED_SOLVES
     for key, want in PINNED_SOLVES.items():
         if key in FIX_EVENT_PROPAGATIONS:
             want = want[:6] + (FIX_EVENT_PROPAGATIONS[key],)
         assert fix_events[key] == want, key
+        assert forward[key] == _pinned_row(key), key
 
 
 def test_pinned_outcomes_hold_with_a_cold_and_a_warm_subtree_memo():
@@ -341,10 +372,10 @@ def test_pinned_outcomes_hold_with_a_cold_and_a_warm_subtree_memo():
     # the pinned row; only the domain-only strategies on the models of
     # all_different and not_equal constraints ever write to it
     models = _pinned_models()
-    for (name, token), want in PINNED_SOLVES.items():
+    for name, token in PINNED_SOLVES:
         model, mode = models[name]
         sid = StrategyId(token)
-        want = want[:6] + (FIX_EVENT_PROPAGATIONS.get((name, token), want[6]),)
+        want = _pinned_row((name, token))
         memo = {}
         cold = _row(solve(model, (), sid, mode, subtrees=memo))
         filled = dict(memo)
@@ -397,14 +428,18 @@ def test_subtree_memo_outcomes_equal_the_memo_less_search(monkeypatch):
     assert {m.ubits <= 8 for m in reused} == {True, False}  # bytes and tuple keys
     assert not any(m.open_domains_decide for m in refused)
 
+    # the propagations a search makes: calls of _propagate, and calls of
+    # _cascade where the search forward-checks
     calls = [0]
-    real = search._propagate
 
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
+    def counted(real):
+        def call(*args):
+            calls[0] += 1
+            return real(*args)
+        return call
 
-    monkeypatch.setattr(search, "_propagate", counted)
+    monkeypatch.setattr(search, "_propagate", counted(search._propagate))
+    monkeypatch.setattr(search, "_cascade", counted(search._cascade))
     saved = {True: 0, False: 0}
     for m in reused + refused:
         try:
@@ -425,6 +460,112 @@ def test_subtree_memo_outcomes_equal_the_memo_less_search(monkeypatch):
                 assert bool(memo) == m.open_domains_decide, (m.name, sid)
                 saved[m.open_domains_decide] += without - calls[0]
     assert saved[True] > 0 and saved[False] == 0
+
+
+def _propagating_copy(m):
+    """``m`` rebuilt to search through ``_propagate`` under every strategy."""
+    closed = Model(m.name, m.variables, m.constraints, m.objective)
+    closed.open_domains_decide = False
+    return closed
+
+
+def _forward_check_cases(m, target, rng, modes, whole=False):
+    """(assignment, domains, mode, budget) of every subproblem of the
+    decomposition at ``target``, and with ``whole`` of the whole model: each
+    mode of ``modes`` with no budget, and the first one again under a random
+    budget."""
+    roots = [((), None)] if whole else []
+    roots += [
+        (s.assignment, s.domains)
+        for s in decompose(m, DecompositionConfig(target_count=target)).subproblems
+    ]
+    return [
+        (assignment, domains, mode, budget)
+        for assignment, domains in roots
+        for mode, budget in [(mode, None) for mode in modes] + [(modes[0], rng.randint(0, 60))]
+    ]
+
+
+@pytest.mark.parametrize("group", ["nqueens", "latin", "random"])
+def test_forward_checked_search_matches_the_propagating_search(group):
+    # under ff, mregret and mostc on a model of all_different and not_equal
+    # constraints the search forward-checks; it must match the propagating
+    # search of the same model in every field but propagations and wall_ms,
+    # with a fresh subtree memo and with one that earlier solves filled
+    rng = random.Random(f"forward-check-search-{group}")
+    # the random models are small, so they are solved whole and split into
+    # few subproblems, which leaves search below each
+    target, whole = (8, True) if group == "random" else (300, False)
+    if group == "nqueens":
+        models = [nqueens(n) for n in range(6, 11)]
+    elif group == "latin":
+        models = [latin(n) for n in (3, 4, 5)]
+    else:
+        models = []
+        while len(models) < 40:
+            m = _random_distinct_model(rng)
+            try:
+                root_domains(m)
+            except InconsistentProblem:
+                continue
+            models.append(m)
+    seen = {"solutions": 0, "failures": 0, "exhausted": 0}
+    for m in models:
+        assert m.open_domains_decide
+        closed = _propagating_copy(m)
+        cases = _forward_check_cases(
+            m, target, rng, (SolveMode.ALL_SOLUTIONS, SolveMode.FIRST_SOLUTION), whole
+        )
+        for sid in DOMAIN_ONLY:
+            warm = {}
+            for assignment, domains, mode, budget in cases:
+                want = _row(solve(closed, assignment, sid, mode, budget=budget,
+                                  domains=domains))
+                for memo in ({}, warm):
+                    got = _row(solve(m, assignment, sid, mode, budget=budget,
+                                     domains=domains, subtrees=memo))
+                    assert got[:6] == want[:6], (m.name, m.constraints, sid, mode,
+                                                 budget, assignment)
+                seen["solutions"] += want[1] > 0
+                seen["failures"] += want[5] > 0
+                seen["exhausted"] += want[0] == "budget_exhausted"
+    assert all(seen.values()), seen
+
+
+def test_forward_checked_optimization_matches_the_propagating_search():
+    # nqueens(8) maximizing one queen's row: each improving solution raises
+    # the bound, whose prune often fixes that queen and joins the cascade
+    queens = nqueens(8)
+    m = Model("nqueens-max", queens.variables, queens.constraints, Objective(3, True))
+    assert m.open_domains_decide
+    closed = _propagating_copy(m)
+    rng = random.Random("forward-check-optimize")
+    cases = _forward_check_cases(m, 300, rng, (SolveMode.OPTIMIZE,), whole=True)
+    improved = 0
+    for sid in DOMAIN_ONLY:
+        for assignment, domains, mode, budget in cases:
+            for bound in (None, 4):
+                want = _row(solve(closed, assignment, sid, mode, budget=budget,
+                                  bound=bound, domains=domains))
+                got = _row(solve(m, assignment, sid, mode, budget=budget, bound=bound,
+                                 domains=domains, subtrees={}))
+                assert got[:6] == want[:6], (sid, bound, budget, assignment)
+                improved += want[1] > 1
+    assert improved > 0
+
+
+def test_removal_table_stays_at_its_cap_on_a_wide_span():
+    # ff fixes c to a new value at every other branch, far more pairs than
+    # the table may store: it fills to the cap, computes the rest on use,
+    # and the search still matches the propagating one
+    from eps_select.csp import REMOVAL_ROWS
+
+    m = Model("wide", [var_range(x, 0, 65535) for x in "abc"], [AllDifferent((0, 1, 2))])
+    got = solve(m, (), StrategyId.FF, budget=200_000)
+    assert sum(map(len, m.removal_rows)) == REMOVAL_ROWS
+    want = solve(_propagating_copy(m), (), StrategyId.FF, budget=200_000)
+    assert _row(got)[:6] == _row(want)[:6]
+    assert got.status is SolveStatus.BUDGET_EXHAUSTED and got.solutions_found > REMOVAL_ROWS
 
 
 def test_subtree_memo_is_left_alone_where_open_domains_do_not_decide(monkeypatch):
