@@ -45,39 +45,36 @@ still counts in the work.
 
 On a model that :attr:`~eps_select.csp.Model.open_domains_decide` (every
 constraint an ``all_different``, or a ``not_equal`` whose scope repeats no
-variable) the extensions forward-check instead of propagating
-(:func:`_forward_check`). There every propagator acts on fixed variables
-only, and every parent is a fixpoint, so the child's fixpoint is the closure
-of one rule, which :func:`~eps_select.csp._cascade` applies for the
-decomposition and the search alike: a variable fixed to a value removes
-from each neighbour the values that value excludes
-(:meth:`~eps_select.csp.Model.removals`, filled on first use and capped at
-``REMOVAL_ROWS`` stored rows, so a wide value span costs only the pairs
-actually fixed); an emptied domain fails, and a neighbour that a removal
-fixes applies the rule in turn. Each removal is one that an
-``all_different`` or ``not_equal`` pass would make, so no fixpoint below
-the child's start keeps a removed value; and where no domain empties, the
-closure is a fixpoint of every constraint, since every fixed variable has
-made its removals (those fixed in the parent there, the others by the
-rule). It is therefore the unique fixpoint that ``_propagate`` reaches, and
-it fails where ``_propagate`` fails: the children, their domains and their
-order, the prefix length and the work stay those of the propagating
-extension. Forward checking
-nqueens(10) to target 3000 costs about a quarter of propagating it, and
-forked spans would give most of the saving back to forking workers and
-unpickling their replies, so such a depth is one span in the calling
-process (BENCH_forward_check.json).
-
-Every other model's depths are extended through
-:func:`~eps_select.runner.run_pool` with ``processes=True``: a depth of at
-least ``FORK_MIN_ASSIGNMENTS`` enumeration assignments is cut into ``SPANS``
-contiguous spans of the frontier, which forked worker processes extend when
-there is more than one worker; the decomposition only propagates and reads
-no incumbent. The parent concatenates the spans' children in task order and
-counts the assignments itself, so the subproblems, their domains, the
-prefix length and the work do not depend on the worker count. A smaller
-depth is one span, which runs in the calling process, as does every depth
-that forward-checks.
+variable) :func:`_extend` forward-checks instead of propagating. There
+every propagator acts on fixed variables only, and every parent is a
+fixpoint, so the child's fixpoint is the closure of one rule, which
+:func:`~eps_select.csp._cascade` applies for the decomposition and the
+search alike: a variable fixed to a value removes from each neighbour the
+values that value excludes (:meth:`~eps_select.csp.Model.removals`, filled
+on first use and capped at ``REMOVAL_ROWS`` stored rows, so a wide value
+span costs only the pairs actually fixed); an emptied domain fails, and a
+neighbour that a removal fixes applies the rule in turn. Each removal is
+one that an ``all_different`` or ``not_equal`` pass would make, so no
+fixpoint below the child's start keeps a removed value; and where no domain
+empties, the closure is a fixpoint of every constraint, since every fixed
+variable has made its removals (those fixed in the parent there, the others
+by the rule). It is therefore the unique fixpoint that ``_propagate``
+reaches, and it fails where ``_propagate`` fails: the children, their
+domains and their order, the prefix length and the work stay those of the
+propagating extension. A depth forks only when it propagates and makes at
+least ``FORK_MIN_ASSIGNMENTS`` enumeration assignments: it is then cut into
+``SPANS`` contiguous spans of the frontier, which
+:func:`~eps_select.runner.run_pool` hands to forked worker processes when
+there is more than one worker (the decomposition only propagates and reads
+no incumbent). The parent concatenates the spans' children in task order
+and counts the assignments itself, so the subproblems, their domains, the
+prefix length and the work do not depend on the worker count. Every other
+depth is extended in the calling process. A smaller depth costs less to
+propagate than forking workers and unpickling their replies
+(BENCH_forked_decomposition.json, BENCH_prefix_wakes.json), and so does a
+forward-checked one: forward checking nqueens(10) to target 3000 costs
+about a quarter of propagating it, and forked spans would give most of the
+saving back (BENCH_forward_check.json).
 """
 
 from __future__ import annotations
@@ -94,15 +91,14 @@ from .runner import raise_failures, run_pool
 from .search import root_domains
 
 # a propagating depth (one that does not forward-check) with fewer
-# enumeration assignments than this is one span, which run_pool extends in
-# the calling process (it never forks for one task): its propagation costs
-# less than forking workers and pickling their replies. An assignment's cost
-# differs between models, so the count does not track a depth's cost
-# everywhere (BENCH_forked_decomposition.json). Measured on 2 cores
-# (BENCH_prefix_wakes.json, medians of 11 interleaved runs): allinterval(10)'s
-# depth 4 saves 26 ms by forking. Two depths below the threshold would pay
-# to fork: allinterval(10)'s depth 3 (680 assignments, 12 ms) and golomb(8)'s
-# depth 3 (833 assignments, 75 ms).
+# enumeration assignments than this is extended in the calling process: its
+# propagation costs less than forking workers and pickling their replies. An
+# assignment's cost differs between models, so the count does not track a
+# depth's cost everywhere (BENCH_forked_decomposition.json). Measured on 2
+# cores (BENCH_prefix_wakes.json, medians of 11 interleaved runs):
+# allinterval(10)'s depth 4 saves 26 ms by forking. Two depths below the
+# threshold would pay to fork: allinterval(10)'s depth 3 (680 assignments,
+# 12 ms) and golomb(8)'s depth 3 (833 assignments, 75 ms).
 FORK_MIN_ASSIGNMENTS = 1000
 # a larger depth is cut into this many contiguous spans of its frontier; the
 # cut depends on the frontier only, so the subproblems do not depend on the
@@ -159,8 +155,10 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
     """Split the model into subproblems that each carry their root fixpoint.
 
     An inconsistent model raises :class:`~eps_select.csp.InconsistentProblem`
-    from :func:`~eps_select.search.root_domains`; an extension that raises
-    ends in :class:`~eps_select.runner.TaskFailed` with the error as cause.
+    from :func:`~eps_select.search.root_domains`. An extension that raises
+    in a forked depth (see the module docstring) ends in
+    :class:`~eps_select.runner.TaskFailed` with the error as cause, at any
+    worker count; in every other depth its error arrives as itself.
     """
     target = cfg.effective_target()
 
@@ -183,21 +181,22 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
             )
         total_work += assignments
         n = len(frontier)
-        if model.open_domains_decide:
-            size = n
-            extend = partial(_forward_check, model, frontier, depth)
+        # a forward check gets the model itself: the removal rows, which the
+        # search shares, are built from its full watchers
+        propagates = not model.open_domains_decide
+        view = _prefix_view(model.fixpoint_view(), depth) if propagates else model
+        if propagates and assignments >= FORK_MIN_ASSIGNMENTS:
+            size = -(-n // SPANS)
+            results, _ = run_pool(
+                [(start, min(start + size, n)) for start in range(0, n, size)],
+                cfg.worker_count,
+                partial(_extend, view, frontier, depth),
+                processes=True,
+            )
+            raise_failures(results)
+            frontier = [doms for r in results for doms in r.result]
         else:
-            size = -(-n // SPANS) if assignments >= FORK_MIN_ASSIGNMENTS else n
-            view = _prefix_view(model.fixpoint_view(), depth)
-            extend = partial(_extend, view, frontier, depth)
-        results, _ = run_pool(
-            [(start, min(start + size, n)) for start in range(0, n, size)],
-            cfg.worker_count,
-            extend,
-            processes=True,
-        )
-        raise_failures(results)
-        frontier = [doms for r in results for doms in r.result]
+            frontier = _extend(view, frontier, depth, (0, n))
         depth += 1
         if len(frontier) > len(best):
             best = frontier
@@ -255,10 +254,12 @@ def _extend(
     model: Model, frontier: list[list[int]], depth: int, span: tuple[int, int]
 ) -> list[list[int]]:
     """The consistent children of ``frontier[start:stop]`` in order: each
-    entry's variable ``depth`` fixed to each of its values, ascending, and
-    propagated from the entry's domains, which are a fixpoint of every
-    constraint, so only the fixed variable seeds the ``all_different``
-    pending values."""
+    entry's variable ``depth`` fixed to each of its values, ascending. From
+    the entry's domains, a fixpoint of every constraint, a child runs
+    :func:`~eps_select.csp._cascade` on a model that ``open_domains_decide``
+    and is propagated otherwise, where only the fixed variable seeds the
+    ``all_different`` pending values (see the module docstring)."""
+    cascade = model.open_domains_decide
     watch = model.watchers[depth]
     children = []
     for doms in frontier[span[0] : span[1]]:
@@ -275,33 +276,11 @@ def _extend(
             d ^= low
             d2 = doms[:]
             d2[depth] = low
-            fc, _ = _propagate(model, d2, watch, [], (depth,))
+            if cascade:
+                fc, _ = _cascade(model, d2, [depth])
+            else:
+                fc, _ = _propagate(model, d2, watch, [], (depth,))
             if fc < 0:
-                children.append(d2)
-    return children
-
-
-def _forward_check(
-    model: Model, frontier: list[list[int]], depth: int, span: tuple[int, int]
-) -> list[list[int]]:
-    """The children that :func:`_extend` gives on a model that
-    ``open_domains_decide``, reached without ``_propagate``: each value
-    fixed to variable ``depth`` runs :func:`~eps_select.csp._cascade`: it
-    removes :meth:`~eps_select.csp.Model.removals` from its neighbours, and
-    so does each neighbour that a removal fixes, until a domain empties (no
-    child) or no fix is left (see the module docstring)."""
-    children = []
-    for doms in frontier[span[0] : span[1]]:
-        d = doms[depth]
-        if d & (d - 1) == 0:
-            children.append(doms)  # its own only child, as in _extend
-            continue
-        while d:
-            low = d & -d
-            d ^= low
-            d2 = doms[:]
-            d2[depth] = low
-            if _cascade(model, d2, [depth])[0] < 0:
                 children.append(d2)
     return children
 

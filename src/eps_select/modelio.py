@@ -241,6 +241,8 @@ def load_json(path: Union[str, Path]) -> Model:
         data = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{p}: malformed JSON at line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ModelFormatError(f"{p}: malformed JSON: nested too deeply") from None
     return model_from_dict(data)
 
 

@@ -9,7 +9,7 @@ Régin, Rezgui & Malapert, CP 2013) and send back the pickled outcomes
 (:mod:`eps_select.forkpool`). A worker process runs on the copy of the
 parent's memory taken at the fork, so whatever a task writes stays there;
 only the returned results come back. Four callers do: the decomposition,
-for each depth it cuts into spans (on any model whose depths propagate
+for each depth large enough to cut into spans (only depths that propagate
 rather than forward-check, since it reads no incumbent), and, on
 satisfaction models, the PSS sample race in work mode (the sampled
 cells the oracle's memo lacks), the PSS remainder solve (unless the memo
@@ -18,12 +18,14 @@ single-strategy runs; optimization solves read the incumbent that earlier
 ones raised, so they stay in the calling process.
 
 Either way a min-clock simulation assigns each task, in task order, to the
-virtual worker that would have pulled it (the least loaded one), giving
-per-worker loads that do not depend on scheduling: the ledger charges each
-task ``cost_fn(result)`` in either time mode. The pool times nothing itself;
-in wall-clock mode the solve pools' results are observations whose value is
-the milliseconds their solve took. Results do not depend on the worker
-count.
+virtual worker that would have pulled it (the least loaded one, the lowest
+index on a tie), giving per-worker loads that do not depend on scheduling:
+the ledger charges each task ``cost_fn(result)`` in either time mode. An
+idle worker carries no load, so workers pull their first tasks in index
+order; the simulation keeps only those in a heap, at no cost per worker.
+The pool times nothing itself; in wall-clock mode the solve pools' results
+are observations whose value is the milliseconds their solve took. Results
+do not depend on the worker count.
 
 A caller may name a ``key`` under which tasks give equal results. Each
 class of tasks with one key then runs once, on its first task, and every
@@ -43,6 +45,7 @@ into an error.
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional, Sequence
@@ -65,16 +68,21 @@ class TaskResult:
 
 @dataclass
 class CostLedger:
-    per_worker: list[float]
+    """``loads`` holds the loads of workers ``0..len(loads)-1``, the ones
+    that pulled a task; the rest of the ``worker_count`` carry none. Every
+    load is a sum of costs, which are work units or milliseconds."""
+
+    loads: list[float]
+    worker_count: int
 
     @property
     def grand_total(self) -> float:
-        return sum(self.per_worker)
+        return sum(self.loads)
 
     def load_balance(self) -> tuple[float, float, float]:
         """(max load, mean load, max/mean ratio) across workers."""
-        mx = max(self.per_worker)
-        mean = self.grand_total / len(self.per_worker)
+        mx = max(self.loads, default=0.0)
+        mean = self.grand_total / self.worker_count
         return mx, mean, (mx / mean if mean > 0 else 1.0)
 
 
@@ -129,8 +137,9 @@ def run_pool(
         outcomes = iter(forked_outcomes(distinct, executor, procs))
     else:  # lazily, so no task runs after the loop below stops
         outcomes = (_attempt(executor, task) for task in distinct)
-    ledger = CostLedger(per_worker=[0.0] * worker_count)
-    clocks = ledger.per_worker
+    ledger = CostLedger([], worker_count)
+    loads = ledger.loads
+    heap: list[tuple[float, int]] = []  # (load, worker) of each worker in loads
     results: list[TaskResult] = []
     got: list[Any] = []  # each class's result, drawn at its first task
     for idx, (task, c) in enumerate(zip(tasks, classes)):
@@ -139,9 +148,16 @@ def run_pool(
             got.append(result)
         else:  # a failed class ends the results at its first task
             result, failed = got[c], False
-        w = min(range(worker_count), key=clocks.__getitem__)
+        # the least loaded worker: the first idle one (load 0), unless a
+        # worker that pulled a task carries no more load than that
+        if len(loads) < worker_count and (not heap or heap[0][0] > 0.0):
+            w = len(loads)
+            loads.append(0.0)
+        else:
+            w = heapq.heappop(heap)[1]
         if not failed:
-            clocks[w] += cost_fn(result)
+            loads[w] += cost_fn(result)
+        heapq.heappush(heap, (loads[w], w))
         results.append(TaskResult(idx, task, result, w, failed))
         if failed:
             break

@@ -553,6 +553,14 @@ def test_malformed_json_model_exits_1_with_error_line(tmp_path, capsys):
     assert err.startswith("error: ") and "variable #0 must be a JSON object" in err
 
 
+def test_deeply_nested_json_model_exits_1_with_error_line(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000)
+    assert main(["pss", "--json", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {p}: malformed JSON: nested too deeply\n"
+
+
 def test_empty_sample_rejected_before_any_work(monkeypatch, capsys):
     import eps_select.cli as cli_module
 

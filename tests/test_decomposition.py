@@ -29,7 +29,7 @@ from eps_select.strategies import ALL_STRATEGIES, StrategyId
 from bruteforce import consistent_prefixes, reference_decomposition
 from conftest import all_reaped, fork_only
 from test_csp import _model, _scope_model
-from test_search import _random_distinct_model
+from test_search import _propagating_copy, _random_distinct_model
 
 
 def test_target_one_gives_empty_prefix():
@@ -226,12 +226,13 @@ def _forward_check_models():
 
 def test_forward_check_gives_the_children_of_the_propagate_extension():
     # at every depth a 3000 target visits, from the same frontier: the same
-    # children in the same order, and a fixed next variable's entry is its
-    # own only child, the same object
+    # children in the same order as the extension of a copy that propagates,
+    # and a fixed next variable's entry is its own only child, the same object
     seen = {"negative lo": 0, "removal off the span": 0, "cascade fix": 0, "cascade failure": 0}
     for m in _forward_check_models():
         assert m.open_domains_decide
-        view = m.fixpoint_view()
+        view = _propagating_copy(m).fixpoint_view()
+        assert not view.open_domains_decide
         seen["negative lo"] += m.lo < 0
         frontier = [root_domains(m)[0]]
         depth = 0
@@ -240,7 +241,7 @@ def test_forward_check_gives_the_children_of_the_propagate_extension():
             want = decomposition._extend(
                 decomposition._prefix_view(view, depth), frontier, depth, span
             )
-            got = decomposition._forward_check(m, frontier, depth, span)
+            got = decomposition._extend(m, frontier, depth, span)
             assert got == want, (m.name, m.constraints, depth)
             parents = {id(doms) for doms in frontier}
             assert [c for c in got if id(c) in parents] == [
@@ -421,21 +422,19 @@ def test_failing_extension_raises_task_failed(forks, monkeypatch, workers):
 
 @fork_only
 @pytest.mark.parametrize("workers", [1, 2])
-def test_failing_forward_check_raises_task_failed(forks, monkeypatch, workers):
+def test_failing_forward_check_raises_its_error(forks, monkeypatch, workers):
     # depth 5 of nqueens(10) (3724 assignments) ends the run in the calling
-    # process, at either worker count
-    real = decomposition._forward_check
+    # process, at either worker count, with no fork to wrap the error
+    real = decomposition._cascade
 
-    def broken(model, frontier, depth, span):
-        if depth == 4:
+    def broken(model, doms, fixed):
+        if fixed == [4]:
             raise ValueError("forward check broke")
-        return real(model, frontier, depth, span)
+        return real(model, doms, fixed)
 
-    monkeypatch.setattr(decomposition, "_forward_check", broken)
-    with pytest.raises(TaskFailed) as exc:
+    monkeypatch.setattr(decomposition, "_cascade", broken)
+    with pytest.raises(ValueError, match="^forward check broke$"):
         decompose(nqueens(10), DecompositionConfig(target_count=3000, worker_count=workers))
-    assert isinstance(exc.value.__cause__, ValueError)
-    assert str(exc.value.__cause__) == "forward check broke"
     assert forks == []
 
 
@@ -474,11 +473,13 @@ def test_fixed_next_variable_is_its_own_only_child(monkeypatch):
         frontier = decomposition._extend(view, frontier, depth, (0, len(frontier)))
     fixed = [doms for doms in frontier if doms[8].bit_count() == 1]
     assert fixed and len(fixed) < len(frontier)
+    # the view forward-checks: count the cascades and the propagations
     calls = []
-    real = decomposition._propagate
-    monkeypatch.setattr(
-        decomposition, "_propagate", lambda *a: calls.append(a[1]) or real(*a)
-    )
+    for name in ("_cascade", "_propagate"):
+        real = getattr(decomposition, name)
+        monkeypatch.setattr(
+            decomposition, name, lambda *a, real=real: calls.append(a[1]) or real(*a)
+        )
     for doms in fixed:
         children = decomposition._extend(view, [doms], 8, (0, 1))
         assert len(children) == 1 and children[0] is doms

@@ -46,7 +46,7 @@ def test_ledger_accounting_exact():
     costs = [rng.uniform(0.1, 9) for _ in range(60)]
     results, ledger = run_pool(list(range(60)), 7, lambda t: FakeResult(costs[t]))
     assert ledger.grand_total == pytest.approx(sum(costs))
-    assert len(ledger.per_worker) == 7
+    assert (ledger.worker_count, len(ledger.loads)) == (7, 7)
 
 
 def test_statistical_load_balance():
@@ -57,6 +57,61 @@ def test_statistical_load_balance():
     mx, mean, ratio = ledger.load_balance()
     assert mean > 0
     assert ratio <= 1.5
+
+
+def _list_scan(costs, worker_count, fail_at=None):
+    """The min-clock simulation with one clock per worker, scanned for each
+    task: (each task's worker, the clocks)."""
+    clocks = [0.0] * worker_count
+    workers = []
+    for t, cost in enumerate(costs):
+        w = min(range(worker_count), key=clocks.__getitem__)
+        workers.append(w)
+        if t == fail_at:
+            break
+        clocks[w] += cost
+    return workers, clocks
+
+
+def test_ledger_assigns_the_workers_a_list_scan_assigns():
+    # random costs, integer costs that tie, costs with zeros, fewer tasks
+    # than workers, and a failing task
+    rng = random.Random(11)
+    for trial in range(400):
+        workers = rng.randint(1, 12)
+        count = rng.randint(0, 30)
+        kind = trial % 3
+        if kind == 0:
+            costs = [rng.uniform(0.0, 9.0) for _ in range(count)]
+        elif kind == 1:
+            costs = [float(rng.randint(1, 4)) for _ in range(count)]
+        else:
+            costs = [float(rng.choice((0, 0, 1, 2))) for _ in range(count)]
+        fail_at = rng.randrange(count) if count and trial % 5 == 0 else None
+
+        def executor(t):
+            if t == fail_at:
+                raise ValueError("broken")
+            return FakeResult(costs[t])
+
+        results, ledger = run_pool(list(range(count)), workers, executor)
+        want, clocks = _list_scan(costs, workers, fail_at)
+        assert [r.worker for r in results] == want, (costs, workers)
+        assert ledger.worker_count == workers
+        assert ledger.loads + [0.0] * (workers - len(ledger.loads)) == clocks
+        assert ledger.grand_total == sum(clocks)
+        mx, mean = max(clocks), sum(clocks) / workers
+        assert ledger.load_balance() == (mx, mean, mx / mean if mean > 0 else 1.0)
+
+
+def test_a_billion_workers_cost_only_the_workers_that_pull_a_task():
+    results, ledger = run_pool(
+        list(range(5)), 10**9, lambda t: FakeResult(t + 1.0), processes=False
+    )
+    assert [r.worker for r in results] == [0, 1, 2, 3, 4]
+    assert ledger.loads == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert ledger.grand_total == 15.0
+    assert ledger.load_balance() == (5.0, 15.0 / 10**9, 5.0 / (15.0 / 10**9))
 
 
 def test_failed_task_runs_once():
@@ -121,7 +176,7 @@ def test_forked_pool_matches_in_process(forks):
     assert [(r.index, r.task, r.result, r.worker, r.failed) for r in forked[0]] == [
         (r.index, r.task, r.result, r.worker, r.failed) for r in here[0]
     ]
-    assert forked[1].per_worker == here[1].per_worker
+    assert forked[1] == here[1]
 
 
 @fork_only
@@ -243,8 +298,8 @@ def test_equal_keys_run_once_and_each_task_gets_its_class_result(processes, fork
         (i, t, FakeResult(head[t % 5] * 10), False) for i, t in enumerate(tasks)
     ]
     # every task is charged its class's result, as without a key
-    assert ledger.per_worker == run_pool(
-        [head[t % 5] for t in tasks], 2, lambda t: FakeResult(t * 10))[1].per_worker
+    assert ledger == run_pool(
+        [head[t % 5] for t in tasks], 2, lambda t: FakeResult(t * 10))[1]
 
 
 @pytest.mark.parametrize("processes", [False, pytest.param(True, marks=fork_only)])
