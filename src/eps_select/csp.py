@@ -78,37 +78,19 @@ first out:
   variable as if they were two variables: ``AbsDiff(0, 1, 1)`` (y = \\|x -
   y\\|) with x = 4 and y in 0..7 stops at y in 0..4, although only y = 2
   has a support. Once every variable is fixed the check is exact, so no
-  wrong solution follows; but with its other variables fixed such a
-  constraint need not accept every value left to the last one, which is
-  why the decomposition's prefix rule (:mod:`eps_select.decomposition`)
-  holds only over a distinct scope.
+  wrong solution follows.
 * ``not_equal`` (x != y + offset) -- value removal once one side is assigned.
 
-A prune that fixes a variable wakes every constraint that watches it
-(``Model.watchers``); a prune that leaves it open wakes
-``Model.change_watchers``, which on every model is the same table, so the
-queue, the pass count and the failing index are those of waking every
-watcher. :meth:`Model.fixpoint_view` drops ``all_different`` and
-``not_equal`` from ``change_watchers``: both act on fixed variables only, so
-a prune that fixes nothing leaves them at their fixpoint, and the view still
-stops only where every constraint is at its fixpoint. Every propagator is
-monotone, so that fixpoint, and whether there is one, do not depend on the
-order the constraints run in: from domains where every constraint not woken
-is at its fixpoint, the view and the model reach the same domains or both
-fail. Their pass counts, ``pruned`` sequences and failing indices differ. The
-decomposition reads the fixpoint alone, and so does the search under ``ff``,
-``mregret`` and ``mostc``, which choose from the domains alone: both
-propagate through the view. The search under ``act``, which reads the pruned
-variables, and under the weighted-degree strategies, which read the failing
-constraint, propagates through the model. On a model that
-``open_domains_decide`` the decomposition and the search under those three
-strategies do not propagate below the root at all: they forward-check with
-:func:`_cascade`, which reaches the same fixpoint.
+A prune wakes every constraint that watches its variable
+(``Model.watchers``), and one that fixes the variable also hands its value
+to the ``all_different`` pending values. On a model that
+``open_domains_decide`` the decomposition and the search under ``ff``,
+``mregret`` and ``mostc`` do not propagate below the root at all: they
+forward-check with :func:`_cascade`, which reaches the same fixpoint.
 """
 
 from __future__ import annotations
 
-import copy
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -118,6 +100,10 @@ from typing import Iterable, Optional, Sequence, Union
 # domain mask is that many bits wide, so a wider span is refused before any
 # mask or value tuple is built.
 MAX_DOMAIN_WIDTH = 1 << 16
+# Most domain values a JSON model may declare over all its variables, each
+# held at about 36 bytes: a document at the cap (sixteen variables over the
+# widest span) builds about 40 MB of domains, one over it none.
+MAX_DOMAIN_VALUES = 1 << 20
 # The most removal rows (Model.removals) one model stores in a process; past
 # it each further row is computed on every use. A row over the widest span
 # holds masks of up to 8 KB (one, shared, per all_different fix), so a full
@@ -235,13 +221,11 @@ class Model:
     A Model is built once and shared read-only by every worker; all mutable
     search state lives in the domain-mask lists handed to :func:`_propagate`.
     Only ``removal_rows`` grows, as a cache of values that the model's
-    constraints determine, and it stops at ``REMOVAL_ROWS`` rows, shared by
-    the model and its views. The tables, per variable ``v``:
+    constraints determine, and it stops at ``REMOVAL_ROWS`` rows. The
+    tables, per variable ``v``:
 
-    * ``watchers[v]`` -- the constraints over ``v``, each once, woken when a
-      prune fixes ``v``;
-    * ``change_watchers[v]`` -- those woken when a prune leaves ``v`` open
-      (see :meth:`fixpoint_view`);
+    * ``watchers[v]`` -- the constraints over ``v``, each once, in
+      declaration order, woken when a prune narrows ``v``;
     * ``alldiffs_of[v]`` -- the ``all_different`` constraints over ``v``,
       once per place ``v`` takes in the scope, which a fix of ``v`` hands
       its value to;
@@ -353,22 +337,17 @@ class Model:
 
         watch: list[list[int]] = [[] for _ in range(self.n)]
         for ci, c in enumerate(self.constraints):
-            for v in c.scope:
-                if ci not in watch[v]:
-                    watch[v].append(ci)
+            for v in dict.fromkeys(c.scope):
+                watch[v].append(ci)
         self.watchers = tuple(tuple(w) for w in watch)
-        # what a prune that leaves its variable open wakes: every watcher
-        # here, so the queue is the same either way (see fixpoint_view)
-        self.change_watchers = self.watchers
-        self._fixpoint_view: Optional[Model] = None
 
         # static "most constrained" degree: number of constraints per variable
         self.static_degree = tuple(len(w) for w in self.watchers)
         self.removal_rows: tuple[dict[int, tuple[tuple[int, int], ...]], ...] = tuple(
             {} for _ in range(self.n)
         )
-        # the rows stored in removal_rows, in a cell that views share
-        self._rows_stored = [0]
+        # the rows stored in removal_rows
+        self._rows_stored = 0
 
     def removals(self, v: int, i: int) -> tuple[tuple[int, int], ...]:
         """What fixing ``v`` to the value of bit ``i`` removes from the other
@@ -400,30 +379,10 @@ class Model:
                     if 0 <= o < self.ubits:
                         masks[u] = masks.get(u, 0) | 1 << o
             got = tuple(masks.items())
-            if self._rows_stored[0] < REMOVAL_ROWS:
+            if self._rows_stored < REMOVAL_ROWS:
                 row[i] = got
-                self._rows_stored[0] += 1
+                self._rows_stored += 1
         return got
-
-    def fixpoint_view(self) -> Model:
-        """This model, with prunes that leave a variable open waking only its
-        ``linear_eq``, ``linear_le`` and ``abs_diff`` watchers (built once).
-
-        Propagating through the view from a fixpoint of every constraint not
-        woken reaches the same fixpoint, or fails, as through the model: see
-        the module docstring. Only the pass count, the ``pruned`` sequence
-        and the failing index may differ. The decomposition and the search
-        under a strategy that reads the domains alone propagate through it.
-        """
-        if self._fixpoint_view is None:
-            view = copy.copy(self)
-            view.change_watchers = tuple(
-                tuple(ci for ci in w if self._props[ci][0] not in (_ALLDIFF, _NOTEQ))
-                for w in self.watchers
-            )
-            view._fixpoint_view = view
-            self._fixpoint_view = view
-        return self._fixpoint_view
 
     # -- mask helpers ------------------------------------------------------
 
@@ -503,7 +462,6 @@ def _propagate(
     """
     props = model._props
     watchers = model.watchers
-    chg = model.change_watchers
     alldiffs_of = model.alldiffs_of
     base = model.lo
     ubits = model.ubits
@@ -552,10 +510,7 @@ def _propagate(
                         pruned.append(v)
                         if not nd:
                             return ci, passes
-                        if nd & (nd - 1):
-                            wl = chg[v]
-                        else:
-                            wl = watchers[v]
+                        if nd & (nd - 1) == 0:
                             if fixed & nd:
                                 dup = True
                             fixed |= nd
@@ -563,7 +518,7 @@ def _propagate(
                                 if a != ci:
                                     e = pend[a]
                                     pend[a] = -1 if e & nd else e | nd
-                        for w in wl:
+                        for w in watchers[v]:
                             if w != ci and not inq[w]:
                                 inq[w] = 1
                                 qpush(w)
@@ -640,14 +595,11 @@ def _propagate(
                                 or nhi < vmax and not nd >> (nhi - base) & 1
                             ):
                                 rerun = True
-                            if nd & (nd - 1):
-                                wl = chg[v]
-                            else:
-                                wl = watchers[v]
+                            if nd & (nd - 1) == 0:
                                 for a in alldiffs_of[v]:
                                     e = pend[a]
                                     pend[a] = -1 if e & nd else e | nd
-                            for w in wl:
+                            for w in watchers[v]:
                                 if w != ci and not inq[w]:
                                     inq[w] = 1
                                     qpush(w)
@@ -681,20 +633,18 @@ def _propagate(
                             sup_y |= (dx << v) | (dx >> v)
                 nx = dx & sup_x
                 ny = dy & sup_y
+                # a distinct scope hands each fix over at once, an aliased
+                # one after the round (below)
                 if nz != dz:
                     doms[z] = nz
                     pruned.append(z)
                     if not nz:
                         return ci, passes
-                    if nz & (nz - 1):
-                        wl = chg[z]
-                    else:
-                        wl = watchers[z]
-                        if p[4]:  # an aliased scope hands its fixes over below
-                            for a in alldiffs_of[z]:
-                                e = pend[a]
-                                pend[a] = -1 if e & nz else e | nz
-                    for w in wl:
+                    if p[4] and nz & (nz - 1) == 0:
+                        for a in alldiffs_of[z]:
+                            e = pend[a]
+                            pend[a] = -1 if e & nz else e | nz
+                    for w in watchers[z]:
                         if w != ci and not inq[w]:
                             inq[w] = 1
                             qpush(w)
@@ -703,15 +653,11 @@ def _propagate(
                     pruned.append(x)
                     if not nx:
                         return ci, passes
-                    if nx & (nx - 1):
-                        wl = chg[x]
-                    else:
-                        wl = watchers[x]
-                        if p[4]:  # an aliased scope hands its fixes over below
-                            for a in alldiffs_of[x]:
-                                e = pend[a]
-                                pend[a] = -1 if e & nx else e | nx
-                    for w in wl:
+                    if p[4] and nx & (nx - 1) == 0:
+                        for a in alldiffs_of[x]:
+                            e = pend[a]
+                            pend[a] = -1 if e & nx else e | nx
+                    for w in watchers[x]:
                         if w != ci and not inq[w]:
                             inq[w] = 1
                             qpush(w)
@@ -720,15 +666,11 @@ def _propagate(
                     pruned.append(y)
                     if not ny:
                         return ci, passes
-                    if ny & (ny - 1):
-                        wl = chg[y]
-                    else:
-                        wl = watchers[y]
-                        if p[4]:  # an aliased scope hands its fixes over below
-                            for a in alldiffs_of[y]:
-                                e = pend[a]
-                                pend[a] = -1 if e & ny else e | ny
-                    for w in wl:
+                    if p[4] and ny & (ny - 1) == 0:
+                        for a in alldiffs_of[y]:
+                            e = pend[a]
+                            pend[a] = -1 if e & ny else e | ny
+                    for w in watchers[y]:
                         if w != ci and not inq[w]:
                             inq[w] = 1
                             qpush(w)
@@ -764,15 +706,10 @@ def _propagate(
                     pruned.append(y)
                     if not dy:
                         return ci, passes
-                    if dy & (dy - 1):  # y stays open: nothing to remove from x
-                        for w in chg[y]:
-                            if w != ci and not inq[w]:
-                                inq[w] = 1
-                                qpush(w)
-                        continue
-                    for a in alldiffs_of[y]:
-                        e = pend[a]
-                        pend[a] = -1 if e & dy else e | dy
+                    if dy & (dy - 1) == 0:
+                        for a in alldiffs_of[y]:
+                            e = pend[a]
+                            pend[a] = -1 if e & dy else e | dy
                     for w in watchers[y]:
                         if w != ci and not inq[w]:
                             inq[w] = 1
@@ -785,14 +722,11 @@ def _propagate(
                     pruned.append(x)
                     if not nd:
                         return ci, passes
-                    if nd & (nd - 1):
-                        wl = chg[x]
-                    else:
-                        wl = watchers[x]
+                    if nd & (nd - 1) == 0:
                         for a in alldiffs_of[x]:
                             e = pend[a]
                             pend[a] = -1 if e & nd else e | nd
-                    for w in wl:
+                    for w in watchers[x]:
                         if w != ci and not inq[w]:
                             inq[w] = 1
                             qpush(w)

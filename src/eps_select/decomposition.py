@@ -18,30 +18,14 @@ of the root's solution space. Each subproblem keeps the domains its
 propagation left, which are its root fixpoint (every propagator is monotone,
 so propagating the prefix from the parent's domains reaches the same
 fixpoint as propagating it from the model's initial domains), and the search
-starts from them without a root pass. Extensions that propagate go through
-:meth:`~eps_select.csp.Model.fixpoint_view`, where a prune that fixes no
-variable wakes no ``all_different`` or ``not_equal``: from a parent's
-domains, which are a fixpoint, that reaches the same child domains, or the
-same failure, as the model itself (see :mod:`eps_select.csp`), and the
-decomposition reads nothing else of a propagation. Each depth narrows the
-view to the wakes its prefix leaves open (:func:`_prefix_view`): an entry
-of the depth-d frontier is a fixpoint in which variables 0..d-1 are fixed,
-so a constraint whose scope repeats no variable and whose other variables
-all lie in that prefix accepts every value left to the remaining one (over
-a distinct scope with all but one variable fixed, a pass of every kind
-keeps exactly the values that satisfy the constraint), and waking it on a
-prune of that variable can neither prune nor fail. Those wakes are left
-out. A scope that repeats a variable keeps all its wakes:
-it constrains that variable against itself, and over such a scope
-``abs_diff`` is not even value-consistent (see :mod:`eps_select.csp`). The
-fixpoint is unique, so the children, their domains, the prefix length and
-the work are those of the full view. The parent is a fixpoint of every
-``all_different`` as well, so the extension names the variable it fixes
-as ``set_vars``, and only that variable seeds the ``all_different``
-pending values. An entry whose next variable its propagation already fixed
-is its own only child, with no copy and no propagation: re-fixing a
-variable of a fixpoint prunes nothing and cannot fail. Its one assignment
-still counts in the work.
+starts from them without a root pass. An extension that propagates wakes
+the constraints over the variable it fixes (see :mod:`eps_select.csp`).
+The parent is a fixpoint of every ``all_different``, so the extension
+names that variable as ``set_vars``, and only it seeds the
+``all_different`` pending values. An entry whose next variable its
+propagation already fixed is its own only child, with no copy and no
+propagation: re-fixing a variable of a fixpoint prunes nothing and cannot
+fail. Its one assignment still counts in the work.
 
 On a model that :attr:`~eps_select.csp.Model.open_domains_decide` (every
 constraint an ``all_different``, or a ``not_equal`` whose scope repeats no
@@ -71,7 +55,7 @@ and counts the assignments itself, so the subproblems, their domains, the
 prefix length and the work do not depend on the worker count. Every other
 depth is extended in the calling process. A smaller depth costs less to
 propagate than forking workers and unpickling their replies
-(BENCH_forked_decomposition.json, BENCH_prefix_wakes.json), and so does a
+(BENCH_forked_decomposition.json), and so does a
 forward-checked one: forward checking nqueens(10) to target 3000 costs
 about a quarter of propagating it, and forked spans would give most of the
 saving back (BENCH_forward_check.json).
@@ -79,7 +63,6 @@ saving back (BENCH_forward_check.json).
 
 from __future__ import annotations
 
-import copy
 import math
 import random
 from dataclasses import dataclass, field
@@ -94,11 +77,15 @@ from .search import root_domains
 # enumeration assignments than this is extended in the calling process: its
 # propagation costs less than forking workers and pickling their replies. An
 # assignment's cost differs between models, so the count does not track a
-# depth's cost everywhere (BENCH_forked_decomposition.json). Measured on 2
-# cores (BENCH_prefix_wakes.json, medians of 11 interleaved runs):
-# allinterval(10)'s depth 4 saves 26 ms by forking. Two depths below the
-# threshold would pay to fork: allinterval(10)'s depth 3 (680 assignments,
-# 12 ms) and golomb(8)'s depth 3 (833 assignments, 75 ms).
+# depth's cost everywhere (BENCH_forked_decomposition.json). Each depth
+# alone on a shared 2-core host, in the calling process against forked at 2
+# workers, medians of interleaved pairs: allinterval(10)'s depth 4 (3 728
+# assignments) took 115-121 ms against 79-82 ms, forked faster in all 21
+# pairs of three rounds, yet another round ran the whole decomposition
+# slower at 2 workers in 20 of 21 pairs: forking needs an idle second core.
+# Below the threshold golomb(8)'s depth 3 (833 assignments) would pay to
+# fork, 157 against 104 ms (11 of 11 pairs), and allinterval(10)'s depth 3
+# (680 assignments) would not, 44 against 56 ms (0 of 11).
 FORK_MIN_ASSIGNMENTS = 1000
 # a larger depth is cut into this many contiguous spans of its frontier; the
 # cut depends on the frontier only, so the subproblems do not depend on the
@@ -181,22 +168,18 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
             )
         total_work += assignments
         n = len(frontier)
-        # a forward check gets the model itself: the removal rows, which the
-        # search shares, are built from its full watchers
-        propagates = not model.open_domains_decide
-        view = _prefix_view(model.fixpoint_view(), depth) if propagates else model
-        if propagates and assignments >= FORK_MIN_ASSIGNMENTS:
+        if not model.open_domains_decide and assignments >= FORK_MIN_ASSIGNMENTS:
             size = -(-n // SPANS)
             results, _ = run_pool(
                 [(start, min(start + size, n)) for start in range(0, n, size)],
                 cfg.worker_count,
-                partial(_extend, view, frontier, depth),
+                partial(_extend, model, frontier, depth),
                 processes=True,
             )
             raise_failures(results)
             frontier = [doms for r in results for doms in r.result]
         else:
-            frontier = _extend(view, frontier, depth, (0, n))
+            frontier = _extend(model, frontier, depth, (0, n))
         depth += 1
         if len(frontier) > len(best):
             best = frontier
@@ -228,26 +211,6 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
         shortfall=len(subs) < target,
         work=total_work,
     )
-
-
-def _prefix_view(view: Model, depth: int) -> Model:
-    """``view`` without the wakes that the prefix of ``depth`` variables has
-    decided: a constraint leaves the wakes of ``v`` when its scope repeats no
-    variable and its other variables are all below ``depth`` (see the module
-    docstring)."""
-
-    def live(ci: int, v: int) -> bool:
-        scope = view.scopes[ci]
-        return len(set(scope)) < len(scope) or any(u >= depth for u in scope if u != v)
-
-    table = copy.copy(view)
-    table.watchers = tuple(
-        tuple(ci for ci in w if live(ci, v)) for v, w in enumerate(view.watchers)
-    )
-    table.change_watchers = tuple(
-        tuple(ci for ci in w if live(ci, v)) for v, w in enumerate(view.change_watchers)
-    )
-    return table
 
 
 def _extend(

@@ -22,25 +22,28 @@ Schema:
 A two-element list is read as a range; a two-value set that is not a range
 must use the explicit ``{"values": [...]}`` form (emission picks it
 automatically when needed). A model whose values span more than
-``csp.MAX_DOMAIN_WIDTH`` is refused before its domains are built. Every
-entry must be an object and every collection a list; domain values,
-``coeffs``, ``rhs`` and ``offset`` must be integers, and JSON booleans are
-not. An ``all_different`` that repeats a variable (unsatisfiable) and a
-``not_equal`` of a variable with itself (unsatisfiable or always true) are
-refused as well, and :func:`model_to_dict` and :func:`save_json` refuse to
-write them; ``csp.Model`` itself still accepts both. A linear coefficient
-of 0 is refused by ``csp.Model``, so by the reader too. An ``abs_diff``
-whose ``z`` is ``x`` or ``y`` stays legal: ``x = |x - y|`` has solutions. A
-document that breaks any of this raises ``ModelFormatError``.
+``csp.MAX_DOMAIN_WIDTH``, or whose domains declare more than
+``csp.MAX_DOMAIN_VALUES`` values in all, is refused before its domains are
+built. Every entry must be an object and every collection a list; domain
+values, ``coeffs``, ``rhs`` and ``offset`` must be integers, and JSON
+booleans are not. An ``all_different`` that repeats a variable
+(unsatisfiable) and a ``not_equal`` of a variable with itself
+(unsatisfiable or always true) are refused as well, and
+:func:`model_to_dict` and :func:`save_json` refuse to write them;
+``csp.Model`` itself still accepts both. A linear coefficient of 0 is
+refused by ``csp.Model``, so by the reader too. An ``abs_diff`` whose ``z``
+is ``x`` or ``y`` stays legal: ``x = |x - y|`` has solutions. A document
+that breaks any of this raises ``ModelFormatError``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import Sequence, Union
 
 from .csp import (
+    MAX_DOMAIN_VALUES,
     AbsDiff,
     AllDifferent,
     Constraint,
@@ -75,14 +78,15 @@ def _list(v, what: str) -> list:
     return v
 
 
-def _domain_values(dom, vid: str) -> tuple[int, ...]:
+def _domain_values(dom, vid: str) -> Sequence[int]:
+    """The declared values of variable ``vid``: a range is not expanded."""
     if isinstance(dom, dict):
         vals = dom.get("values")
         if not isinstance(vals, list) or not vals:
             raise ModelFormatError(f"variable {vid!r}: domain.values must be a non-empty list")
         if not all(_is_int(v) for v in vals):
             raise ModelFormatError(f"variable {vid!r}: domain values must be integers")
-        return tuple(vals)
+        return vals
     if not isinstance(dom, list) or not dom:
         raise ModelFormatError(f"variable {vid!r}: domain must be a non-empty list")
     if not all(_is_int(v) for v in dom):
@@ -95,8 +99,8 @@ def _domain_values(dom, vid: str) -> tuple[int, ...]:
             check_domain_width(f"variable {vid!r}", lo, hi)
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from None
-        return tuple(range(lo, hi + 1))
-    return tuple(dom)
+        return range(lo, hi + 1)
+    return dom
 
 
 def model_from_dict(data: dict) -> Model:
@@ -106,7 +110,7 @@ def model_from_dict(data: dict) -> Model:
     raw_vars = data.get("variables")
     if not isinstance(raw_vars, list) or not raw_vars:
         raise ModelFormatError("'variables' must be a non-empty list")
-    decls = []
+    domains = []
     index: dict[str, int] = {}
     for i, rv in enumerate(raw_vars):
         vid = _object(rv, f"variable #{i}").get("id")
@@ -114,8 +118,15 @@ def model_from_dict(data: dict) -> Model:
             raise ModelFormatError(f"variable #{i} is missing a string 'id'")
         if vid in index:
             raise ModelFormatError(f"duplicate variable id {vid!r}")
-        decls.append(VariableDecl(vid, _domain_values(rv.get("domain"), vid)))
+        domains.append((vid, _domain_values(rv.get("domain"), vid)))
         index[vid] = i
+    declared = sum(len(vals) for _, vals in domains)
+    if declared > MAX_DOMAIN_VALUES:
+        raise ModelFormatError(
+            f"the variables declare {declared} domain values, more than "
+            f"MAX_DOMAIN_VALUES={MAX_DOMAIN_VALUES}"
+        )
+    decls = [VariableDecl(vid, vals) for vid, vals in domains]
 
     def ref(vid, where: str) -> int:
         if not isinstance(vid, str) or vid not in index:

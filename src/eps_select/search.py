@@ -7,29 +7,25 @@ chosen domain, or the maximum for ``wdegM``. Every call starts fresh
 activity and weighted-degree counters, which never decay, and keeps only the
 ones its strategy reads: activity for ``act``, weighted degrees for
 ``wdegm``, ``wdegM`` and ``dwdeg``, none for ``ff``, ``mregret`` and
-``mostc``. Those three choose from the domains alone, so their search
-propagates through :meth:`~eps_select.csp.Model.fixpoint_view`, where a
-prune or a right branch that fixes no variable wakes no ``all_different`` or
-``not_equal``: every node is a fixpoint of all constraints, so each node
-below it reaches the same domains, or the same failure, as with every wake
-(see :mod:`eps_select.csp`); only ``propagations``, the propagator passes,
-differs. On a model whose
-:attr:`~eps_select.csp.Model.open_domains_decide` (nqueens, latin) those
-three forward-check instead, as the decomposition does: a branch that fixes
-its variable runs :func:`~eps_select.csp._cascade`, which removes that
-value's :meth:`~eps_select.csp.Model.removals` row from the neighbours and
-does the same for each neighbour a removal fixes, and fails when a domain
-empties; a branch that leaves its variable open propagates nothing, since
-no ``all_different`` or ``not_equal`` acts on an open variable. In
-``OPTIMIZE`` mode a bound prune that fixes the objective joins the cascade,
-and one that leaves it open prunes nothing further for the same reason.
-From a fixpoint that cascade reaches the unique fixpoint that
+``mostc``. A branch wakes every constraint on its variable, and a prune
+every constraint on the pruned variable (see :mod:`eps_select.csp`). Those
+three choose from the domains alone, so on a model whose
+:attr:`~eps_select.csp.Model.open_domains_decide` (nqueens, latin) their
+search forward-checks instead of propagating, as the decomposition does: a
+branch that fixes its variable runs :func:`~eps_select.csp._cascade`, which
+removes that value's :meth:`~eps_select.csp.Model.removals` row from the
+neighbours and does the same for each neighbour a removal fixes, and fails
+when a domain empties; a branch that leaves its variable open propagates
+nothing, since no ``all_different`` or ``not_equal`` acts on an open
+variable. In ``OPTIMIZE`` mode a bound prune that fixes the objective joins
+the cascade, and one that leaves it open prunes nothing further for the
+same reason. From a fixpoint that cascade reaches the unique fixpoint that
 ``_propagate`` reaches, or fails where it fails (see
 :mod:`eps_select.decomposition`), so every decision, failure, solution and
 status stays the same; ``propagations`` then counts the root passes plus the
 removal rows applied, one per fix. The other four read the pruned variables
-or the failing constraint, so their search wakes every constraint on a
-pruned variable.
+or the failing constraint, which only a propagation names, so their search
+propagates on every model.
 Every node is a fixpoint, so each propagation names the variables the branch
 has just set -- the branch variable, and the objective after a bound prune
 -- and only their fixed values seed the ``all_different`` pending values
@@ -310,14 +306,10 @@ def solve(
     # only the chooser reads the counters, so keep just the ones it reads
     keep_activity = sid is StrategyId.ACT
     keep_wdeg = sid in _WDEG_STRATEGIES
-    # a chooser that reads the domains alone sees the same nodes through the
-    # fixpoint view, which skips wakes that cannot prune (see the docstring)
+    # a chooser that reads the domains alone reads only the fixpoint: where
+    # the open domains decide, the removal cascade of the fixes (see the docstring)
     domain_only = not (keep_activity or keep_wdeg)
-    pmodel = model.fixpoint_view() if domain_only else model
-    # where the open domains decide the search, such a chooser's fixpoint is
-    # the removal cascade of the fixes (see the docstring)
     forward = domain_only and model.open_domains_decide
-    change_watchers = pmodel.change_watchers
     pick_max = sid is StrategyId.WDEG_MAX
     first_only = mode is SolveMode.FIRST_SOLUTION
     # the subtree memo serves only searches whose open domains decide every
@@ -398,7 +390,7 @@ def solve(
         node = parent[:]
         node[var] = mask
         decisions += 1
-        wake = change_watchers[var] if mask & (mask - 1) else watchers[var]
+        wake = watchers[var]
         set_vars = (var,)
         if optimizing and cur_bound is not None:
             od = node[objvar]
@@ -428,7 +420,7 @@ def solve(
                     node = None
             continue
         pruned.clear()
-        fc, np_ = _propagate(pmodel, node, wake, pruned, set_vars)
+        fc, np_ = _propagate(model, node, wake, pruned, set_vars)
         propagations += np_
         if keep_activity and pruned:
             counters.bump_pruned_many(pruned, decisions)

@@ -499,50 +499,29 @@ def _narrow(rng: random.Random, d: int) -> int:
     return sum(rng.sample(bits, rng.randint(1, len(bits) - 1)))
 
 
-@pytest.mark.parametrize(
-    "name, make",
-    [
-        ("nqueens", lambda: nqueens(8)),
-        ("allinterval", lambda: allinterval(8)),
-        ("latin", lambda: latin(5)),
-        ("golomb", lambda: golomb(5)),
-        ("magicsquare", lambda: magicsquare(3)),
-        ("degenerate", _degenerate_model),
-    ],
-)
-def test_fixpoint_view_reaches_the_models_fixpoint(name, make):
-    # The view wakes no all_different or not_equal on a prune that leaves its
-    # variable open, which is sound only from domains where every constraint
-    # not woken is at its fixpoint. Random sub-masks with random wake lists
-    # break that precondition, so they are no valid input here. Each case
-    # starts from a consistent fixpoint, reached from the root by random
-    # narrowings propagated through the model (whose kernel the test above
-    # pins), and narrows one more open variable. The model wakes all its
-    # watchers; the view wakes them by its own rule.
-    m = make()
-    view = m.fixpoint_view()
-    assert view is m.fixpoint_view() and view.watchers is m.watchers
-    rng = random.Random(f"view-{name}")
-    everything = range(len(m.constraints))
-    outcomes = {True: 0, False: 0}
-    while sum(outcomes.values()) < 400:
-        doms = list(m.initial_masks)
-        consistent = _propagate(m, doms, everything, [])[0] < 0
-        for _ in range(rng.randint(0, m.n)):
-            open_vars = [v for v, d in enumerate(doms) if d & (d - 1)]
-            if not consistent or not open_vars:
-                break
-            v = rng.choice(open_vars)
-            d = _narrow(rng, doms[v])
-            got, want = list(doms), list(doms)
-            got[v] = want[v] = d
-            wake = view.watchers[v] if d & (d - 1) == 0 else view.change_watchers[v]
-            got_fail = _propagate(view, got, wake, [])[0] >= 0
-            want_fail = _propagate(m, want, m.watchers[v], [])[0] >= 0
-            assert got_fail == want_fail, (name, doms, v, d)
-            if not want_fail:
-                assert got == want, (name, doms, v, d)
-            outcomes[want_fail] += 1
-            doms, consistent = want, not want_fail
-    # both outcomes are covered
-    assert min(outcomes.values()) > 0, outcomes
+def test_watchers_name_each_constraint_over_a_variable_once_in_order():
+    # random scopes that repeat variables: a constraint joins the watchers of
+    # each variable it names once, and the watchers keep declaration order
+    rng = random.Random("watchers")
+    repeats = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        cons = []
+        for _ in range(rng.randint(1, 12)):
+            vs = tuple(rng.randrange(n) for _ in range(rng.randint(1, 5)))
+            kind = rng.randrange(5)
+            if kind == 0:
+                cons.append(AllDifferent(vs))
+            elif kind < 3:
+                coeffs = tuple(rng.choice((-2, -1, 1, 2)) for _ in vs)
+                cons.append((LinearEq if kind == 1 else LinearLe)(coeffs, vs, rng.randint(-3, 3)))
+            elif kind == 3:
+                cons.append(AbsDiff(rng.randrange(n), rng.randrange(n), rng.randrange(n)))
+            else:
+                cons.append(NotEqual(rng.randrange(n), rng.randrange(n), rng.randint(-1, 1)))
+        m = _model([range(3)] * n, cons)
+        assert m.watchers == tuple(
+            tuple(ci for ci, c in enumerate(cons) if v in c.scope) for v in range(n)
+        ), cons
+        repeats += sum(len(set(c.scope)) < len(c.scope) for c in cons)
+    assert repeats > 200

@@ -189,26 +189,6 @@ def test_aliased_scopes_keep_their_wakes(target):
             m.constraints)
 
 
-def test_prefix_view_drops_the_wakes_the_prefix_decides():
-    # nqueens(10) at prefix length 5: q5 no longer wakes the ten not_equal
-    # constraints it shares with q0-q4, and keeps the others in order
-    m = nqueens(10)
-    view = m.fixpoint_view()
-    table = decomposition._prefix_view(view, 5)
-    shared = {NotEqual(i, 5, off) for i in range(5) for off in (5 - i, i - 5)}
-    assert [ci for ci in view.watchers[5] if m.constraints[ci] not in shared] == list(
-        table.watchers[5]
-    )
-    # every queen loses the not_equal it shares with another prefix queen;
-    # the all_different reaches past the prefix and keeps all its wakes
-    for v in range(10):
-        lost = [m.constraints[ci] for ci in view.watchers[v] if ci not in table.watchers[v]]
-        assert all(isinstance(c, NotEqual) and {c.x, c.y} - {v} < set(range(5)) for c in lost)
-        assert len(lost) == 2 * (5 - (v < 5))
-    assert table.change_watchers == view.change_watchers  # empty on nqueens
-    assert decomposition._prefix_view(view, 0).watchers == view.watchers
-
-
 def _forward_check_models():
     """nqueens(2..10), latin(3..5) and 40 random models of all_different and
     not_equal constraints over distinct scopes with consistent roots."""
@@ -231,16 +211,14 @@ def test_forward_check_gives_the_children_of_the_propagate_extension():
     seen = {"negative lo": 0, "removal off the span": 0, "cascade fix": 0, "cascade failure": 0}
     for m in _forward_check_models():
         assert m.open_domains_decide
-        view = _propagating_copy(m).fixpoint_view()
-        assert not view.open_domains_decide
+        closed = _propagating_copy(m)
+        assert not closed.open_domains_decide
         seen["negative lo"] += m.lo < 0
         frontier = [root_domains(m)[0]]
         depth = 0
         while frontier and len(frontier) < 3000 and depth < m.n:
             span = (0, len(frontier))
-            want = decomposition._extend(
-                decomposition._prefix_view(view, depth), frontier, depth, span
-            )
+            want = decomposition._extend(closed, frontier, depth, span)
             got = decomposition._extend(m, frontier, depth, span)
             assert got == want, (m.name, m.constraints, depth)
             parents = {id(doms) for doms in frontier}
@@ -438,42 +416,16 @@ def test_failing_forward_check_raises_its_error(forks, monkeypatch, workers):
     assert forks == []
 
 
-@fork_only
-@pytest.mark.parametrize(
-    "model_fn, target",
-    [
-        (lambda: nqueens(10), 3000),
-        (lambda: latin(5), 3000),
-        (lambda: allinterval(10), 3000),
-        (lambda: golomb(8), 500),
-        (lambda: magicsquare(3), 10**9),
-    ],
-    ids=["nqueens10", "latin5", "allinterval10", "golomb8", "magicsquare3"],
-)
-def test_fixpoint_view_leaves_the_decomposition_unchanged(forks, monkeypatch, model_fn, target):
-    # the extensions propagate through the fixpoint view; through the model
-    # itself they must give the same decomposition, at 1 and 2 workers
-    m = model_fn()
-    m.open_domains_decide = False  # nqueens and latin extend through _propagate too
-    assert m.fixpoint_view().change_watchers != m.watchers
-    cfgs = [DecompositionConfig(target_count=target, worker_count=w) for w in (1, 2)]
-    through_view = [decompose(m, cfg) for cfg in cfgs]
-    monkeypatch.setattr(Model, "fixpoint_view", lambda self: self)
-    assert [decompose(m, cfg) for cfg in cfgs] == through_view
-    assert all_reaped(forks)
-
-
 def test_fixed_next_variable_is_its_own_only_child(monkeypatch):
     # nqueens(10)'s depth-8 frontier: the propagation of the first eight
     # queens has fixed the ninth in some entries and not in others
     m = nqueens(10)
-    view = m.fixpoint_view()
     frontier = [root_domains(m)[0]]
     for depth in range(8):
-        frontier = decomposition._extend(view, frontier, depth, (0, len(frontier)))
+        frontier = decomposition._extend(m, frontier, depth, (0, len(frontier)))
     fixed = [doms for doms in frontier if doms[8].bit_count() == 1]
     assert fixed and len(fixed) < len(frontier)
-    # the view forward-checks: count the cascades and the propagations
+    # the model forward-checks: count the cascades and the propagations
     calls = []
     for name in ("_cascade", "_propagate"):
         real = getattr(decomposition, name)
@@ -481,11 +433,11 @@ def test_fixed_next_variable_is_its_own_only_child(monkeypatch):
             decomposition, name, lambda *a, real=real: calls.append(a[1]) or real(*a)
         )
     for doms in fixed:
-        children = decomposition._extend(view, [doms], 8, (0, 1))
+        children = decomposition._extend(m, [doms], 8, (0, 1))
         assert len(children) == 1 and children[0] is doms
     assert calls == []
     open_entry = next(doms for doms in frontier if doms[8].bit_count() > 1)
-    decomposition._extend(view, [open_entry], 8, (0, 1))
+    decomposition._extend(m, [open_entry], 8, (0, 1))
     assert len(calls) == open_entry[8].bit_count()
 
 

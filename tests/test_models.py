@@ -5,7 +5,9 @@ import pytest
 import tracemalloc
 
 from eps_select.benchmarks import allinterval, generate, golomb, latin, magicsquare, nqueens
+from eps_select import modelio
 from eps_select.csp import (
+    MAX_DOMAIN_VALUES,
     MAX_DOMAIN_WIDTH,
     AllDifferent,
     Model,
@@ -244,6 +246,48 @@ def test_models_exactly_at_width_cap_accepted():
     m = Model("cap", [VariableDecl("a", (0,)), VariableDecl("b", (MAX_DOMAIN_WIDTH - 1,))], [])
     assert m.ubits == MAX_DOMAIN_WIDTH
     assert count_all(m).solutions_found == 1
+
+
+def test_too_many_declared_values_refused_before_building():
+    # seventeen variables over the widest span: a document of some 700 bytes
+    # that declares 1 114 112 values
+    wide = MAX_DOMAIN_VALUES // MAX_DOMAIN_WIDTH + 1
+    doc = {
+        "name": "many",
+        "variables": [{"id": f"x{i}", "domain": [0, MAX_DOMAIN_WIDTH - 1]} for i in range(wide)],
+    }
+    assert len(json.dumps(doc)) < 1000
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ModelFormatError,
+            match=f"declare {wide * MAX_DOMAIN_WIDTH} domain values, more than "
+            f"MAX_DOMAIN_VALUES={MAX_DOMAIN_VALUES}$",
+        ):
+            model_from_dict(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the refused domains would hold over a million ints (about 40 MB)
+    assert peak < 100_000
+
+
+def test_declared_values_cap_counts_ranges_and_value_lists(monkeypatch):
+    # a range counts its width, a value list its length: ten values in all
+    # sit at a cap of 10, and one more is refused
+    monkeypatch.setattr(modelio, "MAX_DOMAIN_VALUES", 10)
+    doc = {
+        "name": "capped",
+        "variables": [
+            {"id": "x", "domain": [0, 4]},
+            {"id": "y", "domain": [1, 3, 5]},
+            {"id": "z", "domain": {"values": [2, 7]}},
+        ],
+    }
+    assert sum(len(v.values) for v in model_from_dict(doc).variables) == 10
+    doc["variables"].append({"id": "w", "domain": {"values": [0]}})
+    with pytest.raises(ModelFormatError, match="declare 11 domain values.*=10$"):
+        model_from_dict(doc)
 
 
 def test_objective_roundtrip(tmp_path):

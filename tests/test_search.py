@@ -21,6 +21,7 @@ from eps_select.search import SolveMode, SolveStatus, count_all, root_domains, s
 from eps_select.strategies import ALL_STRATEGIES, StrategyId
 
 from bruteforce import allinterval_count, brute_count, brute_optimum, golomb_optimum
+from reference_propagate import reference_propagate
 
 
 def test_4queens_all_solutions():
@@ -273,28 +274,6 @@ PINNED_SOLVES = {
     ("golomb", "dwdeg"): ("complete", 2, 11, 62, 42, 20, 508),
 }
 
-# The propagations of the rows whose strategy reads the domains alone: their
-# search propagates through the fixpoint view, where a prune that fixes
-# nothing wakes no all_different or not_equal. Every other column is the
-# full-wake record above.
-FIX_EVENT_PROPAGATIONS = {
-    ("nqueens", "ff"): 4222,
-    ("nqueens", "mregret"): 4455,
-    ("nqueens", "mostc"): 4202,
-    ("allinterval", "ff"): 5400,
-    ("allinterval", "mregret"): 5760,
-    ("allinterval", "mostc"): 5132,
-    ("latin", "ff"): 4576,
-    ("latin", "mregret"): 4876,
-    ("latin", "mostc"): 4576,
-    ("magicsquare", "ff"): 760,
-    ("magicsquare", "mregret"): 743,
-    ("magicsquare", "mostc"): 481,
-    ("golomb", "ff"): 370,
-    ("golomb", "mregret"): 366,
-    ("golomb", "mostc"): 370,
-}
-
 # The propagations of the rows whose search forward-checks: a domain-only
 # strategy on a model of all_different and not_equal constraints counts the
 # root passes and then the removal rows its fixes applied. Every other column
@@ -335,18 +314,14 @@ def _pinned_models(propagating=False):
 def _pinned_row(key):
     """The pinned row of ``key`` as the search counts it by default."""
     want = PINNED_SOLVES[key]
-    return want[:6] + (
-        FORWARD_CHECK_PROPAGATIONS.get(key) or FIX_EVENT_PROPAGATIONS.get(key, want[6]),
-    )
+    return want[:6] + (FORWARD_CHECK_PROPAGATIONS.get(key, want[6]),)
 
 
-def test_solve_outcomes_pinned(monkeypatch):
+def test_solve_outcomes_pinned():
     assert len(PINNED_SOLVES) == len(_pinned_models()) * len(ALL_STRATEGIES)
-    assert set(FIX_EVENT_PROPAGATIONS) == {
-        key for key in PINNED_SOLVES if StrategyId(key[1]) in DOMAIN_ONLY
-    }
     assert set(FORWARD_CHECK_PROPAGATIONS) == {
-        key for key in FIX_EVENT_PROPAGATIONS if key[0] in ("nqueens", "latin")
+        key for key in PINNED_SOLVES
+        if StrategyId(key[1]) in DOMAIN_ONLY and key[0] in ("nqueens", "latin")
     }
 
     def outcomes(models):
@@ -354,16 +329,11 @@ def test_solve_outcomes_pinned(monkeypatch):
                                           models[name][1]))
                 for name, token in PINNED_SOLVES}
 
-    forward = outcomes(_pinned_models())
-    fix_events = outcomes(_pinned_models(propagating=True))
-    # with every prune waking every constraint on its variable, each row
-    # matches its record in all seven columns
-    monkeypatch.setattr(Model, "fixpoint_view", lambda self: self)
+    # propagating, every row matches its record in all seven columns; the
+    # forward-checking rows differ only in propagations
     assert outcomes(_pinned_models(propagating=True)) == PINNED_SOLVES
-    for key, want in PINNED_SOLVES.items():
-        if key in FIX_EVENT_PROPAGATIONS:
-            want = want[:6] + (FIX_EVENT_PROPAGATIONS[key],)
-        assert fix_events[key] == want, key
+    forward = outcomes(_pinned_models())
+    for key in PINNED_SOLVES:
         assert forward[key] == _pinned_row(key), key
 
 
@@ -385,6 +355,39 @@ def test_pinned_outcomes_hold_with_a_cold_and_a_warm_subtree_memo():
         assert bool(filled) == used, (name, token)
         # the warm solve hits at the root and adds nothing
         assert memo == filled
+
+
+def test_search_propagations_match_the_reference_kernel(monkeypatch):
+    # every _propagate call of a whole-model solve, the root's included,
+    # under all seven strategies on the pinned models that propagate: the
+    # reference kernel, which wakes every watcher and rescans every fixed
+    # value, gives the same failing index, pass count, domains and pruned
+    # sequence from the same domains and wake list
+    from eps_select import search
+
+    real = search._propagate
+    calls = []
+
+    def recording(model, doms, wake, pruned, set_vars=None):
+        before, wake = list(doms), list(wake)
+        got = real(model, doms, wake, pruned, set_vars)
+        calls.append((model, before, wake, got, list(doms), list(pruned)))
+        return got
+
+    monkeypatch.setattr(search, "_propagate", recording)
+    models = _pinned_models()
+    for name in ("allinterval", "golomb", "magicsquare"):
+        model, mode = models[name]
+        for sid in ALL_STRATEGIES:
+            solve(model, (), sid, mode)
+    assert len(calls) > 10_000
+    failed = 0
+    for model, before, wake, got, after, pruned in calls:
+        doms, want_pruned = list(before), []
+        want = reference_propagate(model, doms, wake, want_pruned)
+        assert (got, after, pruned) == (want, doms, want_pruned), (model.name, before, wake)
+        failed += want[0] >= 0
+    assert 0 < failed < len(calls)
 
 
 def _random_distinct_model(rng):
@@ -628,53 +631,6 @@ def _random_search_model(rng, objective):
     rng.shuffle(cons)
     obj = Objective(rng.randrange(n), rng.random() < 0.5) if objective else None
     return Model("random", decls, cons, obj)
-
-
-def test_fix_event_search_matches_the_full_wake_search(monkeypatch):
-    # ff, mregret and mostc read the domains alone, so propagating through the
-    # fixpoint view must leave every column but propagations as with every
-    # wake, and never take more passes: on whole models and on decomposed
-    # subproblems, in every mode, with an incumbent bound in OPTIMIZE mode.
-    rng = random.Random("fix-event-search")
-    cases = []
-    models = 0
-    while models < 100:
-        optimizing = models % 2 == 1
-        m = _random_search_model(rng, optimizing)
-        try:
-            root_domains(m)
-        except InconsistentProblem:
-            continue
-        models += 1
-        modes = [SolveMode.OPTIMIZE, SolveMode.FIRST_SOLUTION] if optimizing else [
-            SolveMode.ALL_SOLUTIONS, SolveMode.FIRST_SOLUTION]
-        subs = decompose(m, DecompositionConfig(target_count=rng.randint(2, 8))).subproblems
-        for sid in DOMAIN_ONLY:
-            for mode in modes:
-                bound = None
-                if mode is SolveMode.OPTIMIZE and rng.random() < 0.5:
-                    bound = rng.choice(m.variables[m.objective.var].values)
-                cases.append((m, sid, mode, bound, None))
-                for sub in subs:
-                    cases.append((m, sid, mode, bound, sub.domains))
-
-    def run(case):
-        m, sid, mode, bound, domains = case
-        return _row(solve(m, (), sid, mode, bound=bound, domains=domains))
-
-    through_view = [run(c) for c in cases]
-    monkeypatch.setattr(Model, "fixpoint_view", lambda self: self)
-    full = [run(c) for c in cases]
-    fewer = 0
-    for case, got, want in zip(cases, through_view, full):
-        assert got[:6] == want[:6], case
-        assert got[6] <= want[6], case
-        fewer += got[6] < want[6]
-    # the view skipped wakes, solutions were found and nodes failed, and the
-    # incumbent bound pruned (more than one improving solution)
-    assert fewer > len(cases) // 4
-    assert any(row[1] > 0 for row in full) and any(row[5] > 0 for row in full)
-    assert any(c[2] is SolveMode.OPTIMIZE and row[1] > 1 for c, row in zip(cases, full))
 
 
 def _random_twin_model(rng):
