@@ -10,6 +10,9 @@
 * magicsquare(n): distinct 1..n^2 with equal line sums (full solution
   count, no symmetry breaking).
 * latin(n): an n x n Latin square over 1..n.
+
+Each generator refuses a size whose variables would declare more than
+``csp.MAX_DOMAIN_VALUES`` domain values in all, before it builds any domain.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .csp import (
     NotEqual,
     Objective,
     VariableDecl,
+    check_declared_values,
     var_range,
 )
 
@@ -32,6 +36,7 @@ from .csp import (
 def allinterval(n: int) -> Model:
     if n < 2:
         raise ValueError("allinterval needs n >= 2")
+    check_declared_values(f"model 'allinterval-{n}'", n * n + (n - 1) ** 2)
     xs = [var_range(f"x{i}", 0, n - 1) for i in range(n)]
     ds = [var_range(f"d{i}", 1, n - 1) for i in range(n - 1)]
     cons = [
@@ -46,6 +51,7 @@ def allinterval(n: int) -> Model:
 def nqueens(n: int) -> Model:
     if n < 1:
         raise ValueError("nqueens needs n >= 1")
+    check_declared_values(f"model 'nqueens-{n}'", n * n)
     qs = [var_range(f"q{i}", 0, n - 1) for i in range(n)]
     cons: list = [AllDifferent(tuple(range(n)))]
     for i in range(n):
@@ -60,6 +66,8 @@ def golomb(n: int, maxlen: Optional[int] = None) -> Model:
         raise ValueError("golomb needs n >= 2")
     if maxlen is None:
         maxlen = n * n
+    # the first mark's one value, then n - 1 marks and n(n - 1)/2 differences
+    check_declared_values(f"model 'golomb-{n}'", 1 + (n - 1 + n * (n - 1) // 2) * maxlen)
     marks = [VariableDecl("m0", (0,))] + [
         var_range(f"m{i}", 1, maxlen) for i in range(1, n)
     ]
@@ -94,6 +102,7 @@ def golomb(n: int, maxlen: Optional[int] = None) -> Model:
 def magicsquare(n: int) -> Model:
     if n < 1:
         raise ValueError("magicsquare needs n >= 1")
+    check_declared_values(f"model 'magicsquare-{n}'", n ** 4)
     total = n * (n * n + 1) // 2
     cells = [var_range(f"c{r}_{c}", 1, n * n) for r in range(n) for c in range(n)]
     ones = tuple(1 for _ in range(n))
@@ -110,6 +119,7 @@ def magicsquare(n: int) -> Model:
 def latin(n: int) -> Model:
     if n < 1:
         raise ValueError("latin needs n >= 1")
+    check_declared_values(f"model 'latin-{n}'", n ** 3)
     cells = [var_range(f"c{r}_{c}", 1, n) for r in range(n) for c in range(n)]
     cons: list = []
     for r in range(n):

@@ -12,10 +12,11 @@ oracle memo its PSS run reads.
 Only the listed option spellings are accepted, never an abbreviation.
 Exit codes: 0 success, 1 runtime failure, 2 usage error, 141 (quietly) when
 the reader of stdout closes it before the report is written. EPS_SELECT_LOG
-sets the log level. The log records are INFO lines: ``compare``'s one per
-single strategy, with its total, and one per work-mode ``pss`` or
-``compare`` run with its subproblems and distinct roots (see
-:class:`~eps_select.selection.ModelOracle`).
+sets the log level, one of DEBUG, INFO, WARNING, ERROR and CRITICAL in any
+case; any other value is a usage error. The log records are INFO lines:
+``compare``'s one per single strategy, with its total, and one per
+work-mode ``pss`` or ``compare`` run with its subproblems and distinct roots
+(see :class:`~eps_select.selection.ModelOracle`).
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def compare(model: Model, cfg: PssConfig) -> Comparison:
 
     # on an optimization model every solve reads and raises the live
     # incumbent, so the singles run in order in this process
-    bound_free = model.objective is None
+    satisfaction = model.objective is None
     singles: dict[StrategyId, float] = {}
     for sid in ALL_STRATEGIES:
         single = oracle()
@@ -244,11 +245,11 @@ def compare(model: Model, cfg: PssConfig) -> Comparison:
             cfg.decomposition.worker_count,
             lambda sub: single.full(sub, sid),
             cost_fn=lambda obs: obs.value,
-            processes=bound_free,
+            processes=satisfaction,
             key=single.twin,
         )
         raise_failures(results)
-        if bound_free:  # PSS, the bandit and the portfolio read these
+        if satisfaction:  # PSS, the bandit and the portfolio read these
             for r in results:
                 single.remember(r.task, sid, r.result)
         singles[sid] = sum(r.result.value for r in results)
@@ -300,7 +301,13 @@ def _print_selection_report(model: Model, rep: SelectionReport) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(level=os.environ.get("EPS_SELECT_LOG", "WARNING").upper())
+    levels = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+    level = os.environ.get("EPS_SELECT_LOG", "WARNING")
+    if level.upper() not in levels:
+        print(f"error: EPS_SELECT_LOG={level!r} is not a log level; "
+              f"use one of {', '.join(levels)} (in any case)", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level.upper())
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -100,9 +100,9 @@ from typing import Iterable, Optional, Sequence, Union
 # domain mask is that many bits wide, so a wider span is refused before any
 # mask or value tuple is built.
 MAX_DOMAIN_WIDTH = 1 << 16
-# Most domain values a JSON model may declare over all its variables, each
-# held at about 36 bytes: a document at the cap (sixteen variables over the
-# widest span) builds about 40 MB of domains, one over it none.
+# Most domain values a model may declare over all its variables, each held at
+# about 36 bytes: a model at the cap (sixteen variables over the widest span)
+# builds about 40 MB of domains, one over it none.
 MAX_DOMAIN_VALUES = 1 << 20
 # The most removal rows (Model.removals) one model stores in a process; past
 # it each further row is computed on every use. A row over the widest span
@@ -140,6 +140,17 @@ def check_domain_width(what: str, lo: int, hi: int) -> None:
     if hi - lo + 1 > MAX_DOMAIN_WIDTH:
         raise ValueError(
             f"{what}: values span [{lo}, {hi}], wider than MAX_DOMAIN_WIDTH={MAX_DOMAIN_WIDTH}"
+        )
+
+
+def check_declared_values(what: str, count: int, cap: int = MAX_DOMAIN_VALUES) -> None:
+    """Refuse a model whose variables declare ``count`` domain values in all
+    if that is more than ``cap``; the JSON reader and every builtin generator
+    check their count before they build any domain."""
+    if count > cap:
+        raise ValueError(
+            f"{what}: the variables declare {count} domain values, more than "
+            f"MAX_DOMAIN_VALUES={cap}"
         )
 
 
@@ -259,7 +270,6 @@ class Model:
         self.objective = objective
         self.n = len(variables)
         self.names = tuple(names)
-        self.index_of = {nm: i for i, nm in enumerate(names)}
 
         self.lo = min(v.values[0] for v in variables)
         hi = max(v.values[-1] for v in variables)

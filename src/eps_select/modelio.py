@@ -53,6 +53,7 @@ from .csp import (
     NotEqual,
     Objective,
     VariableDecl,
+    check_declared_values,
     check_domain_width,
 )
 
@@ -120,12 +121,12 @@ def model_from_dict(data: dict) -> Model:
             raise ModelFormatError(f"duplicate variable id {vid!r}")
         domains.append((vid, _domain_values(rv.get("domain"), vid)))
         index[vid] = i
-    declared = sum(len(vals) for _, vals in domains)
-    if declared > MAX_DOMAIN_VALUES:
-        raise ModelFormatError(
-            f"the variables declare {declared} domain values, more than "
-            f"MAX_DOMAIN_VALUES={MAX_DOMAIN_VALUES}"
+    try:
+        check_declared_values(
+            f"model {name!r}", sum(len(vals) for _, vals in domains), MAX_DOMAIN_VALUES
         )
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
     decls = [VariableDecl(vid, vals) for vid, vals in domains]
 
     def ref(vid, where: str) -> int:

@@ -8,14 +8,14 @@ then pull chunks of task indices from the parent over pipes (the EPS queue of
 Régin, Rezgui & Malapert, CP 2013) and send back the pickled outcomes
 (:mod:`eps_select.forkpool`). A worker process runs on the copy of the
 parent's memory taken at the fork, so whatever a task writes stays there;
-only the returned results come back. Four callers do: the decomposition,
+only the returned results come back. Three callers do: the decomposition,
 for each depth large enough to cut into spans (only depths that propagate
 rather than forward-check, since it reads no incumbent), and, on
-satisfaction models, the PSS sample race in work mode (the sampled
-cells the oracle's memo lacks), the PSS remainder solve (unless the memo
-holds all of it, as after ``compare``'s single-strategy runs) and those
-single-strategy runs; optimization solves read the incumbent that earlier
-ones raised, so they stay in the calling process.
+satisfaction models, :meth:`~eps_select.selection.ModelOracle.solve_all`
+(the cells the oracle's memo lacks, for the PSS sample race in work mode
+and for the PSS remainder) and ``compare``'s single-strategy runs;
+optimization solves read the incumbent that earlier ones raised, so they
+stay in the calling process.
 
 Either way a min-clock simulation assigns each task, in task order, to the
 virtual worker that would have pulled it (the least loaded one, the lowest
@@ -31,8 +31,8 @@ A caller may name a ``key`` under which tasks give equal results. Each
 class of tasks with one key then runs once, on its first task, and every
 task of the class gets that result; a forked pool sends only those first
 tasks to its workers, and forks no more workers than there are classes.
-The solve pools of ``pss`` and ``compare`` key their tasks by the
-oracle's twin classes (see :class:`~eps_select.selection.ModelOracle`).
+``compare``'s single-strategy pools key their tasks by the oracle's twin
+classes (see :class:`~eps_select.selection.ModelOracle`).
 
 Every task is deterministic, so a task that raises is run once and
 reported as failed, and the results stop there. In the calling thread no

@@ -10,17 +10,17 @@ budget shared by all strategies, in both time modes. In work-units mode a
 budgeted run is the memoized full deterministic run plus a limit check, so
 each (subproblem, strategy) pair is solved once however many budgets the
 race tries, and the race's cost without timeouts is known for reporting.
-On a satisfaction model :func:`pss_select` solves those full runs before the
-race, every (sampled subproblem, strategy) cell the memo lacks, in one task
-pool that forks workers when there is more than one; the race then reads the
-memo in the calling process. The winner's remainder is one pool as well.
-Both pools key their cells by twin class (see :class:`ModelOracle`), so in
-work mode each class of twin subproblems is solved once per strategy, in
-one worker, and the memo answers for every member. On an optimization model each race pins the
-incumbent its predecessors raised, so its cells are solved in the calling
-process as the race reaches them.
-In wall mode runs are stopped by elapsed time, and that cost is unknown;
-they too are solved in the calling process.
+:meth:`ModelOracle.solve_all` is the one place a batch of full runs goes
+into the memo. On a satisfaction model :func:`pss_select` hands it every
+(sampled subproblem, strategy) cell before the race, and the winner's
+remainder after selection. It solves each twin class the memo lacks once
+per strategy (see :class:`ModelOracle`), in forked workers when there is
+more than one, and reads every cell from the memo. On an optimization model
+each run reads the incumbent its predecessors raised: the race solves its
+cells in the calling process as it reaches them, and ``solve_all`` solves
+the remainder there in order. In wall mode runs are stopped by elapsed
+time, and that cost is unknown, so the race solves its cells in the calling
+process too.
 
 On a model with an objective, a first-solution race at the root runs before
 the sample race (the warm start): every strategy of the oracle dives on the
@@ -228,8 +228,8 @@ class ModelOracle:
     :func:`~eps_select.search.twin_key`, once per shared cache (under
     ``"twins"``). Twins give equal outcomes in every field but ``wall_ms``
     under every strategy (see :mod:`eps_select.search`), so :meth:`full`,
-    :meth:`remember` and :meth:`memoized` key the memo by each class's first
-    subproblem, :meth:`twin`, and the task pools key their tasks by it.
+    :meth:`remember` and :meth:`solve_all` key the memo by each class's first
+    subproblem, :meth:`twin`, and solve a class once per strategy.
     ``distinct_roots`` counts the classes. Wall mode and optimization models
     have no twins: each subproblem is its own class.
     """
@@ -342,9 +342,35 @@ class ModelOracle:
             raise ValueError("only bound-free runs can be remembered")
         self._cache.setdefault((self.twin(sub), sid, None), obs)
 
-    def memoized(self, sub: int, sid: StrategyId) -> bool:
-        """Whether :meth:`full` at the live bound would read the memo."""
-        return (self.twin(sub), sid, self.current_bound()) in self._cache
+    def solve_all(self, cells: Sequence[tuple[int, StrategyId]],
+                  worker_count: int) -> list[Observation]:
+        """The full run of each (subproblem, strategy) cell at the live bound,
+        in cell order. With no objective one :func:`run_pool` call solves the
+        (twin head, strategy) cells the memo lacks, in forked workers when
+        there is more than one, and remembers them; every cell is then read
+        from the memo. With an objective each cell reads the incumbent the
+        cells before it raised, so the pool solves them in order in this
+        process. A failed cell raises :class:`~eps_select.runner.TaskFailed`
+        with its error as the cause."""
+        satisfaction = self.incumbent is None
+        tasks = cells
+        if satisfaction:
+            lacking: dict = {}
+            for cell in cells:
+                head = self.twin(cell[0])
+                if (head, cell[1], None) not in self._cache:
+                    # a class's first cell stands for it as it is
+                    lacking[cell if head == cell[0] else (head, cell[1])] = None
+            tasks = list(lacking)
+        if tasks:
+            results, _ = run_pool(tasks, worker_count, lambda cell: self.full(*cell),
+                                  cost_fn=lambda obs: obs.value, processes=satisfaction)
+            raise_failures(results)
+            if not satisfaction:
+                return [r.result for r in results]
+            for r in results:
+                self.remember(*r.task, r.result)
+        return [self._cache[(self.twin(sub), sid, None)] for sub, sid in cells]
 
     def limited(self, sub: int, sid: StrategyId, limit: float, bound=_LIVE) -> Observation:
         b = self.current_bound() if bound is _LIVE else bound
@@ -731,73 +757,26 @@ def pss_select(
                  model.name, population, oracle.distinct_roots)
 
     workers = cfg.decomposition.worker_count
-    # on an optimization model every solve reads and raises the live
-    # incumbent, so its race and remainder run in order in this process
-    bound_free = model.objective is None
-    if bound_free and oracle.has_true_costs:
-        # in work mode the race, the uncensoring and the no-timeout race cost
-        # read only the sampled cells' full runs, so forked workers solve the
-        # ones the memo lacks and the race reads the memo
-        cells = [
-            (sub, s) for sub in sample for s in oracle.strategies if not oracle.memoized(sub, s)
-        ]
-        if cells:
-            _solve_into_memo(oracle, cells, workers, processes=True)
+    if model.objective is None and oracle.has_true_costs:
+        # in work mode the race reads only the sampled cells' full runs; on an
+        # optimization model each race pins the bound its predecessors raised
+        oracle.solve_all([(sub, s) for sub in sample for s in oracle.strategies], workers)
 
     rep = select_strategy(oracle, rc, sample)
-    winner = rep.winner
-
     sampled = set(sample)
-    # a remainder the memo holds already (compare's singles) runs in this
-    # process too: forking workers to read it would only slow it down
-    cells = [(s.id, winner) for s in subs if s.id not in sampled]
-    results = _solve_into_memo(
-        oracle, cells, workers,
-        processes=bound_free and not all(oracle.memoized(*cell) for cell in cells),
-    )
+    results = oracle.solve_all([(s.id, rep.winner) for s in subs if s.id not in sampled], workers)
 
     rep.population = population
     rep.prefix_len = decomposition.prefix_len
     rep.decompose_work = decomposition.work
     rep.solve_cost = sum(obs.value for obs in results)
-    if bound_free:
+    if model.objective is None:
         # sampled subproblems: exact counts from the uncensored best's column
         solutions = sum(rep.matrix.get(s, rep.best_strategy).solutions for s in rep.sample_ids)
         rep.solutions_found = solutions + sum(obs.solutions for obs in results)
     else:
         rep.best_objective = oracle.current_bound()
     return rep
-
-
-def _solve_into_memo(
-    oracle: ModelOracle, cells: list[tuple[int, StrategyId]], worker_count: int, processes: bool
-) -> list[Observation]:
-    """The full run of each (subproblem, strategy) cell at the live bound, in
-    cell order, from one :func:`run_pool` call that runs the cells of one
-    twin class and strategy once. With ``processes`` the cells may be solved
-    in forked workers (bound-free runs only), and their runs are remembered
-    in the oracle's memo. A failed cell raises
-    :class:`~eps_select.runner.TaskFailed` with its error as the cause."""
-
-    def twin_cell(cell: tuple[int, StrategyId]) -> tuple[int, StrategyId]:
-        # a class's first cell is its own key, so the pool's key table makes
-        # a new tuple only for the twins after it
-        head = oracle.twin(cell[0])
-        return cell if head == cell[0] else (head, cell[1])
-
-    results, _ = run_pool(
-        cells,
-        worker_count,
-        lambda cell: oracle.full(*cell),
-        cost_fn=lambda obs: obs.value,
-        processes=processes,
-        key=twin_cell,
-    )
-    raise_failures(results)
-    if processes:
-        for r in results:
-            oracle.remember(*r.task, r.result)
-    return [r.result for r in results]
 
 
 def selection_cost_bound(report: SelectionReport) -> tuple[float, float]:

@@ -33,6 +33,34 @@ def test_unknown_model_is_runtime_error(capsys):
     assert "unknown builtin" in capsys.readouterr().err
 
 
+def test_builtin_model_past_the_declared_values_cap_exits_1(capsys):
+    assert main(["solve", "--model", "golomb", "--n", "100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model 'golomb-100': the variables declare 50490001 domain values")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["verbose", "10", "", "warn"])
+def test_unknown_log_level_is_a_usage_error(monkeypatch, capsys, value):
+    # refused before any model is built, with one line naming the variable
+    from eps_select import cli
+
+    monkeypatch.setattr(cli, "_load_model", lambda args: pytest.fail("model built"))
+    monkeypatch.setenv("EPS_SELECT_LOG", value)
+    assert main(["solve", "--model", "nqueens", "--n", "4"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: EPS_SELECT_LOG={value!r} is not a log level; "
+        "use one of DEBUG, INFO, WARNING, ERROR, CRITICAL (in any case)\n"
+    )
+
+
+def test_log_level_names_are_accepted_in_any_case(monkeypatch, capsys):
+    for value in ("info", "Warning", "ERROR"):
+        monkeypatch.setenv("EPS_SELECT_LOG", value)
+        assert main(["solve", "--model", "nqueens", "--n", "4"]) == 0
+    assert capsys.readouterr().out.count("nqueens-4 [ff]") == 3
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--bogus-flag"])
@@ -318,21 +346,14 @@ def test_compare_report_independent_of_worker_count(tmp_path, capsys):
 
 @fork_only
 def test_compare_reads_the_memoized_remainder_in_process(forks, monkeypatch):
-    # the singles fill the memo, so PSS's remainder pool forks nothing
+    # the singles fill the memo, so PSS makes no pool: its race and its
+    # remainder read the memo in this process
     from eps_select import selection
 
-    real = selection.run_pool
-    remainder_forks = []
-
-    def counting(*args, **kwargs):
-        before = len(forks)
-        out = real(*args, **kwargs)
-        remainder_forks.append(len(forks) - before)
-        return out
-
-    monkeypatch.setattr(selection, "run_pool", counting)
+    pools = []
+    monkeypatch.setattr(selection, "run_pool", lambda *a, **k: pools.append(a))
     assert main(["compare", "--model", "nqueens", "--n", "8", "--workers", "2"]) == 0
-    assert remainder_forks == [0]
+    assert pools == []
     assert len(forks) == 2 * 7  # one two-process pool per single strategy
     assert all_reaped(forks)
 

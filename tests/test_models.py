@@ -290,6 +290,47 @@ def test_declared_values_cap_counts_ranges_and_value_lists(monkeypatch):
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize("gen, sizes", [
+    (allinterval, [(2,), (5,), (9,)]),
+    (nqueens, [(1,), (4,), (8,)]),
+    (golomb, [(2,), (3,), (5, 15), (6,)]),
+    (magicsquare, [(1,), (3,), (4,)]),
+    (latin, [(1,), (3,), (5,)]),
+])
+def test_generators_check_the_values_they_declare(monkeypatch, gen, sizes):
+    from eps_select import benchmarks
+
+    checked = []
+    monkeypatch.setattr(
+        benchmarks, "check_declared_values", lambda what, count: checked.append(count)
+    )
+    for args in sizes:
+        checked.clear()
+        model = gen(*args)
+        assert checked == [sum(len(v.values) for v in model.variables)]
+
+
+def test_golomb_past_the_declared_values_cap_refused_before_building():
+    # golomb(38) declares 1 068 561 values (about 40 MB), golomb(100)
+    # 50 490 001 (about 2 GB); golomb(37) declares 961 039, under the cap
+    import time
+
+    from eps_select.csp import check_declared_values
+
+    for n, count in ((38, 1_068_561), (100, 50_490_001)):
+        start = time.perf_counter()
+        with pytest.raises(
+            ValueError,
+            match=f"^model 'golomb-{n}': the variables declare {count} domain values, "
+            f"more than MAX_DOMAIN_VALUES={MAX_DOMAIN_VALUES}$",
+        ):
+            golomb(n)
+        assert time.perf_counter() - start < 1.0
+    check_declared_values("model 'golomb-37'", 961_039)
+    with pytest.raises(ValueError, match="declare 2100001 domain values"):
+        generate("golomb", n=8, maxlen=60000)
+
+
 def test_objective_roundtrip(tmp_path):
     m = golomb(4, maxlen=10)
     d = model_to_dict(m)

@@ -272,6 +272,41 @@ def test_calibration_a_faster_strategy_is_almost_never_eliminated():
     assert eliminated / count <= alpha + 3 * se
 
 
+# per factor: the share of matrices whose winner is not the best strategy, and
+# the share whose winner costs over 1.5x the best on the population, measured
+# on 3 000 matrices each (the 0.9 factor never went over 1.5x; its bound
+# assumes 1 %), plus 3 binomial standard errors at 150 matrices
+_CLAIM_BOUNDS = {0.9: (0.749, 0.01), 0.7: (0.376, 0.067), 0.5: (0.076, 0.076)}
+
+
+@pytest.mark.parametrize("factor", sorted(_CLAIM_BOUNDS, reverse=True))
+def test_winner_is_almost_never_dramatically_slower_than_the_best(factor):
+    # the paper's claim: a 30-row sample may miss the best strategy, but the
+    # winner is almost never far slower on the whole population. Seven
+    # strategies with lognormal(0, 1) cells on 500 rows, one of them scaled
+    # by ``factor``: the closer it is to the rest, the more often the best is
+    # missed, and the less a miss costs
+    from eps_select.decomposition import srs_sample
+
+    count, rows = 150, 500
+    rng = random.Random(int(100 * factor))
+    missed = slow = 0
+    for k in range(count):
+        fast = S[k % len(S)]
+        costs = {
+            s: [rng.lognormvariate(0.0, 1.0) * (factor if s is fast else 1.0) for _ in range(rows)]
+            for s in S
+        }
+        rep = select_on_matrix(costs, RaceConfig(alpha=0.01), srs_sample(rows, 30, k))
+        totals = {s: sum(col) for s, col in costs.items()}
+        best = min(totals.values())
+        missed += totals[rep.winner] > best
+        slow += totals[rep.winner] > 1.5 * best
+    for measured, got in zip(_CLAIM_BOUNDS[factor], (missed, slow)):
+        se = (measured * (1 - measured) / count) ** 0.5
+        assert got / count <= measured + 3 * se
+
+
 def test_reversal_restart_at_selection_level():
     # forcing the anchor onto a bad strategy exercises the restart: the old
     # anchor is eliminated, the rival takes over and sweeps the rest
@@ -754,7 +789,7 @@ def test_work_mode_oracles_share_one_subtree_memo_per_strategy(monkeypatch):
 
 
 def test_work_mode_oracle_solves_each_twin_class_once(monkeypatch):
-    # full, remember and memoized go by the first subproblem of each twin
+    # full, remember and solve_all go by the first subproblem of each twin
     # class; wall mode and an optimization model have no twins
     from eps_select import selection
     from eps_select.benchmarks import golomb, latin
@@ -778,9 +813,13 @@ def test_work_mode_oracle_solves_each_twin_class_once(monkeypatch):
     twin = next(s.id for s, h in zip(subs, heads) if h != s.id)
     fresh = ModelOracle(model, subs)
     obs = oracle.full(twin, S[0])
-    assert not fresh.memoized(twin, S[0])
+    solved.clear()
     fresh.remember(fresh.twin(twin), S[0], obs)
-    assert fresh.memoized(twin, S[0]) and fresh.full(twin, S[0]) is obs
+    assert fresh.full(twin, S[0]) is obs and solved == []
+    # solve_all runs a class once, on its head, and reads every member from the memo
+    cells = [(twin, S[1]), (fresh.twin(twin), S[1]), (twin, S[0])]
+    assert fresh.solve_all(cells, 1) == [oracle.full(twin, S[1])] * 2 + [obs]
+    assert solved == [fresh.subs[fresh.twin(twin)].assignment]
 
     wall = ModelOracle(model, subs, time_mode=TimeMode.WALL)
     g = golomb(6)
@@ -837,8 +876,8 @@ def _pools(monkeypatch, forks):
 def test_work_mode_race_cells_are_solved_in_forked_workers(forks, monkeypatch):
     from eps_select import selection
     from eps_select.benchmarks import nqueens
-    from eps_select.decomposition import DecompositionConfig
-    from eps_select.selection import PssConfig, pss_select
+    from eps_select.decomposition import DecompositionConfig, decompose
+    from eps_select.selection import ModelOracle, PssConfig, pss_select
 
     def cfg(workers):
         return PssConfig(
@@ -856,13 +895,16 @@ def test_work_mode_race_cells_are_solved_in_forked_workers(forks, monkeypatch):
         selection, "solve", lambda *a, **k: solves.append(a[1]) or real_solve(*a, **k)
     )
     forked = pss_select(model, cfg(2))
-    # the race pool holds every sampled cell, subproblem by subproblem; both
-    # pools fork two workers, and this process solves nothing itself
-    race_cells = [(sub, s) for sub in forked.sample_ids for s in ALL_STRATEGIES]
-    assert [(tasks, n) for tasks, n in calls] == [
-        (race_cells, 2),
-        ([(sub, forked.winner) for sub in range(forked.population) if sub not in forked.sample_ids], 2),
-    ]
+    # the race pool holds every sampled (twin head, strategy) cell once,
+    # subproblem by subproblem, and the remainder pool the (twin head, winner)
+    # cells the race left unsolved; both fork two workers, and this process
+    # solves nothing itself
+    twin = ModelOracle(model, decompose(model, cfg(1).decomposition).subproblems).twin
+    race_cells = list(dict.fromkeys((twin(sub), s) for sub in forked.sample_ids for s in S))
+    rest = [sub for sub in range(forked.population) if sub not in forked.sample_ids]
+    rest_cells = [c for c in dict.fromkeys((twin(sub), forked.winner) for sub in rest)
+                  if c not in race_cells]
+    assert calls == [(race_cells, 2), (rest_cells, 2)]
     assert solves == []
     assert all_reaped(forks)
     assert forked.to_dict() == here.to_dict()
@@ -887,10 +929,11 @@ def test_optimization_and_wall_mode_races_make_no_pool(forks, monkeypatch, case)
         race=RaceConfig(time_mode=time_mode),
         sample_size=10,
     ))
-    # one pool: the remainder's
+    # one pool: the remainder's, which forks no worker on an optimization model
     assert [tasks for tasks, _ in calls] == [
         [(sub, rep.winner) for sub in range(rep.population) if sub not in rep.sample_ids]
     ]
+    assert forks == [] if case == "optimization" else len(forks) == 2
     assert all_reaped(forks)
 
 
@@ -924,4 +967,42 @@ def test_failed_race_cell_raises(forks, workers):
     assert str(exc.value.__cause__) == "solver crashed"
     assert str(exc.value).startswith(f"task ({bad}, <StrategyId.")
     assert len(forks) == (2 if workers == 2 else 0)  # the race pool only
+    assert all_reaped(forks)
+
+
+@fork_only
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["nqueens", "golomb"])
+def test_failed_remainder_cell_raises(forks, name, workers):
+    # a remainder cell the winner cannot solve stops the run with its cause,
+    # in a worker process (nqueens at two workers) or in this one
+    from eps_select.benchmarks import golomb, nqueens
+    from eps_select.decomposition import DecompositionConfig, decompose, srs_sample
+    from eps_select.runner import TaskFailed
+    from eps_select.selection import ModelOracle, PssConfig, pss_select
+
+    model = nqueens(8) if name == "nqueens" else golomb(6)
+    cfg = PssConfig(
+        decomposition=DecompositionConfig(target_count=100, worker_count=workers),
+        sample_size=10,
+    )
+    decomp = decompose(model, cfg.decomposition)
+    sample = srs_sample(len(decomp), 10, 0)
+    twin = ModelOracle(model, decomp.subproblems).twin
+    # a class head that no sampled subproblem belongs to
+    bad = next(s.id for s in decomp.subproblems
+               if twin(s.id) == s.id and s.id not in {twin(sub) for sub in sample})
+
+    class BrokenOracle(ModelOracle):
+        def full(self, sub, *args):
+            if sub == bad:
+                raise RuntimeError("solver crashed")
+            return super().full(sub, *args)
+
+    oracle = BrokenOracle(model, decomp.subproblems)
+    with pytest.raises(TaskFailed) as exc:
+        pss_select(model, cfg, oracle=oracle, decomposition=decomp)
+    assert str(exc.value.__cause__) == "solver crashed"
+    assert str(exc.value).startswith(f"task ({bad}, <StrategyId.")
+    assert len(forks) == (4 if (name, workers) == ("nqueens", 2) else 0)
     assert all_reaped(forks)
