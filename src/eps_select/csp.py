@@ -84,9 +84,12 @@ first out:
 A prune wakes every constraint that watches its variable
 (``Model.watchers``), and one that fixes the variable also hands its value
 to the ``all_different`` pending values. On a model that
-``open_domains_decide`` the decomposition and the search under ``ff``,
-``mregret`` and ``mostc`` do not propagate below the root at all: they
-forward-check with :func:`_cascade`, which reaches the same fixpoint.
+``open_domains_decide`` the decomposition and the search under every
+strategy forward-check below the root with :func:`_cascade`, which reaches
+the same fixpoint and fails where this loop fails. Only a search whose
+strategy reads counters calls :func:`_propagate` there, to replay a
+decision whose cascade failed: the cascade names neither the constraint
+that fails nor the variables the queue prunes first.
 """
 
 from __future__ import annotations
@@ -249,7 +252,7 @@ class Model:
     ``all_different`` or a ``not_equal`` over a scope that repeats no
     variable. Then the fixpoint below a fixpoint is the closure of the
     removal rows (:func:`_cascade`), which the decomposition and the search
-    under ``ff``, ``mregret`` and ``mostc`` compute instead of propagating.
+    compute instead of propagating.
     """
 
     def __init__(
@@ -420,14 +423,18 @@ class Model:
         return tuple(out)
 
 
-def _cascade(model: Model, doms: list[int], fixed: list[int]) -> tuple[int, int]:
+def _cascade(
+    model: Model, doms: list[int], fixed: list[int], pruned: Optional[list[int]] = None
+) -> tuple[int, int]:
     """Forward checking: the removal cascade of the variables in ``fixed``.
 
     Each variable popped from ``fixed`` (a singleton in ``doms``) removes its
     :meth:`Model.removals` row from its neighbours, and a neighbour that a
     removal fixes is pushed in turn, until a domain empties or ``fixed`` is
-    empty. Mutates ``doms`` and ``fixed`` in place. Returns ``(emptied
-    variable or -1, rows applied)``, the row that emptied a domain included.
+    empty. Mutates ``doms`` and ``fixed`` in place, and appends each variable
+    a removal narrows to ``pruned`` if given (duplicates possible). Returns
+    ``(emptied variable or -1, rows applied)``, the row that emptied a domain
+    included.
     On a model that ``open_domains_decide``, from a fixpoint in which the
     variables in ``fixed`` were just set, this reaches the fixpoint that
     :func:`_propagate` reaches, and fails where it fails (see
@@ -447,6 +454,8 @@ def _cascade(model: Model, doms: list[int], fixed: list[int]) -> tuple[int, int]
                 if not du:
                     return u, applied
                 doms[u] = du
+                if pruned is not None:
+                    pruned.append(u)
                 if du & (du - 1) == 0:
                     fixed.append(u)
     return -1, applied

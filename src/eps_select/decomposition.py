@@ -190,17 +190,23 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
         frontier, depth = best, best_depth
 
     base = model.lo
-    # equal masks and equal (variable, value) pairs share one object: masks
-    # unpickled from worker replies, and pairs read back from the prefix's
-    # singletons, would otherwise each keep one of their own
+    # one (variable, value) pair per singleton of each prefix variable's root
+    # domain, read back by mask, and one object per distinct mask: masks
+    # unpickled from worker replies would otherwise each keep one of their own
+    pair_of = []
+    for v in range(depth):
+        d = root[v]
+        pairs = {}
+        while d:
+            low = d & -d
+            d ^= low
+            pairs[low] = (v, low.bit_length() - 1 + base)
+        pair_of.append(pairs)
     shared: dict = {}
     subs = [
         Subproblem(
             i,
-            tuple(
-                shared.setdefault(pair, pair)
-                for pair in enumerate(m.bit_length() - 1 + base for m in doms[:depth])
-            ),
+            tuple(map(dict.__getitem__, pair_of, doms)),
             tuple(map(shared.setdefault, doms, doms)),
         )
         for i, doms in enumerate(frontier)

@@ -8,24 +8,31 @@ activity and weighted-degree counters, which never decay, and keeps only the
 ones its strategy reads: activity for ``act``, weighted degrees for
 ``wdegm``, ``wdegM`` and ``dwdeg``, none for ``ff``, ``mregret`` and
 ``mostc``. A branch wakes every constraint on its variable, and a prune
-every constraint on the pruned variable (see :mod:`eps_select.csp`). Those
-three choose from the domains alone, so on a model whose
-:attr:`~eps_select.csp.Model.open_domains_decide` (nqueens, latin) their
-search forward-checks instead of propagating, as the decomposition does: a
-branch that fixes its variable runs :func:`~eps_select.csp._cascade`, which
-removes that value's :meth:`~eps_select.csp.Model.removals` row from the
-neighbours and does the same for each neighbour a removal fixes, and fails
-when a domain empties; a branch that leaves its variable open propagates
-nothing, since no ``all_different`` or ``not_equal`` acts on an open
-variable. In ``OPTIMIZE`` mode a bound prune that fixes the objective joins
-the cascade, and one that leaves it open prunes nothing further for the
-same reason. From a fixpoint that cascade reaches the unique fixpoint that
+every constraint on the pruned variable (see :mod:`eps_select.csp`). On a
+model whose :attr:`~eps_select.csp.Model.open_domains_decide` (nqueens,
+latin) the search forward-checks under every strategy instead of
+propagating, as the decomposition does: a branch that fixes its variable
+runs :func:`~eps_select.csp._cascade`, which removes that value's
+:meth:`~eps_select.csp.Model.removals` row from the neighbours and does the
+same for each neighbour a removal fixes, and fails when a domain empties; a
+branch that leaves its variable open propagates nothing, since no
+``all_different`` or ``not_equal`` acts on an open variable. In
+``OPTIMIZE`` mode a bound prune that fixes the objective joins the cascade,
+and one that leaves it open prunes nothing further for the same reason.
+From a fixpoint that cascade reaches the unique fixpoint that
 ``_propagate`` reaches, or fails where it fails (see
-:mod:`eps_select.decomposition`), so every decision, failure, solution and
-status stays the same; ``propagations`` then counts the root passes plus the
-removal rows applied, one per fix. The other four read the pruned variables
-or the failing constraint, which only a propagation names, so their search
-propagates on every model.
+:mod:`eps_select.decomposition`), so every node's domains stay the same.
+So do the counters. When the cascade succeeds, ``act`` bumps the variables
+it narrowed: the set that ``_propagate`` prunes, since both end at one
+fixpoint, domains only shrink, and a bump reads only the set. The weighted
+degrees change only on a failure. A failing cascade names neither the
+constraint that ``_propagate`` fails on nor the variables it prunes before
+failing, so under ``act``, ``wdegm``, ``wdegM`` and ``dwdeg`` the search
+replays that decision through ``_propagate``, from the domains the decision
+started from and with the same wake list and set variables, and charges
+the counters from the replay. Every decision, failure, solution and status
+therefore stays the same; ``propagations`` counts the root passes plus the
+removal rows applied, one per fix, and not the replay's passes.
 Every node is a fixpoint, so each propagation names the variables the branch
 has just set -- the branch variable, and the objective after a bound prune
 -- and only their fixed values seed the ``all_different`` pending values
@@ -306,10 +313,10 @@ def solve(
     # only the chooser reads the counters, so keep just the ones it reads
     keep_activity = sid is StrategyId.ACT
     keep_wdeg = sid in _WDEG_STRATEGIES
-    # a chooser that reads the domains alone reads only the fixpoint: where
-    # the open domains decide, the removal cascade of the fixes (see the docstring)
     domain_only = not (keep_activity or keep_wdeg)
-    forward = domain_only and model.open_domains_decide
+    # where the open domains decide, every search forward-checks and replays
+    # a failing cascade for a chooser that reads counters (see the docstring)
+    forward = model.open_domains_decide
     pick_max = sid is StrategyId.WDEG_MAX
     first_only = mode is SolveMode.FIRST_SOLUTION
     # the subtree memo serves only searches whose open domains decide every
@@ -392,6 +399,7 @@ def solve(
         decisions += 1
         wake = watchers[var]
         set_vars = (var,)
+        bounded = 0  # the objective's domain after a bound prune
         if optimizing and cur_bound is not None:
             od = node[objvar]
             if maximize:
@@ -405,19 +413,37 @@ def solve(
                         counters.on_failure((objvar,))
                     node = None
                     continue
-                node[objvar] = nod
+                node[objvar] = bounded = nod
                 wake = wake_obj[var]
                 if var != objvar:
                     set_vars = (var, objvar)
         if forward:
             # only a fix propagates, by its removal cascade (see the docstring)
             fixed = [v for v in set_vars if node[v] & (node[v] - 1) == 0]
-            if fixed:
-                fv, rows = _cascade(model, node, fixed)
-                propagations += rows
-                if fv >= 0:
-                    failures += 1
-                    node = None
+            if not fixed:
+                continue
+            pruned.clear()
+            fv, rows = _cascade(model, node, fixed, pruned if keep_activity else None)
+            propagations += rows
+            if fv < 0:
+                if pruned:
+                    counters.bump_pruned_many(pruned, decisions)
+                continue
+            failures += 1
+            if not domain_only:
+                # only the propagation queue names the failing constraint and
+                # what it pruned first: replay the decision through it
+                node = parent[:]
+                node[var] = mask
+                if bounded:
+                    node[objvar] = bounded
+                pruned.clear()
+                fc = _propagate(model, node, wake, pruned, set_vars)[0]
+                if keep_activity:
+                    counters.bump_pruned_many(pruned, decisions)
+                else:
+                    counters.on_failure(scopes[fc])
+            node = None
             continue
         pruned.clear()
         fc, np_ = _propagate(model, node, wake, pruned, set_vars)

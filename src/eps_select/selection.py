@@ -86,6 +86,12 @@ class Observation:
     solutions: int = 0
     objective: Optional[int] = None
 
+    def __reduce__(self):
+        # pool replies carry many of these: as the constructor's arguments
+        # the four fields dump and load faster than the state that a frozen,
+        # slotted dataclass pickles and then sets back field by field
+        return Observation, (self.value, self.censored, self.solutions, self.objective)
+
 
 class RuntimeMatrix:
     """(subproblem x strategy) observations; censored entries carry the limit

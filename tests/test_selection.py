@@ -732,6 +732,30 @@ def test_observation_pickles_without_a_dict():
         assert not hasattr(back, "__dict__")
 
 
+def test_observation_pickles_as_its_four_fields():
+    # an observation pickles as a call of its class on its four fields, with
+    # no state to set after it, and round-trips at every protocol
+    import pickle
+    import pickletools
+
+    from eps_select.selection import Observation
+
+    for obs in (Observation(12.0, False, solutions=3),
+                Observation(5.0, True),
+                Observation(7.0, False, solutions=1, objective=-4)):
+        assert obs.__reduce__() == (
+            Observation, (obs.value, obs.censored, obs.solutions, obs.objective)
+        )
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            blob = pickle.dumps(obs, protocol)
+            assert "BUILD" not in {op.name for op, _, _ in pickletools.genops(blob)}
+            back = pickle.loads(blob)
+            assert type(back) is Observation and back == obs
+            assert (back.value, back.censored, back.solutions, back.objective) == (
+                obs.value, obs.censored, obs.solutions, obs.objective
+            )
+
+
 def test_remember_fills_the_shared_memo_of_satisfaction_models_only():
     from eps_select.benchmarks import golomb, nqueens
     from eps_select.decomposition import DecompositionConfig, decompose
