@@ -47,14 +47,15 @@ reaches, and it fails where ``_propagate`` fails: the children, their
 domains and their order, the prefix length and the work stay those of the
 propagating extension. A depth forks only when it propagates and makes at
 least ``FORK_MIN_ASSIGNMENTS`` enumeration assignments: it is then cut into
-``SPANS`` contiguous spans of the frontier, which
-:func:`~eps_select.runner.run_pool` hands to forked worker processes when
-there is more than one worker (the decomposition only propagates and reads
-no incumbent). The parent concatenates the spans' children in task order
-and counts the assignments itself, so the subproblems, their domains, the
-prefix length and the work do not depend on the worker count. Every other
-depth is extended in the calling process. A smaller depth costs less to
-propagate than forking workers and unpickling their replies
+``SPANS`` contiguous spans of the frontier, one
+:func:`~eps_select.runner.run_pool` queue that the calling process and,
+when there is more than one worker, forked worker processes extend (the
+decomposition only propagates and reads no incumbent). The caller
+concatenates the spans' children in task order and counts the assignments
+itself, so the subproblems, their domains, the prefix length and the work
+do not depend on the worker count. Every other depth is extended in the
+calling process, with no pool. A smaller depth costs less to propagate
+than forking workers and pickling the spans' children
 (BENCH_forked_decomposition.json), and so does a
 forward-checked one: forward checking nqueens(10) to target 3000 costs
 about a quarter of propagating it, and forked spans would give most of the

@@ -1,20 +1,32 @@
-"""Forked worker processes for :func:`eps_select.runner.run_pool`.
+"""One shared queue of chunks for :func:`eps_select.runner.run_pool`.
 
-Each worker is forked from the caller, so it shares the tasks and the
-executor (a closure over the model and the oracle, or over the model and
-the decomposition frontier) without pickling them.
-It has a request pipe, on which the parent sends ``(start, stop)`` chunks of
-task indices in task order, and a reply pipe, on which it sends back each
-chunk's outcomes as one length-prefixed pickle. A worker leaves by
-``os._exit`` when its request pipe closes, so it never runs the caller's
-clean-up code. The module is imported only when a pool forks.
+The pool's work is one queue of chunks, contiguous ranges of task indices in
+task order, held in one pipe. The caller writes every chunk's record into
+the pipe and closes its write end; then it forks ``procs - 1`` worker
+processes, which share the tasks and the executor (a closure over the model
+and the oracle, or over the model and the decomposition frontier) without
+pickling them. The caller is the pool's first process: it and every worker
+pull the next chunk straight from the pipe and solve it, until the pipe is
+empty. A process whose task fails reads the rest of the queue and drops it,
+so no chunk starts after that.
+
+Each process pickles each chunk's outcomes as it finishes the chunk. A
+worker sends all of them in one reply on its own pipe once the queue is
+empty, and leaves by ``os._exit``, so it never runs the caller's clean-up
+code. The caller reads every reply to its end before it waits for any
+worker, then unpickles the chunks in task order, its own among them: an
+outcome reads the same whichever process solved it, and a result that does
+not pickle fails its own task in any process. A worker that dies takes its
+chunks with it; the lowest chunk whose outcomes never came back then fails
+at its first task. The module is imported only when a pool asks for
+processes.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import selectors
+import select
 import signal
 import struct
 from dataclasses import dataclass
@@ -22,148 +34,157 @@ from typing import Any, Callable, Optional, Sequence
 
 from .runner import Outcome, _attempt
 
-# chunks per worker process: enough to even out uneven tasks, few enough that
-# the pipe round trips cost nothing next to the tasks
+# chunks per process: enough to even out uneven tasks, few enough that
+# pulling and pickling them cost nothing next to the tasks
 CHUNKS_PER_PROCESS = 16
 
-_CHUNK = struct.Struct("<qq")
-_LENGTH = struct.Struct("<Q")
+_CHUNK = struct.Struct("<q")  # a chunk's first task index
+# the most chunks one queue holds: the caller writes them all before any
+# process reads, and a pipe takes PIPE_BUF bytes at once without blocking
+MAX_CHUNKS = select.PIPE_BUF // _CHUNK.size
 
 
 @dataclass
 class _Worker:
     pid: int
-    requests: int  # parent's write end: chunks; closed = no more
-    replies: int  # parent's read end: one pickled list of outcomes per chunk
-    chunk: Optional[tuple[int, int]] = None  # in flight
-    reaped: bool = False
+    replies: int  # the caller's read end of the worker's reply pipe
+    reply: Optional[bytes] = None  # all it wrote, once read to the end
+    status: int = 0  # its wait status, once reaped; 0 once it sent its reply
+
+
+def chunk_size(task_count: int, procs: int) -> int:
+    """Tasks per chunk: ``CHUNKS_PER_PROCESS`` chunks for each process, and
+    never more than ``MAX_CHUNKS`` chunks in the queue."""
+    return -(-task_count // min(procs * CHUNKS_PER_PROCESS, MAX_CHUNKS))
 
 
 def forked_outcomes(
     tasks: Sequence[Any], executor: Callable[[Any], Any], procs: int
 ) -> list[Outcome]:
     """The outcomes of the tasks up to and including the first failure,
-    solved by ``procs`` forked worker processes pulling chunks in task order.
+    solved by this process and ``procs - 1`` forked workers pulling chunks
+    from one queue in task order.
 
-    A worker that dies counts as a failure of the first task of its chunk.
     Every worker is reaped before this returns or raises.
     """
     n = len(tasks)
-    size = -(-n // (procs * CHUNKS_PER_PROCESS))
-    chunks = ((start, min(start + size, n)) for start in range(0, n, size))
-    outcomes: list[Optional[Outcome]] = [None] * n
-    first_failed = n
-    workers: list[_Worker] = []
-    sel = None
+    size = chunk_size(n, procs)
+    starts = range(0, n, size)
+    queue, tail = os.pipe()
     try:
-        for _ in range(procs):
-            workers.append(_fork_worker(tasks, executor, workers))
-        sel = selectors.DefaultSelector()
-        for w in workers:
-            sel.register(w.replies, selectors.EVENT_READ, w)
-            _assign(w, next(chunks))
-        # every chunk below the first failure is handed out in order and
-        # waited for; chunks above it are abandoned
-        while any(w.chunk is not None and w.chunk[0] < first_failed for w in workers):
-            for key, _ in sel.select():
-                w = key.data
-                start, stop = w.chunk
-                w.chunk = None
-                got = _receive(w.replies)
-                if got is None:
-                    sel.unregister(w.replies)
-                    outcomes[start] = (RuntimeError(_death(w, start, stop)), True)
-                    first_failed = min(first_failed, start)
-                    continue
-                outcomes[start : start + len(got)] = got
-                if got[-1][1]:
-                    first_failed = min(first_failed, start + len(got) - 1)
-                nxt = next(chunks, None)
-                if nxt is not None and nxt[0] < first_failed:
-                    _assign(w, nxt)
+        os.write(tail, b"".join(_CHUNK.pack(start) for start in starts))
     finally:
-        if sel is not None:
-            sel.close()
+        os.close(tail)  # an empty queue then reads as its end
+    workers: list[_Worker] = []
+    chunks: dict[int, bytes] = {}
+    try:
+        for _ in range(procs - 1):
+            workers.append(_fork_worker(tasks, executor, queue, size, workers))
+        chunks.update(_serve(tasks, executor, queue, size))
+        for w in workers:
+            w.reply = _read_to_end(w.replies)
+    finally:
+        os.close(queue)
         _reap(workers)
-    return outcomes[: first_failed + 1]
+    for w in workers:
+        if w.status == 0:  # it sent its whole reply
+            chunks.update(pickle.loads(w.reply))
+    outcomes: list[Outcome] = []
+    for start in starts:
+        blob = chunks.get(start)
+        if blob is None:
+            lost = [w for w in workers if w.status != 0]
+            outcomes.append((RuntimeError(_lost(lost, start, min(start + size, n))), True))
+            break
+        outcomes += pickle.loads(blob)
+        if outcomes[-1][1]:
+            break
+    return outcomes
 
 
-def _fork_worker(tasks, executor, siblings: list[_Worker]) -> _Worker:
-    req_r, req_w = os.pipe()
+def _fork_worker(tasks, executor, queue: int, size: int, siblings: list[_Worker]) -> _Worker:
     rep_r, rep_w = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        for fd in (req_r, req_w, rep_r, rep_w):
-            os.close(fd)
+        os.close(rep_r)
+        os.close(rep_w)
         raise
     if pid == 0:  # the worker: never returns into the caller
         code = 1
         try:
-            # the siblings' pipe ends must close here, or their EOFs never come
-            for fd in [req_w, rep_r] + [f for s in siblings for f in (s.requests, s.replies)]:
+            # the siblings' read ends must close here, or their EOFs never come
+            for fd in [rep_r] + [s.replies for s in siblings]:
                 os.close(fd)
-            _serve(tasks, executor, req_r, rep_w)
+            view = memoryview(
+                pickle.dumps(_serve(tasks, executor, queue, size), pickle.HIGHEST_PROTOCOL)
+            )
+            while view:
+                view = view[os.write(rep_w, view) :]
             code = 0
         finally:
             os._exit(code)
-    os.close(req_r)
     os.close(rep_w)
-    return _Worker(pid, req_w, rep_r)
+    return _Worker(pid, rep_r)
 
 
-def _serve(tasks, executor, requests: int, replies: int) -> None:
-    """Solve chunks until the parent closes the request pipe."""
-    while (msg := _read_exact(requests, _CHUNK.size)) is not None:
-        start, stop = _CHUNK.unpack(msg)
+def _serve(tasks, executor, queue: int, size: int) -> list[tuple[int, bytes]]:
+    """Solve chunks pulled from the queue until it is empty: each chunk's
+    first task index and its pickled outcomes. After a failed task the rest
+    of the queue is read and dropped instead."""
+    n = len(tasks)
+    solved = []
+    while (record := _read_exact(queue, _CHUNK.size)) is not None:
+        (start,) = _CHUNK.unpack(record)
         out = []
-        for i in range(start, stop):
+        for i in range(start, min(start + size, n)):
             out.append(_attempt(executor, tasks[i]))
             if out[-1][1]:
                 break
-        _send(replies, _portable(out))
+        blob, failed = _portable(out)
+        solved.append((start, blob))
+        if failed:
+            while os.read(queue, select.PIPE_BUF):
+                pass
+            break
+    return solved
 
 
-def _portable(out: list[Outcome]) -> bytes:
-    """The outcomes pickled; a failure's exception that does not survive a
-    pickle round trip travels as ``RuntimeError(repr(exc))``."""
+def _portable(out: list[Outcome]) -> tuple[bytes, bool]:
+    """A chunk's outcomes pickled, and whether its last task failed. A
+    failure's exception that does not survive a pickle round trip travels as
+    ``RuntimeError(repr(exc))``; a result that does not pickle fails its own
+    task, and the chunk ends there."""
     result, failed = out[-1]
     if failed:
         try:
             pickle.loads(pickle.dumps(result))
         except Exception:
             out[-1] = (RuntimeError(repr(result)), True)
-    return pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
-
-
-def _assign(w: _Worker, chunk: tuple[int, int]) -> None:
-    w.chunk = chunk
     try:
-        os.write(w.requests, _CHUNK.pack(*chunk))
-    except BrokenPipeError:  # the worker died: its reply pipe reports the EOF
-        pass
+        return pickle.dumps(out, pickle.HIGHEST_PROTOCOL), failed
+    except Exception:
+        for i, (result, _) in enumerate(out):
+            try:
+                pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                cut = out[:i] + [(RuntimeError(f"the task's result does not pickle: {exc!r}"), True)]
+                return pickle.dumps(cut, pickle.HIGHEST_PROTOCOL), True
+        raise
 
 
-def _send(fd: int, blob: bytes) -> None:
-    view = memoryview(_LENGTH.pack(len(blob)) + blob)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _receive(fd: int) -> Optional[list[Outcome]]:
-    """One reply of a worker; None if it died before finishing it."""
-    header = _read_exact(fd, _LENGTH.size)
-    if header is None:
-        return None
-    body = _read_exact(fd, _LENGTH.unpack(header)[0])
-    return None if body is None else pickle.loads(body)
+def _read_to_end(fd: int) -> bytes:
+    parts = []
+    while part := os.read(fd, 1 << 20):
+        parts.append(part)
+    return b"".join(parts)
 
 
 def _read_exact(fd: int, n: int) -> Optional[bytes]:
     """``n`` bytes from ``fd``; None at end of file before they all came."""
     parts = []
     while n:
-        part = os.read(fd, min(n, 1 << 20))
+        part = os.read(fd, n)
         if not part:
             return None
         parts.append(part)
@@ -171,23 +192,20 @@ def _read_exact(fd: int, n: int) -> Optional[bytes]:
     return b"".join(parts)
 
 
-def _death(w: _Worker, start: int, stop: int) -> str:
-    _, status = os.waitpid(w.pid, 0)
-    w.reaped = True
-    code = os.waitstatus_to_exitcode(status)
-    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-    return f"worker process {w.pid} {how} while solving tasks {start}-{stop - 1}"
+def _lost(lost: list[_Worker], start: int, stop: int) -> str:
+    deaths = []
+    for w in lost:
+        code = os.waitstatus_to_exitcode(w.status)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        deaths.append(f"worker process {w.pid} {how}")
+    return "; ".join(deaths + [f"the outcomes of tasks {start}-{stop - 1} never came back"])
 
 
 def _reap(workers: list[_Worker]) -> None:
-    """Close every pipe and wait for every worker. Idle workers leave at the
-    end of their request pipe; busy ones hold abandoned chunks and are killed."""
+    """Close every reply pipe and wait for every worker. A worker whose
+    reply was read to its end has left or is leaving; any other is killed."""
     for w in workers:
-        os.close(w.requests)
         os.close(w.replies)
-        if w.reaped:
-            continue
-        if w.chunk is not None:
+        if w.reply is None:
             os.kill(w.pid, signal.SIGKILL)
-        os.waitpid(w.pid, 0)
-        w.reaped = True
+        w.status = os.waitpid(w.pid, 0)[1]

@@ -2,20 +2,24 @@
 
 By default every task runs in the calling thread, one after another in queue
 order. A caller whose tasks read no state that another task writes may pass
-``processes=True``: with more than one worker, on a platform with
-``os.fork``, up to ``min(worker_count, usable CPUs)`` forked worker processes
-then pull chunks of task indices from the parent over pipes (the EPS queue of
-Régin, Rezgui & Malapert, CP 2013) and send back the pickled outcomes
-(:mod:`eps_select.forkpool`). A worker process runs on the copy of the
-parent's memory taken at the fork, so whatever a task writes stays there;
-only the returned results come back. Three callers do: the decomposition,
-for each depth large enough to cut into spans (only depths that propagate
-rather than forward-check, since it reads no incumbent), and, on
-satisfaction models, :meth:`~eps_select.selection.ModelOracle.solve_all`
-(the cells the oracle's memo lacks, for the PSS sample race in work mode
-and for the PSS remainder) and ``compare``'s single-strategy runs;
-optimization solves read the incumbent that earlier ones raised, so they
-stay in the calling process.
+``processes=True``. On a platform with ``os.fork`` the tasks then go into one
+queue of chunks of task indices (the EPS queue of Régin, Rezgui & Malapert,
+CP 2013), and the calling process and ``min(worker_count, usable CPUs) - 1``
+forked worker processes pull chunks from it until it is empty
+(:mod:`eps_select.forkpool`). At one worker the caller pulls every chunk
+and forks nothing. Every outcome makes one pickle round trip, the caller's
+own included, so no result depends on which process solved it or on the
+worker count. A worker process runs on the copy of the caller's memory
+taken at the fork, so whatever a task writes there stays there and only the
+results come back; what a task in the calling process writes stays in the
+caller, as it does without processes. Three callers ask for processes: the
+decomposition, for each depth large enough to cut into spans (only depths
+that propagate rather than forward-check, since it reads no incumbent), and,
+on satisfaction models, :meth:`~eps_select.selection.ModelOracle.solve_all`
+(the cells the oracle's memo lacks, for the PSS sample race in work mode and
+for the PSS remainder) and ``compare``'s single-strategy runs; optimization
+solves read the incumbent that earlier ones raised, so they stay in the
+calling process.
 
 Either way a min-clock simulation assigns each task, in task order, to the
 virtual worker that would have pulled it (the least loaded one, the lowest
@@ -29,17 +33,18 @@ do not depend on the worker count.
 
 A caller may name a ``key`` under which tasks give equal results. Each
 class of tasks with one key then runs once, on its first task, and every
-task of the class gets that result; a forked pool sends only those first
-tasks to its workers, and forks no more workers than there are classes.
+task of the class gets that result; a pool of processes queues only those
+first tasks, and forks no more workers than there are classes.
 ``compare``'s single-strategy pools key their tasks by the oracle's twin
 classes (see :class:`~eps_select.selection.ModelOracle`).
 
 Every task is deterministic, so a task that raises is run once and
 reported as failed, and the results stop there. In the calling thread no
-later task runs; with worker processes no further chunk is handed out, and
-the outcomes of later tasks that other processes had already solved are
-dropped. A worker process that dies mid-chunk counts as a failure of the
-first task of its chunk. :func:`raise_failures` turns the failed task
+later task runs; in a pool of processes the process that failed drops the
+rest of the queue, so no further chunk starts, and the outcomes of later
+tasks that other processes had already solved are dropped. A worker process
+that dies counts as a failure of the first task of the lowest chunk whose
+outcomes never came back. :func:`raise_failures` turns the failed task
 into an error.
 """
 
@@ -100,16 +105,16 @@ def run_pool(
     With ``key``, the tasks of equal keys form a class that is run once: the
     executor runs on the class's first task, every task of the class gets
     that result and is charged it, and a failure ends the results at the
-    class's first task. With ``processes=True``, more than one worker and
-    ``os.fork`` available, ``min(worker_count, usable CPUs, classes)``
-    forked worker processes solve the classes' first tasks (see the module
-    docstring): results and exceptions travel pickled, and an exception
-    that does not pickle arrives as ``RuntimeError(repr(exc))``. A result
-    that does not pickle ends its worker process, which fails like any
-    worker process that dies. Once a task fails no further chunk is handed
-    out, so tasks after it may have run but return nothing. Every worker
-    process is reaped before this returns or raises. Otherwise the tasks run
-    in the calling thread and none runs after the first that fails.
+    class's first task. With ``processes=True`` and ``os.fork`` available,
+    this process and ``min(worker_count, usable CPUs, classes) - 1`` forked
+    worker processes solve the classes' first tasks (see the module
+    docstring): results and exceptions travel pickled, an exception that
+    does not pickle arrives as ``RuntimeError(repr(exc))``, and a result
+    that does not pickle fails its own task with a ``RuntimeError`` that
+    says so. Once a task fails no further chunk starts, so tasks after it
+    may have run but return nothing. Every worker process is reaped before
+    this returns or raises. Otherwise the tasks run in the calling thread
+    and none runs after the first that fails.
     """
     if worker_count < 1:
         raise ValueError("worker_count must be >= 1")
@@ -129,9 +134,9 @@ def run_pool(
                 distinct.append(task)
             classes.append(c)
     procs = _process_count(len(distinct), worker_count) if processes else 0
-    if procs > 1:
-        # loaded on first use: most runs never fork, and compiling the module
-        # and its imports would show in every start-up
+    if procs:
+        # loaded on first use: a run that asks for no processes need not
+        # compile the module and its imports
         from .forkpool import forked_outcomes
 
         outcomes = iter(forked_outcomes(distinct, executor, procs))

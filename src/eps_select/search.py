@@ -119,6 +119,10 @@ _WDEG_STRATEGIES = (StrategyId.WDEG_MIN, StrategyId.WDEG_MAX, StrategyId.DWDEG)
 # 8 MB on models of that size; latin(5)/3000's remainder under ff takes
 # 28 021 entries.
 SUBTREE_MEMO_ENTRIES = 1 << 15
+# One tuple for each distinct subtree counts, which every memo's entries
+# share: under ff, latin(5)/3000's 28 021 entries hold 38 distinct counts.
+# It is emptied when it reaches SUBTREE_MEMO_ENTRIES tuples.
+_COUNTS: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {}
 # each mask below 256 as a subtree key byte: itself if open, 0 if fixed
 _OPEN_BYTE = bytes(m if m & (m - 1) else 0 for m in range(256))
 
@@ -351,14 +355,17 @@ def solve(
             while frames and frames[-1][1] == len(pending):
                 key, _, d0, f0, s0, p0 = frames.pop()
                 if len(memo) < SUBTREE_MEMO_ENTRIES:
-                    memo[key] = (decisions - d0, failures - f0, solutions - s0, propagations - p0)
+                    counts = (decisions - d0, failures - f0, solutions - s0, propagations - p0)
+                    if len(_COUNTS) >= SUBTREE_MEMO_ENTRIES:
+                        _COUNTS.clear()
+                    memo[key] = _COUNTS.setdefault(counts, counts)
             if not pending:
                 break
             parent, var, mask = pending.pop()
         else:
             if memo is not None:
                 key = (
-                    bytes(node).translate(_OPEN_BYTE) if byte_keys
+                    int.from_bytes(bytes(node).translate(_OPEN_BYTE), "big") if byte_keys
                     else tuple([d if d & (d - 1) else 0 for d in node])
                 )
                 seen = memo.get(key)

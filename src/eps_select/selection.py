@@ -226,7 +226,8 @@ class ModelOracle:
     In work mode the oracle also owns one subtree memo per strategy (see
     :mod:`eps_select.search`), kept in the shared cache under
     ``("subtrees", sid)`` and handed to every full run, so oracles sharing a
-    cache share it. A forked pool worker fills its own copy, lost when the
+    cache share it. The calling process fills it with the runs it solves in
+    a pool, and a forked pool worker fills its own copy, lost when the
     worker ends; every hit is exact, so no result depends on which memo a
     run saw. Wall mode hands none, so reuse cuts no strategy's measured time.
 
@@ -341,9 +342,10 @@ class ModelOracle:
         return obs
 
     def remember(self, sub: int, sid: StrategyId, obs: Observation) -> None:
-        """Memoize a full run made in another process (a forked pool worker,
-        whose own memo writes are lost). Satisfaction models only: their runs
-        read no bound."""
+        """Memoize a full run that a pool returned: one made in a forked
+        worker, whose own memo writes are lost, or in this process, whose
+        memo entry stays. Satisfaction models only: their runs read no
+        bound."""
         if self.incumbent is not None:
             raise ValueError("only bound-free runs can be remembered")
         self._cache.setdefault((self.twin(sub), sid, None), obs)
@@ -352,8 +354,9 @@ class ModelOracle:
                   worker_count: int) -> list[Observation]:
         """The full run of each (subproblem, strategy) cell at the live bound,
         in cell order. With no objective one :func:`run_pool` call solves the
-        (twin head, strategy) cells the memo lacks, in forked workers when
-        there is more than one, and remembers them; every cell is then read
+        (twin head, strategy) cells the memo lacks, in this process and, when
+        there is more than one worker, in forked workers, and remembers them;
+        every cell is then read
         from the memo. With an objective each cell reads the incumbent the
         cells before it raised, so the pool solves them in order in this
         process. A failed cell raises :class:`~eps_select.runner.TaskFailed`

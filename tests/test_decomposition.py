@@ -355,8 +355,9 @@ def test_spans_and_forks_leave_the_decomposition_unchanged(
         d = decompose(m, DecompositionConfig(target_count=target, worker_count=workers))
         # subproblems (ids, assignments, domains), prefix_len, shortfall, work
         assert d == one
-    # two worker processes (two CPUs) per forked depth, at 2 and at 3 workers
-    assert len(forks) == 2 * 2 * forked_depths
+    # one worker process per forked depth at 2 and at 3 workers: two CPUs
+    # make a pool of this process and one fork; at 1 worker none forks
+    assert len(forks) == 2 * forked_depths
     assert all_reaped(forks)
 
 
@@ -394,7 +395,7 @@ def test_failing_extension_raises_task_failed(forks, monkeypatch, workers):
         decompose(m, DecompositionConfig(target_count=3000, worker_count=workers))
     assert isinstance(exc.value.__cause__, ValueError)
     assert str(exc.value.__cause__) == "extension broke"
-    assert len(forks) == (2 if workers == 2 else 0)  # depth 4
+    assert len(forks) == (1 if workers == 2 else 0)  # depth 4
     assert all_reaped(forks)
 
 

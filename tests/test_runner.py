@@ -1,6 +1,8 @@
 import os
 import random
+import select
 import threading
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -171,7 +173,8 @@ def test_forked_pool_matches_in_process(forks):
     costs = [rng.randint(1, 50) for _ in range(300)]
     here = run_pool(list(range(300)), 3, lambda t: FakeResult(costs[t]))
     forked = run_pool(list(range(300)), 3, lambda t: FakeResult(costs[t]), processes=True)
-    assert len(forks) == 2  # two CPUs cap the three workers
+    # two CPUs cap the three workers: this process and one forked worker
+    assert len(forks) == 1
     assert all_reaped(forks)
     assert [(r.index, r.task, r.result, r.worker, r.failed) for r in forked[0]] == [
         (r.index, r.task, r.result, r.worker, r.failed) for r in here[0]
@@ -223,30 +226,129 @@ def test_forked_unpicklable_exception_travels_as_runtime_error(forks):
 
 
 @fork_only
-def test_forked_unpicklable_result_fails_its_worker(forks):
-    results, _ = run_pool(
-        list(range(10)), 2, lambda t: (lambda: t) if t == 4 else FakeResult(1.0), processes=True
-    )
+def test_a_two_cpu_pool_forks_one_worker_and_solves_each_task_once(forks, tmp_path):
+    log = tmp_path / "runs"
+
+    def logged(t):
+        time.sleep(0.002)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {t}\n")
+        return FakeResult(t)
+
+    results, _ = run_pool(list(range(100)), 2, logged, processes=True)
+    assert len(forks) == 1
     assert all_reaped(forks)
-    # the worker cannot send its chunk back and dies; its chunk holds task 4
-    assert results[-1].failed and results[-1].task <= 4
-    assert not any(r.failed for r in results[:-1])
-    assert "exited with status 1 while solving tasks" in str(results[-1].result)
+    assert [r.result for r in results] == [FakeResult(t) for t in range(100)]
+    runs = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(int(t) for _, t in runs) == list(range(100))  # each exactly once
+    # this process pulls chunks from the queue as its worker does
+    assert {int(pid) for pid, _ in runs} <= {os.getpid(), forks[0]}
+    assert os.getpid() in {int(pid) for pid, _ in runs}
 
 
 @fork_only
-def test_worker_that_dies_mid_chunk_is_a_clear_failure(forks):
+def test_a_failure_in_the_callers_share_stops_the_pool(forks, tmp_path):
+    caller = os.getpid()
+    log = tmp_path / "runs"
+
+    def task(t):
+        if os.getpid() == caller:
+            raise ValueError("the caller's task broke")
+        time.sleep(0.005)
+        with open(log, "a") as fh:
+            fh.write(f"{t}\n")
+        return FakeResult(1.0)
+
+    results, _ = run_pool(list(range(200)), 2, task, processes=True)
+    assert all_reaped(forks)
+    # the caller fails at the first task of its first chunk (7 tasks a chunk)
+    # and drops the rest of the queue; its worker finishes the chunk it holds
+    failed = results[-1]
+    assert failed.failed and failed.task % 7 == 0
+    assert str(failed.result) == "the caller's task broke"
+    assert [r.task for r in results] == list(range(failed.task + 1))
+    assert not any(r.failed for r in results[:-1])
+    worker_runs = log.read_text().split() if log.exists() else []
+    assert len(worker_runs) <= 2 * 7
+
+
+@fork_only
+def test_a_base_exception_in_the_caller_reaps_every_worker(forks):
+    caller = os.getpid()
+
+    class Stop(BaseException):
+        pass
+
+    def task(t):
+        if os.getpid() == caller:
+            raise Stop()  # not a task failure: it ends the pool at once
+        time.sleep(0.005)
+        return FakeResult(1.0)
+
+    with pytest.raises(Stop):
+        run_pool(list(range(200)), 2, task, processes=True)
+    assert len(forks) == 1
+    assert all_reaped(forks)
+
+
+@fork_only
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unpicklable_result_fails_its_own_task(forks, workers):
+    results, _ = run_pool(
+        list(range(10)), workers, lambda t: (lambda: t) if t == 4 else FakeResult(1.0),
+        processes=True,
+    )
+    assert len(forks) == workers - 1
+    assert all_reaped(forks)
+    assert [(r.task, r.failed) for r in results] == [(t, t == 4) for t in range(5)]
+    assert isinstance(results[-1].result, RuntimeError)
+    assert str(results[-1].result).startswith("the task's result does not pickle: ")
+
+
+@fork_only
+def test_worker_that_dies_mid_chunk_is_a_clear_failure(forks, tmp_path):
+    caller = os.getpid()
+    pulled = tmp_path / "pulled"
+
     def fatal(t):
-        if t == 30:
-            os._exit(3)  # runs only in a forked worker
+        if os.getpid() != caller:
+            pulled.touch()
+            os._exit(3)  # only the forked worker exits
+        # the caller solves its first task once the worker holds a chunk
+        deadline = time.monotonic() + 30
+        while not pulled.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
         return FakeResult(1.0)
 
     results, _ = run_pool(list(range(100)), 2, fatal, processes=True)
     assert all_reaped(forks)
-    assert results[-1].failed and results[-1].task <= 30
+    # the lowest chunk that never came back is the worker's: 4 tasks a chunk
+    t = results[-1].task
+    assert results[-1].failed and t % 4 == 0
     assert not any(r.failed for r in results[:-1])
-    with pytest.raises(TaskFailed, match="exited with status 3 while solving tasks"):
+    with pytest.raises(TaskFailed, match=(
+        rf"worker process {forks[0]} exited with status 3; "
+        rf"the outcomes of tasks {t}-{t + 3} never came back"
+    )):
         raise_failures(results)
+
+
+def test_the_chunk_plan_fits_one_pipe_before_any_reader(monkeypatch):
+    from eps_select import forkpool
+
+    # every record goes into the queue's pipe before any process reads it
+    assert forkpool.MAX_CHUNKS * forkpool._CHUNK.size <= select.PIPE_BUF
+    for procs in (1, 2, 3, 64, 1000, 10**6):
+        for n in (1, 2, 255, 512, 513, 10**6):
+            size = forkpool.chunk_size(n, procs)
+            assert len(range(0, n, size)) <= min(procs * forkpool.CHUNKS_PER_PROCESS,
+                                                 forkpool.MAX_CHUNKS)
+    # far more chunks per process than the pipe holds records: this process
+    # alone, with no fork, fills and empties the queue
+    monkeypatch.setattr(forkpool, "CHUNKS_PER_PROCESS", 10**6)
+    tasks = list(range(20000))
+    results, _ = run_pool(tasks, 1, lambda t: FakeResult(t), processes=True)
+    assert [r.result for r in results] == [FakeResult(t) for t in tasks]
 
 
 @fork_only
@@ -257,8 +359,9 @@ def test_worker_processes_capped_by_usable_cpus(forks, monkeypatch):
     argv = ["pss", "--model", "nqueens", "--n", "6", "--target-subproblems", "20",
             "--sample-size", "5", "--workers", "16"]
     assert main(argv) == 0
-    # two pools, the sample race and the remainder, of three usable CPUs each
-    assert len(forks) == 2 * 3
+    # two pools, the sample race and the remainder, of three usable CPUs
+    # each: this process and two forked workers
+    assert len(forks) == 2 * 2
     assert all_reaped(forks)
 
 
@@ -290,7 +393,7 @@ def test_equal_keys_run_once_and_each_task_gets_its_class_result(processes, fork
     tasks = [4, 9, 14, 5, 19, 10, 30, 12, 15, 7]  # classes by t % 5: heads 4, 5, 12
     results, ledger = run_pool(tasks, 2, _logged(tmp_path / "runs"), processes=processes,
                                key=lambda t: t % 5)
-    assert len(forks) == (2 if processes else 0)
+    assert len(forks) == (1 if processes else 0)
     assert all_reaped(forks)
     assert _runs(tmp_path / "runs") == [4, 5, 12]
     head = {4: 4, 0: 5, 2: 12}
@@ -327,10 +430,10 @@ def test_a_pool_forks_no_more_workers_than_classes(forks, monkeypatch):
     tasks = list(range(12))
     results, _ = run_pool(tasks, 4, lambda t: FakeResult(t), processes=True,
                           key=lambda t: t % 2)
-    assert len(forks) == 2
+    assert len(forks) == 1  # two classes: this process and one forked worker
     assert [r.result.work_used for r in results] == [t % 2 for t in tasks]
     # one class: no fork at all, and the one run serves every task
     results, _ = run_pool(tasks, 4, lambda t: FakeResult(t), processes=True, key=lambda t: 0)
-    assert len(forks) == 2
+    assert len(forks) == 1
     assert [r.result.work_used for r in results] == [0] * 12
     assert all_reaped(forks)

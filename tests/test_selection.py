@@ -897,7 +897,9 @@ def _pools(monkeypatch, forks):
 
 
 @fork_only
-def test_work_mode_race_cells_are_solved_in_forked_workers(forks, monkeypatch):
+def test_work_mode_race_cells_are_solved_in_forked_workers(forks, monkeypatch, tmp_path):
+    import os
+
     from eps_select import selection
     from eps_select.benchmarks import nqueens
     from eps_select.decomposition import DecompositionConfig, decompose
@@ -913,23 +915,34 @@ def test_work_mode_race_cells_are_solved_in_forked_workers(forks, monkeypatch):
     here = pss_select(model, cfg(1))
     assert forks == []
     calls = _pools(monkeypatch, forks)
-    solves = []
+    log = tmp_path / "solves"
     real_solve = selection.solve
-    monkeypatch.setattr(
-        selection, "solve", lambda *a, **k: solves.append(a[1]) or real_solve(*a, **k)
-    )
+
+    def logged_solve(*a, **k):  # in whichever process solves the cell
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\t{a[2].token}\t{a[1]!r}\n")
+        return real_solve(*a, **k)
+
+    monkeypatch.setattr(selection, "solve", logged_solve)
     forked = pss_select(model, cfg(2))
     # the race pool holds every sampled (twin head, strategy) cell once,
     # subproblem by subproblem, and the remainder pool the (twin head, winner)
-    # cells the race left unsolved; both fork two workers, and this process
-    # solves nothing itself
-    twin = ModelOracle(model, decompose(model, cfg(1).decomposition).subproblems).twin
+    # cells the race left unsolved; both fork one worker, which pulls cells
+    # from the pool's queue as this process does
+    subs = decompose(model, cfg(1).decomposition).subproblems
+    twin = ModelOracle(model, subs).twin
     race_cells = list(dict.fromkeys((twin(sub), s) for sub in forked.sample_ids for s in S))
     rest = [sub for sub in range(forked.population) if sub not in forked.sample_ids]
     rest_cells = [c for c in dict.fromkeys((twin(sub), forked.winner) for sub in rest)
                   if c not in race_cells]
-    assert calls == [(race_cells, 2), (rest_cells, 2)]
-    assert solves == []
+    assert calls == [(race_cells, 1), (rest_cells, 1)]
+    # every cell of both pools is solved exactly once, here or in a worker
+    sub_of = {repr(s.assignment): s.id for s in subs}
+    solved = [line.split("\t") for line in log.read_text().splitlines()]
+    assert sorted((sub_of[a], t) for _, t, a in solved) == sorted(
+        (sub, sid.token) for sub, sid in race_cells + rest_cells
+    )
+    assert {int(pid) for pid, _, _ in solved} <= {os.getpid(), *forks}
     assert all_reaped(forks)
     assert forked.to_dict() == here.to_dict()
     assert forked.matrix.entries == here.matrix.entries
@@ -957,7 +970,7 @@ def test_optimization_and_wall_mode_races_make_no_pool(forks, monkeypatch, case)
     assert [tasks for tasks, _ in calls] == [
         [(sub, rep.winner) for sub in range(rep.population) if sub not in rep.sample_ids]
     ]
-    assert forks == [] if case == "optimization" else len(forks) == 2
+    assert forks == [] if case == "optimization" else len(forks) == 1
     assert all_reaped(forks)
 
 
@@ -990,7 +1003,7 @@ def test_failed_race_cell_raises(forks, workers):
         pss_select(model, cfg, oracle=oracle, decomposition=decomp)
     assert str(exc.value.__cause__) == "solver crashed"
     assert str(exc.value).startswith(f"task ({bad}, <StrategyId.")
-    assert len(forks) == (2 if workers == 2 else 0)  # the race pool only
+    assert len(forks) == (1 if workers == 2 else 0)  # the race pool only
     assert all_reaped(forks)
 
 
@@ -1028,5 +1041,6 @@ def test_failed_remainder_cell_raises(forks, name, workers):
         pss_select(model, cfg, oracle=oracle, decomposition=decomp)
     assert str(exc.value.__cause__) == "solver crashed"
     assert str(exc.value).startswith(f"task ({bad}, <StrategyId.")
-    assert len(forks) == (4 if (name, workers) == ("nqueens", 2) else 0)
+    # the race pool and the remainder pool fork one worker each
+    assert len(forks) == (2 if (name, workers) == ("nqueens", 2) else 0)
     assert all_reaped(forks)
