@@ -134,7 +134,9 @@ def _serve(tasks, executor, queue: int, size: int) -> list[tuple[int, bytes]]:
     of the queue is read and dropped instead."""
     n = len(tasks)
     solved = []
-    while (record := _read_exact(queue, _CHUNK.size)) is not None:
+    # every record was in the pipe before any process read it, so a read
+    # takes one whole record, or none once the queue is empty
+    while record := os.read(queue, _CHUNK.size):
         (start,) = _CHUNK.unpack(record)
         out = []
         for i in range(start, min(start + size, n)):
@@ -177,18 +179,6 @@ def _read_to_end(fd: int) -> bytes:
     parts = []
     while part := os.read(fd, 1 << 20):
         parts.append(part)
-    return b"".join(parts)
-
-
-def _read_exact(fd: int, n: int) -> Optional[bytes]:
-    """``n`` bytes from ``fd``; None at end of file before they all came."""
-    parts = []
-    while n:
-        part = os.read(fd, n)
-        if not part:
-            return None
-        parts.append(part)
-        n -= len(part)
     return b"".join(parts)
 
 

@@ -49,7 +49,8 @@ so a run can overshoot its limit by at most one fixpoint -- and
 
 A search may take a subtree memo (``subtrees``). Its key is a propagated
 node's domains with every fixed variable's mask replaced by 0 -- one byte
-per variable when every mask fits in a byte, else a tuple -- and its value
+per variable, read as one int, when every mask fits in a byte, else a
+tuple -- and its value
 is the ``(decisions, failures, solutions, propagations)`` of the subtree
 below that node. A node whose key is in the memo adds those counts and is
 not searched; any other node records them once the stack of pending right
@@ -114,10 +115,10 @@ _NO_LIMIT = 1 << 62
 _WDEG_STRATEGIES = (StrategyId.WDEG_MIN, StrategyId.WDEG_MAX, StrategyId.DWDEG)
 
 # The most entries one subtree memo takes; a full memo still serves hits. An
-# entry measured 180 bytes on latin(5), whose key is 25 bytes, and 230 bytes
-# on nqueens(10), whose key is a tuple of 10 masks, so a full memo holds 6 to
-# 8 MB on models of that size; latin(5)/3000's remainder under ff takes
-# 28 021 entries.
+# entry measured 88 bytes on latin(5), whose key is one int of 25 bytes, and
+# 162 bytes on nqueens(10), whose key is a tuple of 10 masks, so a full memo
+# holds 3 to 6 MB on models of that size; latin(5)/3000's remainder under ff
+# takes 28 021 entries.
 SUBTREE_MEMO_ENTRIES = 1 << 15
 # One tuple for each distinct subtree counts, which every memo's entries
 # share: under ff, latin(5)/3000's 28 021 entries hold 38 distinct counts.
