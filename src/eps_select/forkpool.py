@@ -89,9 +89,10 @@ def forked_outcomes(
     for w in workers:
         if w.status == 0:  # it sent its whole reply
             chunks.update(pickle.loads(w.reply))
+        w.reply = b""
     outcomes: list[Outcome] = []
     for start in starts:
-        blob = chunks.get(start)
+        blob = chunks.pop(start, None)
         if blob is None:
             lost = [w for w in workers if w.status != 0]
             outcomes.append((RuntimeError(_lost(lost, start, min(start + size, n))), True))

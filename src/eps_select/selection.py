@@ -344,11 +344,12 @@ class ModelOracle:
     def remember(self, sub: int, sid: StrategyId, obs: Observation) -> None:
         """Memoize a full run that a pool returned: one made in a forked
         worker, whose own memo writes are lost, or in this process, whose
-        memo entry stays. Satisfaction models only: their runs read no
-        bound."""
+        equal entry the pool's unpickled copy replaces, so that the memo and
+        the pool's results hold one object. Satisfaction models only: their
+        runs read no bound."""
         if self.incumbent is not None:
             raise ValueError("only bound-free runs can be remembered")
-        self._cache.setdefault((self.twin(sub), sid, None), obs)
+        self._cache[(self.twin(sub), sid, None)] = obs
 
     def solve_all(self, cells: Sequence[tuple[int, StrategyId]],
                   worker_count: int) -> list[Observation]:
