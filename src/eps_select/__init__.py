@@ -24,6 +24,7 @@ from .search import (
     SolveMode,
     SolveOutcome,
     SolveStatus,
+    SubtreeMemo,
     TimeMode,
     count_all,
     root_domains,

@@ -47,12 +47,11 @@ wall mode the deadline, is tested once before every branch, left or right,
 so a run can overshoot its limit by at most one fixpoint -- and
 ``BudgetExhausted`` always implies ``work_used >= limit``.
 
-A search may take a subtree memo (``subtrees``). Its key is a propagated
-node's domains with every fixed variable's mask replaced by 0 -- one byte
-per variable, read as one int, when every mask fits in a byte, else a
-tuple -- and its value
-is the ``(decisions, failures, solutions, propagations)`` of the subtree
-below that node. A node whose key is in the memo adds those counts and is
+A search may take a subtree memo (``subtrees``, a :class:`SubtreeMemo`).
+Its key is a propagated node's domains with every fixed variable's mask
+replaced by 0 -- one byte per variable, read as one int, when every mask
+fits in a byte, else a tuple -- and its value is the ``(decisions,
+failures, solutions, propagations)`` of the subtree below that node. A node whose key is in the memo adds those counts and is
 not searched; any other node records them once the stack of pending right
 branches drops back below it. The memo applies only when all of these
 hold, and is ignored otherwise: the strategy is ``ff``, ``mregret`` or
@@ -120,12 +119,19 @@ _WDEG_STRATEGIES = (StrategyId.WDEG_MIN, StrategyId.WDEG_MAX, StrategyId.DWDEG)
 # holds 3 to 6 MB on models of that size; latin(5)/3000's remainder under ff
 # takes 28 021 entries.
 SUBTREE_MEMO_ENTRIES = 1 << 15
-# One tuple for each distinct subtree counts, which every memo's entries
-# share: under ff, latin(5)/3000's 28 021 entries hold 38 distinct counts.
-# It is emptied when it reaches SUBTREE_MEMO_ENTRIES tuples.
-_COUNTS: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {}
 # each mask below 256 as a subtree key byte: itself if open, 0 if fixed
 _OPEN_BYTE = bytes(m if m & (m - 1) else 0 for m in range(256))
+
+
+class SubtreeMemo(dict):
+    """A subtree memo (see the module docstring): each node key maps to its
+    subtree's ``(decisions, failures, solutions, propagations)``. Its
+    entries share one tuple for each distinct value, kept in ``counts``:
+    under ff, latin(5)/3000's 28 021 entries hold 38 distinct values."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.counts: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {}
 
 
 class SolveMode(Enum):
@@ -258,7 +264,7 @@ def solve(
     wall_limit_ms: Optional[float] = None,
     *,
     domains: Optional[Sequence[int]] = None,
-    subtrees: Optional[dict] = None,
+    subtrees: Optional[SubtreeMemo] = None,
 ) -> SolveOutcome:
     """Solve the model under a partial assignment with one strategy.
 
@@ -274,8 +280,8 @@ def solve(
     each one tightens the bound for the rest of the run. In
     ``FIRST_SOLUTION`` mode the bound is not applied, and on a model with an
     objective the first solution's objective is reported. A negative
-    ``budget`` raises :class:`ValueError`. ``subtrees`` is a subtree memo
-    that the search reads and fills where the module docstring lets it, and
+    ``budget`` raises :class:`ValueError`. ``subtrees`` is a
+    :class:`SubtreeMemo` that the search reads and fills where the module docstring lets it, and
     leaves untouched elsewhere; each memo must serve one model and one
     strategy.
     """
@@ -357,9 +363,7 @@ def solve(
                 key, _, d0, f0, s0, p0 = frames.pop()
                 if len(memo) < SUBTREE_MEMO_ENTRIES:
                     counts = (decisions - d0, failures - f0, solutions - s0, propagations - p0)
-                    if len(_COUNTS) >= SUBTREE_MEMO_ENTRIES:
-                        _COUNTS.clear()
-                    memo[key] = _COUNTS.setdefault(counts, counts)
+                    memo[key] = memo.counts.setdefault(counts, counts)
             if not pending:
                 break
             parent, var, mask = pending.pop()

@@ -60,7 +60,9 @@ from .decomposition import (
     srs_sample,
 )
 from .runner import raise_failures, run_pool
-from .search import Incumbent, SolveMode, SolveOutcome, TimeMode, solve, twin_key
+from .search import (
+    Incumbent, SolveMode, SolveOutcome, SubtreeMemo, TimeMode, solve, twin_key,
+)
 from .strategies import ALL_STRATEGIES, StrategyId
 from .wsr import (
     CensorPlan,
@@ -321,7 +323,7 @@ class ModelOracle:
         # work mode hands every full run its strategy's subtree memo; wall
         # mode hands none, so no strategy's measured time is cut by reuse
         subtrees = (
-            self._cache.setdefault(("subtrees", sid), {})
+            self._cache.setdefault(("subtrees", sid), SubtreeMemo())
             if self.has_true_costs else None
         )
         return solve(

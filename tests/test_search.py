@@ -17,7 +17,9 @@ from eps_select.csp import (
     var_range,
 )
 from eps_select.decomposition import DecompositionConfig, decompose
-from eps_select.search import SolveMode, SolveStatus, count_all, root_domains, solve, twin_key
+from eps_select.search import (
+    SolveMode, SolveStatus, SubtreeMemo, count_all, root_domains, solve, twin_key,
+)
 from eps_select.strategies import ALL_STRATEGIES, StrategyId
 
 from bruteforce import allinterval_count, brute_count, brute_optimum, golomb_optimum
@@ -354,7 +356,7 @@ def test_pinned_outcomes_hold_with_a_cold_and_a_warm_subtree_memo():
         model, mode = models[name]
         sid = StrategyId(token)
         want = _pinned_row((name, token))
-        memo = {}
+        memo = SubtreeMemo()
         cold = _row(solve(model, (), sid, mode, subtrees=memo))
         filled = dict(memo)
         warm = _row(solve(model, (), sid, mode, subtrees=memo))
@@ -462,7 +464,7 @@ def test_subtree_memo_outcomes_equal_the_memo_less_search(monkeypatch):
             want = [_row(solve(m, s.assignment, sid, domains=s.domains)) for s in subs]
             without = calls[0]
             for order in (subs, subs[::-1]):
-                memo = {}
+                memo = SubtreeMemo()
                 calls[0] = 0
                 got = {s.id: _row(solve(m, s.assignment, sid, domains=s.domains,
                                         subtrees=memo))
@@ -528,11 +530,11 @@ def test_forward_checked_search_matches_the_propagating_search(group):
             m, target, rng, (SolveMode.ALL_SOLUTIONS, SolveMode.FIRST_SOLUTION), whole
         )
         for sid in DOMAIN_ONLY:
-            warm = {}
+            warm = SubtreeMemo()
             for assignment, domains, mode, budget in cases:
                 want = _row(solve(closed, assignment, sid, mode, budget=budget,
                                   domains=domains))
-                for memo in ({}, warm):
+                for memo in (SubtreeMemo(), warm):
                     got = _row(solve(m, assignment, sid, mode, budget=budget,
                                      domains=domains, subtrees=memo))
                     assert got[:6] == want[:6], (m.name, m.constraints, sid, mode,
@@ -559,7 +561,7 @@ def test_forward_checked_optimization_matches_the_propagating_search():
                 want = _row(solve(closed, assignment, sid, mode, budget=budget,
                                   bound=bound, domains=domains))
                 got = _row(solve(m, assignment, sid, mode, budget=budget, bound=bound,
-                                 domains=domains, subtrees={}))
+                                 domains=domains, subtrees=SubtreeMemo()))
                 assert got[:6] == want[:6], (sid, bound, budget, assignment)
                 improved += want[1] > 1
     assert improved > 0
@@ -644,11 +646,11 @@ def test_subtree_memo_is_left_alone_where_open_domains_do_not_decide(monkeypatch
     for kwargs in ({"budget": 10**6}, {"wall_limit_ms": 10**6},
                    {"mode": SolveMode.FIRST_SOLUTION}, {"sid": StrategyId.ACT},
                    {"sid": StrategyId.DWDEG}):
-        memo = {}
+        memo = SubtreeMemo()
         solve(m, **kwargs, subtrees=memo)
         assert memo == {}, kwargs
 
-    class CountingHits(dict):
+    class CountingHits(SubtreeMemo):
         hits = 0
 
         def get(self, key):
@@ -667,6 +669,16 @@ def test_subtree_memo_is_left_alone_where_open_domains_do_not_decide(monkeypatch
             full_at = CountingHits.hits
     assert len(memo) == 5
     assert CountingHits.hits > full_at
+
+
+def test_subtree_memo_entries_share_one_tuple_per_distinct_value():
+    m = latin(4)
+    memo = SubtreeMemo()
+    for s in decompose(m, DecompositionConfig(target_count=40)).subproblems:
+        solve(m, s.assignment, StrategyId.FF, domains=s.domains, subtrees=memo)
+    values = list(memo.values())
+    assert len(values) > len(set(values))  # subtrees repeat their counts
+    assert len({id(v) for v in values}) == len(set(values)) == len(memo.counts)
 
 
 def _random_search_model(rng, objective):
