@@ -254,7 +254,7 @@ def test_a_failure_in_the_callers_share_stops_the_pool(forks, tmp_path):
     def task(t):
         if os.getpid() == caller:
             raise ValueError("the caller's task broke")
-        time.sleep(0.005)
+        time.sleep(0.02)
         with open(log, "a") as fh:
             fh.write(f"{t}\n")
         return FakeResult(1.0)
