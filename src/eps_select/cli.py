@@ -351,9 +351,13 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "decompose":
-        cfg = PssConfig(decomposition=_decomposition(args), sample_size=args.sample_size)
+        cfg = PssConfig(
+            decomposition=_decomposition(args),
+            race=RaceConfig(sample_seed=args.seed),
+            sample_size=args.sample_size,
+        )
         decomp = decompose(model, cfg.decomposition)
-        sample = srs_sample(len(decomp), cfg.sample_size_for(len(decomp)), args.seed)
+        sample = srs_sample(len(decomp), cfg.sample_size_for(len(decomp)), cfg.race.sample_seed)
         print(
             f"{model.name}: {len(decomp)} subproblems at prefix {decomp.prefix_len}"
             + (" (shortfall)" if decomp.shortfall else "")

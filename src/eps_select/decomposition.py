@@ -45,21 +45,22 @@ variable has made its removals (those fixed in the parent there, the others
 by the rule). It is therefore the unique fixpoint that ``_propagate``
 reaches, and it fails where ``_propagate`` fails: the children, their
 domains and their order, the prefix length and the work stay those of the
-propagating extension. A depth forks only when it propagates and makes at
-least ``FORK_MIN_ASSIGNMENTS`` enumeration assignments: it is then cut into
-``SPANS`` contiguous spans of the frontier, one
-:func:`~eps_select.runner.run_pool` queue that the calling process and,
-when there is more than one worker, forked worker processes extend (the
-decomposition only propagates and reads no incumbent). The caller
-concatenates the spans' children in task order and counts the assignments
-itself, so the subproblems, their domains, the prefix length and the work
-do not depend on the worker count. Every other depth is extended in the
-calling process, with no pool. A smaller depth costs less to propagate
-than forking workers and pickling the spans' children
-(BENCH_forked_decomposition.json), and so does a
-forward-checked one: forward checking nqueens(10) to target 3000 costs
-about a quarter of propagating it, and forked spans would give most of the
-saving back (BENCH_forward_check.json).
+propagating extension.
+
+One rule decides where a depth runs. A forward-checking depth is extended
+in the calling process: forward checking nqueens(10) to target 3000 costs
+about a quarter of propagating it, and a pool would give most of the saving
+back (BENCH_forward_check.json). Every other depth hands its frontier to
+one :func:`~eps_select.runner.run_pool` queue, one task per entry, which
+the calling process and, when there is more than one worker, forked worker
+processes extend (the decomposition only propagates and reads no
+incumbent); the pool alone decides how the frontier is cut into chunks and
+how many processes share them. The caller concatenates the entries'
+children in task order and counts the assignments itself, so the
+subproblems, their domains, the prefix length and the work do not depend
+on the worker count. A pooled depth costs a small model a few milliseconds
+of pickling and, at two workers or more, of forking
+(BENCH_pooled_decomposition.json).
 """
 
 from __future__ import annotations
@@ -67,36 +68,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Optional
+from typing import Optional, Sequence
 
 from .csp import Model, _cascade, _propagate
 from .runner import raise_failures, run_pool
 from .search import root_domains
 
-# a propagating depth (one that does not forward-check) with fewer
-# enumeration assignments than this is extended in the calling process: its
-# propagation costs less than forking workers and pickling their replies. An
-# assignment's cost differs between models, so the count does not track a
-# depth's cost everywhere (BENCH_forked_decomposition.json). Each depth
-# alone on a shared 2-core host, in the calling process against forked at 2
-# workers, medians of interleaved pairs: allinterval(10)'s depth 4 (3 728
-# assignments) took 115-121 ms against 79-82 ms, forked faster in all 21
-# pairs of three rounds, yet another round ran the whole decomposition
-# slower at 2 workers in 20 of 21 pairs: forking needs an idle second core.
-# Below the threshold golomb(8)'s depth 3 (833 assignments) would pay to
-# fork, 157 against 104 ms (11 of 11 pairs), and allinterval(10)'s depth 3
-# (680 assignments) would not, 44 against 56 ms (0 of 11).
-FORK_MIN_ASSIGNMENTS = 1000
-# a larger depth is cut into this many contiguous spans of its frontier; the
-# cut depends on the frontier only, so the subproblems do not depend on the
-# worker count
-SPANS = 32
 # most domain masks a depth's frontier may hold: a depth whose assignments
 # times the model's variable count exceeds this is refused before it is
 # extended, since each consistent assignment keeps a list of one mask per
-# variable (8 to 40 bytes a mask, and the forked workers' replies hold a
-# second copy while they are unpickled). The lab's largest depth is latin(5)'s
+# variable (8 to 40 bytes a mask, and a pooled depth's pickled replies hold
+# a second copy while they are unpickled). The lab's largest depth is latin(5)'s
 # at target 3000, with 3840 assignments of 25 variables (96 000 masks).
 MAX_FRONTIER_MASKS = 10_000_000
 
@@ -143,10 +125,12 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
     """Split the model into subproblems that each carry their root fixpoint.
 
     An inconsistent model raises :class:`~eps_select.csp.InconsistentProblem`
-    from :func:`~eps_select.search.root_domains`. An extension that raises
-    in a forked depth (see the module docstring) ends in
-    :class:`~eps_select.runner.TaskFailed` with the error as cause, at any
-    worker count; in every other depth its error arrives as itself.
+    from :func:`~eps_select.search.root_domains`. A forward-checking depth is
+    extended in the calling process, and every other depth in one pool (see
+    the module docstring). An extension that raises in a pooled depth ends
+    in :class:`~eps_select.runner.TaskFailed` with the error as cause, at
+    every depth and worker count; in a forward-checking depth its error
+    arrives as itself.
     """
     target = cfg.effective_target()
 
@@ -168,19 +152,18 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
                 f"{model.n} domains, more than MAX_FRONTIER_MASKS={MAX_FRONTIER_MASKS} masks"
             )
         total_work += assignments
-        n = len(frontier)
-        if not model.open_domains_decide and assignments >= FORK_MIN_ASSIGNMENTS:
-            size = -(-n // SPANS)
+        if model.open_domains_decide:
+            frontier = _extend(model, depth, frontier)
+        else:
+            # task indices, not entries, so a TaskFailed message stays short
             results, _ = run_pool(
-                [(start, min(start + size, n)) for start in range(0, n, size)],
+                range(len(frontier)),
                 cfg.worker_count,
-                partial(_extend, model, frontier, depth),
+                lambda i: _extend(model, depth, (frontier[i],)),
                 processes=True,
             )
             raise_failures(results)
             frontier = [doms for r in results for doms in r.result]
-        else:
-            frontier = _extend(model, frontier, depth, (0, n))
         depth += 1
         if len(frontier) > len(best):
             best = frontier
@@ -220,11 +203,9 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
     )
 
 
-def _extend(
-    model: Model, frontier: list[list[int]], depth: int, span: tuple[int, int]
-) -> list[list[int]]:
-    """The consistent children of ``frontier[start:stop]`` in order: each
-    entry's variable ``depth`` fixed to each of its values, ascending. From
+def _extend(model: Model, depth: int, entries: Sequence[list[int]]) -> list[list[int]]:
+    """The consistent children of ``entries`` in order: each entry's
+    variable ``depth`` fixed to each of its values, ascending. From
     the entry's domains, a fixpoint of every constraint, a child runs
     :func:`~eps_select.csp._cascade` on a model that ``open_domains_decide``
     and is propagated otherwise, where only the fixed variable seeds the
@@ -232,7 +213,7 @@ def _extend(
     cascade = model.open_domains_decide
     watch = model.watchers[depth]
     children = []
-    for doms in frontier[span[0] : span[1]]:
+    for doms in entries:
         d = doms[depth]
         if d & (d - 1) == 0:
             # re-fixing a fixed variable of a fixpoint prunes nothing, so the
@@ -256,7 +237,11 @@ def _extend(
 
 
 def srs_sample(population_size: int, k: int, seed: int) -> list[int]:
-    """Uniform sample of ``k`` distinct indices, sorted; deterministic given seed."""
+    """Uniform sample of ``k`` distinct indices, sorted; deterministic given
+    seed. A seed below 0 is refused: ``random.Random`` seeds with its
+    absolute value, so it would draw another seed's sample."""
+    if seed < 0:
+        raise ValueError(f"sample seed must be >= 0, got {seed}")
     if k > population_size:
         raise ValueError(f"sample size {k} exceeds population {population_size}")
     if k < 0:

@@ -13,9 +13,9 @@ worker count. A worker process runs on the copy of the caller's memory
 taken at the fork, so whatever a task writes there stays there and only the
 results come back; what a task in the calling process writes stays in the
 caller, as it does without processes. Three callers ask for processes: the
-decomposition, for each depth large enough to cut into spans (only depths
-that propagate rather than forward-check, since it reads no incumbent), and,
-on satisfaction models, :meth:`~eps_select.selection.ModelOracle.solve_all`
+decomposition, for every depth that propagates rather than forward-checks,
+one task per frontier entry (it reads no incumbent), and, on satisfaction
+models, :meth:`~eps_select.selection.ModelOracle.solve_all`
 (the cells the oracle's memo lacks, for the PSS sample race in work mode and
 for the PSS remainder) and ``compare``'s single-strategy runs; optimization
 solves read the incumbent that earlier ones raised, so they stay in the

@@ -133,6 +133,8 @@ class RaceConfig:
             raise ValueError(f"timeout_factor must be finite and > 1, got {self.timeout_factor}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
+        if self.sample_seed < 0:
+            raise ValueError(f"sample seed must be >= 0, got {self.sample_seed}")
 
 
 @dataclass

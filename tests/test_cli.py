@@ -597,6 +597,20 @@ def test_empty_sample_rejected_before_any_work(monkeypatch, capsys):
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["pss", "compare", "decompose"])
+def test_negative_seed_rejected_before_any_work(monkeypatch, capsys, command):
+    # a negative seed would draw the sample of its absolute value
+    import eps_select.cli as cli_module
+
+    calls = []
+    monkeypatch.setattr(cli_module, "pss_select", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli_module, "decompose", lambda *a, **k: calls.append(a))
+    rc = main([command, "--model", "nqueens", "--n", "6", "--seed", "-1"])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: sample seed must be >= 0, got -1\n")
+    assert calls == []
+
+
 def test_non_finite_timeout_factor_rejected_before_any_work(monkeypatch, capsys):
     import eps_select.cli as cli_module
 

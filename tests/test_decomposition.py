@@ -217,9 +217,8 @@ def test_forward_check_gives_the_children_of_the_propagate_extension():
         frontier = [root_domains(m)[0]]
         depth = 0
         while frontier and len(frontier) < 3000 and depth < m.n:
-            span = (0, len(frontier))
-            want = decomposition._extend(closed, frontier, depth, span)
-            got = decomposition._extend(m, frontier, depth, span)
+            want = decomposition._extend(closed, depth, frontier)
+            got = decomposition._extend(m, depth, frontier)
             assert got == want, (m.name, m.constraints, depth)
             parents = {id(doms) for doms in frontier}
             assert [c for c in got if id(c) in parents] == [
@@ -292,7 +291,7 @@ def test_removal_table_holds_only_the_pairs_the_decomposition_fixed():
     for depth in range(d.prefix_len):
         fixed |= {(depth, v) for doms in frontier for v in m.decode(doms[depth])}
         parents = frontier
-        frontier = decomposition._extend(closed, parents, depth, (0, len(parents)))
+        frontier = decomposition._extend(closed, depth, parents)
         fixed |= {
             (u, m.decode(child[u])[0])
             for child in frontier
@@ -330,33 +329,32 @@ def test_unsatisfiable_consistent_root_gives_the_root(n, workers):
 
 @fork_only
 @pytest.mark.parametrize(
-    "model_fn, target, threshold, forked_depths",
+    "model_fn, target, forked_depths",
     [
-        # the module's threshold: depth 4 of allinterval(10) forks (3728
-        # assignments) and reaches the target
-        (lambda: allinterval(10), 3000, None, 1),
-        # a low threshold makes the small depths of these fork as well:
-        # golomb(8) is an optimization model, magicsquare(3) falls short
-        (lambda: golomb(8), 500, 10, 1),  # depth 3; depth 2 has one parent
-        (lambda: magicsquare(3), 10**9, 10, 3),  # depths 2-4
+        # every depth is pooled; one with a single frontier entry forks
+        # nothing. allinterval(10)'s depths extend 1, 10, 90 and 680 entries
+        # and reach the target
+        (lambda: allinterval(10), 3000, 3),
+        # golomb(8) is an optimization model: 1, 1 and 28 entries
+        (lambda: golomb(8), 500, 1),
+        # magicsquare(3) falls short: 1, 7, 20, 20 and 8 at each later depth
+        (lambda: magicsquare(3), 10**9, 8),
+        # golomb(8)'s two single-entry depths reach a target of 2
+        (lambda: golomb(8), 2, 0),
     ],
-    ids=["allinterval10", "golomb8", "magicsquare3"],
+    ids=["allinterval10", "golomb8", "magicsquare3", "golomb8-single-entries"],
 )
-def test_spans_and_forks_leave_the_decomposition_unchanged(
-    forks, monkeypatch, model_fn, target, threshold, forked_depths
-):
+def test_spans_and_forks_leave_the_decomposition_unchanged(forks, model_fn, target, forked_depths):
     m = model_fn()
-    threshold = threshold or decomposition.FORK_MIN_ASSIGNMENTS
-    # the reference extends every depth as one span
-    monkeypatch.setattr(decomposition, "FORK_MIN_ASSIGNMENTS", math.inf)
-    one = decompose(m, DecompositionConfig(target_count=target, worker_count=2))
-    monkeypatch.setattr(decomposition, "FORK_MIN_ASSIGNMENTS", threshold)
-    for workers in (1, 2, 3):
+    # the reference: every depth in this process, at 1 worker
+    one = decompose(m, DecompositionConfig(target_count=target))
+    assert forks == []
+    for workers in (2, 3):
         d = decompose(m, DecompositionConfig(target_count=target, worker_count=workers))
         # subproblems (ids, assignments, domains), prefix_len, shortfall, work
         assert d == one
-    # one worker process per forked depth at 2 and at 3 workers: two CPUs
-    # make a pool of this process and one fork; at 1 worker none forks
+    # one worker process per pooled depth of more than one entry at 2 and at
+    # 3 workers: two CPUs make a pool of this process and one fork
     assert len(forks) == 2 * forked_depths
     assert all_reaped(forks)
 
@@ -368,8 +366,8 @@ def test_spans_and_forks_leave_the_decomposition_unchanged(
     ids=["nqueens10", "latin5"],
 )
 def test_open_domain_models_fork_no_decomposition_worker(forks, model_fn, target):
-    # their depths of over FORK_MIN_ASSIGNMENTS assignments (nqueens(10)'s
-    # 4-7, latin(5)'s 7 and 8) are forward-checked in the calling process
+    # every depth, the largest of over 1000 assignments (nqueens(10)'s 4-7,
+    # latin(5)'s 7 and 8), is forward-checked in the calling process
     m = model_fn()
     assert m.open_domains_decide
     one = decompose(m, DecompositionConfig(target_count=target))
@@ -384,8 +382,8 @@ def test_failing_extension_raises_task_failed(forks, monkeypatch, workers):
     real = decomposition._propagate
 
     def broken(model, masks, watch, stack, set_vars=None):
-        # depth 4 (3728 assignments) forks at 2 workers, after three serial
-        # depths; x0 = 7 lies in a span past the first
+        # depth 4 (3728 assignments) extends 680 entries after three pooled
+        # depths of 1, 10 and 90; x0 = 7 lies in a chunk past the first
         if watch is model.watchers[3] and masks[0] == 1 << 7:
             raise ValueError("extension broke")
         return real(model, masks, watch, stack, set_vars)
@@ -395,8 +393,28 @@ def test_failing_extension_raises_task_failed(forks, monkeypatch, workers):
         decompose(m, DecompositionConfig(target_count=3000, worker_count=workers))
     assert isinstance(exc.value.__cause__, ValueError)
     assert str(exc.value.__cause__) == "extension broke"
-    assert len(forks) == (1 if workers == 2 else 0)  # depth 4
+    # depths 2, 3 and 4 fork one worker each at 2 workers; depth 1 has one entry
+    assert len(forks) == (3 if workers == 2 else 0)
     assert all_reaped(forks)
+
+
+@fork_only
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_first_extension_raises_task_failed(forks, monkeypatch, workers):
+    # depth 1 of allinterval(10) extends the root, its only entry, in this
+    # process, yet through the pool: its error is wrapped as at any depth
+    real = decomposition._propagate
+
+    def broken(model, masks, watch, stack, set_vars=None):
+        if watch is model.watchers[0] and masks[0] == 1 << 3:
+            raise ValueError("first extension broke")
+        return real(model, masks, watch, stack, set_vars)
+
+    monkeypatch.setattr(decomposition, "_propagate", broken)
+    with pytest.raises(TaskFailed, match=r"^task 0 failed: ") as exc:
+        decompose(allinterval(10), DecompositionConfig(target_count=3000, worker_count=workers))
+    assert str(exc.value.__cause__) == "first extension broke"
+    assert forks == []
 
 
 @fork_only
@@ -423,7 +441,7 @@ def test_fixed_next_variable_is_its_own_only_child(monkeypatch):
     m = nqueens(10)
     frontier = [root_domains(m)[0]]
     for depth in range(8):
-        frontier = decomposition._extend(m, frontier, depth, (0, len(frontier)))
+        frontier = decomposition._extend(m, depth, frontier)
     fixed = [doms for doms in frontier if doms[8].bit_count() == 1]
     assert fixed and len(fixed) < len(frontier)
     # the model forward-checks: count the cascades and the propagations
@@ -434,19 +452,19 @@ def test_fixed_next_variable_is_its_own_only_child(monkeypatch):
             decomposition, name, lambda *a, real=real: calls.append(a[1]) or real(*a)
         )
     for doms in fixed:
-        children = decomposition._extend(m, [doms], 8, (0, 1))
+        children = decomposition._extend(m, 8, [doms])
         assert len(children) == 1 and children[0] is doms
     assert calls == []
     open_entry = next(doms for doms in frontier if doms[8].bit_count() > 1)
-    decomposition._extend(m, [open_entry], 8, (0, 1))
+    decomposition._extend(m, 8, [open_entry])
     assert len(calls) == open_entry[8].bit_count()
 
 
-def _extend_propagating_every_value(model, frontier, depth, span):
+def _extend_propagating_every_value(model, depth, entries):
     """The extension without the fixed-variable rule: every value of every
     entry copied and propagated."""
     children = []
-    for doms in frontier[span[0] : span[1]]:
+    for doms in entries:
         d = doms[depth]
         while d:
             low = d & -d
@@ -467,14 +485,13 @@ def _extend_propagating_every_value(model, frontier, depth, span):
 def test_fixed_variable_rule_leaves_the_decomposition_unchanged(
     forks, monkeypatch, model_fn, target
 ):
-    # against a one-span reference that propagates every extension, at 1 and
-    # 2 workers (the module's threshold forks the larger depths at 2)
+    # against a reference at 1 worker that propagates every extension, at 1
+    # and 2 workers (every depth goes through the pool, which forks at 2)
     m = model_fn()
-    m.open_domains_decide = False  # nqueens and latin extend through _extend too
+    m.open_domains_decide = False  # nqueens and latin propagate through the pool too
     cfgs = [DecompositionConfig(target_count=target, worker_count=w) for w in (1, 2)]
     ruled = [decompose(m, cfg) for cfg in cfgs]
     monkeypatch.setattr(decomposition, "_extend", _extend_propagating_every_value)
-    monkeypatch.setattr(decomposition, "FORK_MIN_ASSIGNMENTS", math.inf)
     assert ruled == [decompose(m, cfgs[0])] * 2
     assert all_reaped(forks)
 
@@ -522,6 +539,13 @@ def test_srs_reproducible():
 def test_srs_rejects_oversample():
     with pytest.raises(ValueError):
         srs_sample(5, 6, 0)
+
+
+def test_srs_rejects_a_negative_seed():
+    # random.Random(-7) would draw seed 7's sample
+    with pytest.raises(ValueError, match=r"^sample seed must be >= 0, got -7$"):
+        srs_sample(100, 5, -7)
+    assert srs_sample(100, 5, 0) != srs_sample(100, 5, 7)
 
 
 def test_srs_uniformity():

@@ -773,6 +773,12 @@ def test_remember_fills_the_shared_memo_of_satisfaction_models_only():
         ModelOracle(golomb(5), []).remember(0, S[0], obs)
 
 
+def test_race_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^sample seed must be >= 0, got -1$"):
+        RaceConfig(sample_seed=-1)
+    assert RaceConfig(sample_seed=0).sample_seed == 0
+
+
 def test_work_mode_oracles_share_one_subtree_memo_per_strategy(monkeypatch):
     # every full run of a work-mode oracle gets its strategy's memo from the
     # shared cache, so oracles over one cache share it; wall mode gets none
@@ -970,7 +976,10 @@ def test_optimization_and_wall_mode_races_make_no_pool(forks, monkeypatch, case)
     assert [tasks for tasks, _ in calls] == [
         [(sub, rep.winner) for sub in range(rep.population) if sub not in rep.sample_ids]
     ]
-    assert forks == [] if case == "optimization" else len(forks) == 1
+    assert calls[0][1] == (0 if case == "optimization" else 1)
+    # the decomposition of golomb(5) propagates: its pooled depths of 5 and
+    # 27 entries fork one worker each (nqueens forward-checks, in process)
+    assert len(forks) == (2 if case == "optimization" else 1)
     assert all_reaped(forks)
 
 
@@ -1041,6 +1050,8 @@ def test_failed_remainder_cell_raises(forks, name, workers):
         pss_select(model, cfg, oracle=oracle, decomposition=decomp)
     assert str(exc.value.__cause__) == "solver crashed"
     assert str(exc.value).startswith(f"task ({bad}, <StrategyId.")
-    # the race pool and the remainder pool fork one worker each
-    assert len(forks) == (2 if (name, workers) == ("nqueens", 2) else 0)
+    # at 2 workers the race pool and the remainder pool fork one worker each
+    # on nqueens; on golomb(6) they run in this process, and the pooled
+    # decomposition depth of 15 entries forks one (the others have one entry)
+    assert len(forks) == {("nqueens", 2): 2, ("golomb", 2): 1}.get((name, workers), 0)
     assert all_reaped(forks)
