@@ -217,8 +217,9 @@ def compare(model: Model, cfg: PssConfig) -> Comparison:
     This is the only driver of the bandit and portfolio baselines: they are
     charged from the memo that PSS reads, never from a run of their own.
     Each single strategy solves every subproblem in its own task pool, one
-    pool per strategy in ``ALL_STRATEGIES`` order (in worker processes on a
-    satisfaction model with more than one worker), which runs each twin
+    pool per strategy in ``ALL_STRATEGIES`` order (shared with forked worker
+    processes on a satisfaction model with more than one worker, and at one
+    worker in order on an optimization model), which runs each twin
     class once (see :class:`~eps_select.selection.ModelOracle`) and still
     returns one result per subproblem; PSS, the bandit and the
     portfolio then read the same oracle cache through oracles over all
@@ -235,17 +236,16 @@ def compare(model: Model, cfg: PssConfig) -> Comparison:
         return ModelOracle(model, decomp.subproblems, time_mode=time_mode, shared_cache=cache)
 
     # on an optimization model every solve reads and raises the live
-    # incumbent, so the singles run in order in this process
+    # incumbent, so the singles run at one worker, in order in this process
     satisfaction = model.objective is None
     singles: dict[StrategyId, float] = {}
     for sid in ALL_STRATEGIES:
         single = oracle()
         results, _ = run_pool(
             single.sub_ids,
-            cfg.decomposition.worker_count,
+            cfg.decomposition.worker_count if satisfaction else 1,
             lambda sub: single.full(sub, sid),
             cost_fn=lambda obs: obs.value,
-            processes=satisfaction,
             key=single.twin,
         )
         raise_failures(results)

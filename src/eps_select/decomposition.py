@@ -160,7 +160,6 @@ def decompose(model: Model, cfg: DecompositionConfig) -> Decomposition:
                 range(len(frontier)),
                 cfg.worker_count,
                 lambda i: _extend(model, depth, (frontier[i],)),
-                processes=True,
             )
             raise_failures(results)
             frontier = [doms for r in results for doms in r.result]

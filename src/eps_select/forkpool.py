@@ -1,4 +1,4 @@
-"""One shared queue of chunks for :func:`eps_select.runner.run_pool`.
+"""The one shared queue of chunks that runs every :func:`eps_select.runner.run_pool`.
 
 The pool's work is one queue of chunks, contiguous ranges of task indices in
 task order, held in one pipe. The caller writes every chunk's record into
@@ -7,8 +7,10 @@ processes, which share the tasks and the executor (a closure over the model
 and the oracle, or over the model and the decomposition frontier) without
 pickling them. The caller is the pool's first process: it and every worker
 pull the next chunk straight from the pipe and solve it, until the pipe is
-empty. A process whose task fails reads the rest of the queue and drops it,
-so no chunk starts after that.
+empty. At one process, as wherever ``os.fork`` is missing, the caller
+solves every chunk in task order and forks nothing. A process whose
+task fails reads the rest of the queue and drops it, so no chunk starts
+after that.
 
 Each process pickles each chunk's outcomes as it finishes the chunk. A
 worker sends all of them in one reply on its own pipe once the queue is
@@ -18,8 +20,8 @@ worker, then unpickles the chunks in task order, its own among them: an
 outcome reads the same whichever process solved it, and a result that does
 not pickle fails its own task in any process. A worker that dies takes its
 chunks with it; the lowest chunk whose outcomes never came back then fails
-at its first task. The module is imported only when a pool asks for
-processes.
+at its first task. The module is loaded on the first pool's use, so
+importing the package loads no pickle.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import struct
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from .runner import Outcome, _attempt
+Outcome = tuple[Any, bool]  # (result or exception, failed)
 
 # chunks per process: enough to even out uneven tasks, few enough that
 # pulling and pickling them cost nothing next to the tasks
@@ -41,7 +43,8 @@ CHUNKS_PER_PROCESS = 16
 _CHUNK = struct.Struct("<q")  # a chunk's first task index
 # the most chunks one queue holds: the caller writes them all before any
 # process reads, and a pipe takes PIPE_BUF bytes at once without blocking
-MAX_CHUNKS = select.PIPE_BUF // _CHUNK.size
+# (POSIX's least PIPE_BUF, 512, where select does not name it)
+MAX_CHUNKS = getattr(select, "PIPE_BUF", 512) // _CHUNK.size
 
 
 @dataclass
@@ -147,10 +150,16 @@ def _serve(tasks, executor, queue: int, size: int) -> list[tuple[int, bytes]]:
         blob, failed = _portable(out)
         solved.append((start, blob))
         if failed:
-            while os.read(queue, select.PIPE_BUF):
-                pass
+            _read_to_end(queue)  # the rest of the queue, dropped
             break
     return solved
+
+
+def _attempt(executor: Callable[[Any], Any], task: Any) -> Outcome:
+    try:
+        return executor(task), False
+    except Exception as exc:
+        return exc, True
 
 
 def _portable(out: list[Outcome]) -> tuple[bytes, bool]:

@@ -358,14 +358,14 @@ class ModelOracle:
     def solve_all(self, cells: Sequence[tuple[int, StrategyId]],
                   worker_count: int) -> list[Observation]:
         """The full run of each (subproblem, strategy) cell at the live bound,
-        in cell order. With no objective one :func:`run_pool` call solves the
-        (twin head, strategy) cells the memo lacks, in this process and, when
-        there is more than one worker, in forked workers, and remembers them;
-        every cell is then read
-        from the memo. With an objective each cell reads the incumbent the
-        cells before it raised, so the pool solves them in order in this
-        process. A failed cell raises :class:`~eps_select.runner.TaskFailed`
-        with its error as the cause."""
+        in cell order, from one :func:`run_pool` call. With no objective it
+        solves the (twin head, strategy) cells the memo lacks, in this
+        process and, when there is more than one worker, in forked workers,
+        and remembers them; every cell is then read from the memo. With an
+        objective each cell reads the incumbent the cells before it raised,
+        so the pool runs at one worker and this process solves them in order.
+        A failed cell raises :class:`~eps_select.runner.TaskFailed` with its
+        error as the cause."""
         satisfaction = self.incumbent is None
         tasks = cells
         if satisfaction:
@@ -377,8 +377,8 @@ class ModelOracle:
                     lacking[cell if head == cell[0] else (head, cell[1])] = None
             tasks = list(lacking)
         if tasks:
-            results, _ = run_pool(tasks, worker_count, lambda cell: self.full(*cell),
-                                  cost_fn=lambda obs: obs.value, processes=satisfaction)
+            results, _ = run_pool(tasks, worker_count if satisfaction else 1,
+                                  lambda cell: self.full(*cell), cost_fn=lambda obs: obs.value)
             raise_failures(results)
             if not satisfaction:
                 return [r.result for r in results]

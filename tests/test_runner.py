@@ -106,10 +106,10 @@ def test_ledger_assigns_the_workers_a_list_scan_assigns():
         assert ledger.load_balance() == (mx, mean, mx / mean if mean > 0 else 1.0)
 
 
-def test_a_billion_workers_cost_only_the_workers_that_pull_a_task():
-    results, ledger = run_pool(
-        list(range(5)), 10**9, lambda t: FakeResult(t + 1.0), processes=False
-    )
+def test_a_billion_workers_cost_only_the_workers_that_pull_a_task(forks):
+    results, ledger = run_pool(list(range(5)), 10**9, lambda t: FakeResult(t + 1.0))
+    assert len(forks) == 1  # two CPUs: this process and one forked worker
+    assert all_reaped(forks)
     assert [r.worker for r in results] == [0, 1, 2, 3, 4]
     assert ledger.loads == [1.0, 2.0, 3.0, 4.0, 5.0]
     assert ledger.grand_total == 15.0
@@ -150,44 +150,73 @@ def test_persistent_failure_reported():
     raise_failures(results[:2])  # no failed task: no error
 
 
-def test_wall_mode_runs_tasks_in_calling_thread_in_order():
+def test_one_worker_runs_tasks_in_calling_thread_in_order():
     seen = []
 
     def record(t):
         seen.append((t, threading.get_ident()))
         return FakeResult(t)
 
-    results, ledger = run_pool(list(range(30)), 4, record)
+    results, ledger = run_pool(list(range(30)), 1, record)
     assert seen == [(t, threading.get_ident()) for t in range(30)]  # once each
     assert [r.task for r in results] == list(range(30))
     assert ledger.grand_total == sum(range(30))  # cost_fn of each result
 
 
 # ---------------------------------------------------------------------------
-# worker processes (processes=True), under conftest.py's two-CPU forks fixture
+# worker processes, under conftest.py's two-CPU forks fixture
 
 
 @fork_only
 def test_forked_pool_matches_in_process(forks):
     rng = random.Random(3)
     costs = [rng.randint(1, 50) for _ in range(300)]
-    here = run_pool(list(range(300)), 3, lambda t: FakeResult(costs[t]))
-    forked = run_pool(list(range(300)), 3, lambda t: FakeResult(costs[t]), processes=True)
+    here = run_pool(list(range(300)), 1, lambda t: FakeResult(costs[t]))
+    assert forks == []
+    forked = run_pool(list(range(300)), 3, lambda t: FakeResult(costs[t]))
     # two CPUs cap the three workers: this process and one forked worker
     assert len(forks) == 1
     assert all_reaped(forks)
-    assert [(r.index, r.task, r.result, r.worker, r.failed) for r in forked[0]] == [
-        (r.index, r.task, r.result, r.worker, r.failed) for r in here[0]
+    assert [(r.index, r.task, r.result, r.failed) for r in forked[0]] == [
+        (r.index, r.task, r.result, r.failed) for r in here[0]
     ]
-    assert forked[1] == here[1]
+    # the ledger of three virtual workers is the one a list scan keeps
+    want, clocks = _list_scan(costs, 3)
+    assert [r.worker for r in forked[0]] == want
+    assert (forked[1].loads, here[1].loads) == (clocks, [float(sum(costs))])
 
 
 @fork_only
 def test_single_worker_or_one_task_never_forks(forks):
-    run_pool(list(range(20)), 1, lambda t: FakeResult(t), processes=True)
-    run_pool([0], 4, lambda t: FakeResult(t), processes=True)
-    run_pool(list(range(20)), 4, lambda t: FakeResult(t))  # processes not asked for
+    run_pool(list(range(20)), 1, lambda t: FakeResult(t))
+    run_pool([0], 4, lambda t: FakeResult(t))
+    run_pool([], 3, lambda t: FakeResult(t))
     assert forks == []
+
+
+def test_without_fork_every_pool_runs_in_the_calling_process_in_order(monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    seen = []
+
+    def task(t):
+        seen.append((t, os.getpid()))
+        if t == 23:
+            raise ValueError(f"task {t} is broken")
+        return FakeResult(t)
+
+    def view(results):
+        return [(r.index, r.task, repr(r.result), r.failed) for r in results]
+
+    one, _ = run_pool(list(range(40)), 1, task)
+    seen.clear()
+    four, _ = run_pool(list(range(40)), 4, task)
+    # once each, in task order, in this process, and nothing after the failure
+    assert seen == [(t, os.getpid()) for t in range(24)]
+    assert view(four) == view(one)
+    assert [r.failed for r in four] == [False] * 23 + [True]
+    for workers in (1, 3):
+        assert run_pool([], workers, task)[0] == []
+    assert len(seen) == 24
 
 
 @fork_only
@@ -197,7 +226,7 @@ def test_forked_failure_stops_results_and_keeps_the_cause(forks):
             raise ValueError(f"task {t} is broken")
         return FakeResult(1.0)
 
-    results, ledger = run_pool(list(range(200)), 2, broken, processes=True)
+    results, ledger = run_pool(list(range(200)), 2, broken)
     assert all_reaped(forks)
     assert [r.task for r in results] == list(range(58))  # nothing after the failure
     assert [r.failed for r in results] == [False] * 57 + [True]
@@ -218,7 +247,7 @@ def test_forked_unpicklable_exception_travels_as_runtime_error(forks):
             raise Local("no way back")
         return FakeResult(1.0)
 
-    results, _ = run_pool(list(range(10)), 2, broken, processes=True)
+    results, _ = run_pool(list(range(10)), 2, broken)
     assert all_reaped(forks)
     cause = results[-1].result
     assert results[-1].task == 3 and type(cause) is RuntimeError
@@ -235,7 +264,7 @@ def test_a_two_cpu_pool_forks_one_worker_and_solves_each_task_once(forks, tmp_pa
             fh.write(f"{os.getpid()} {t}\n")
         return FakeResult(t)
 
-    results, _ = run_pool(list(range(100)), 2, logged, processes=True)
+    results, _ = run_pool(list(range(100)), 2, logged)
     assert len(forks) == 1
     assert all_reaped(forks)
     assert [r.result for r in results] == [FakeResult(t) for t in range(100)]
@@ -259,7 +288,7 @@ def test_a_failure_in_the_callers_share_stops_the_pool(forks, tmp_path):
             fh.write(f"{t}\n")
         return FakeResult(1.0)
 
-    results, _ = run_pool(list(range(200)), 2, task, processes=True)
+    results, _ = run_pool(list(range(200)), 2, task)
     assert all_reaped(forks)
     # the caller fails at the first task of its first chunk (7 tasks a chunk)
     # and drops the rest of the queue; its worker finishes the chunk it holds
@@ -286,7 +315,7 @@ def test_a_base_exception_in_the_caller_reaps_every_worker(forks):
         return FakeResult(1.0)
 
     with pytest.raises(Stop):
-        run_pool(list(range(200)), 2, task, processes=True)
+        run_pool(list(range(200)), 2, task)
     assert len(forks) == 1
     assert all_reaped(forks)
 
@@ -295,8 +324,7 @@ def test_a_base_exception_in_the_caller_reaps_every_worker(forks):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_unpicklable_result_fails_its_own_task(forks, workers):
     results, _ = run_pool(
-        list(range(10)), workers, lambda t: (lambda: t) if t == 4 else FakeResult(1.0),
-        processes=True,
+        list(range(10)), workers, lambda t: (lambda: t) if t == 4 else FakeResult(1.0)
     )
     assert len(forks) == workers - 1
     assert all_reaped(forks)
@@ -320,7 +348,7 @@ def test_worker_that_dies_mid_chunk_is_a_clear_failure(forks, tmp_path):
             time.sleep(0.001)
         return FakeResult(1.0)
 
-    results, _ = run_pool(list(range(100)), 2, fatal, processes=True)
+    results, _ = run_pool(list(range(100)), 2, fatal)
     assert all_reaped(forks)
     # the lowest chunk that never came back is the worker's: 4 tasks a chunk
     t = results[-1].task
@@ -347,7 +375,7 @@ def test_the_chunk_plan_fits_one_pipe_before_any_reader(monkeypatch):
     # alone, with no fork, fills and empties the queue
     monkeypatch.setattr(forkpool, "CHUNKS_PER_PROCESS", 10**6)
     tasks = list(range(20000))
-    results, _ = run_pool(tasks, 1, lambda t: FakeResult(t), processes=True)
+    results, _ = run_pool(tasks, 1, lambda t: FakeResult(t))
     assert [r.result for r in results] == [FakeResult(t) for t in tasks]
 
 
@@ -366,8 +394,8 @@ def test_worker_processes_capped_by_usable_cpus(forks, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# classes of tasks with one key (key=...), in the calling thread and forked
-# under conftest.py's two-CPU forks fixture
+# classes of tasks with one key (key=...), under conftest.py's two-CPU forks
+# fixture
 
 
 def _logged(path):
@@ -388,12 +416,11 @@ def _runs(path):
     return sorted(int(t) for t in path.read_text().split()) if path.exists() else []
 
 
-@pytest.mark.parametrize("processes", [False, pytest.param(True, marks=fork_only)])
-def test_equal_keys_run_once_and_each_task_gets_its_class_result(processes, forks, tmp_path):
+@fork_only
+def test_equal_keys_run_once_and_each_task_gets_its_class_result(forks, tmp_path):
     tasks = [4, 9, 14, 5, 19, 10, 30, 12, 15, 7]  # classes by t % 5: heads 4, 5, 12
-    results, ledger = run_pool(tasks, 2, _logged(tmp_path / "runs"), processes=processes,
-                               key=lambda t: t % 5)
-    assert len(forks) == (1 if processes else 0)
+    results, ledger = run_pool(tasks, 2, _logged(tmp_path / "runs"), key=lambda t: t % 5)
+    assert len(forks) == 1
     assert all_reaped(forks)
     assert _runs(tmp_path / "runs") == [4, 5, 12]
     head = {4: 4, 0: 5, 2: 12}
@@ -405,11 +432,10 @@ def test_equal_keys_run_once_and_each_task_gets_its_class_result(processes, fork
         [head[t % 5] for t in tasks], 2, lambda t: FakeResult(t * 10))[1]
 
 
-@pytest.mark.parametrize("processes", [False, pytest.param(True, marks=fork_only)])
-def test_a_failing_class_head_fails_at_its_own_index(processes, forks, tmp_path):
+@fork_only
+def test_a_failing_class_head_fails_at_its_own_index(forks, tmp_path):
     tasks = [1, 6, 13, 11, 8, 2, 16, 4]  # classes by t % 5: task 13 heads class 3
-    results, ledger = run_pool(tasks, 2, _logged(tmp_path / "runs"), processes=processes,
-                               key=lambda t: t % 5)
+    results, ledger = run_pool(tasks, 2, _logged(tmp_path / "runs"), key=lambda t: t % 5)
     assert all_reaped(forks)
     assert [(r.index, r.task, r.failed) for r in results] == [
         (0, 1, False), (1, 6, False), (2, 13, True)
@@ -418,22 +444,18 @@ def test_a_failing_class_head_fails_at_its_own_index(processes, forks, tmp_path)
     assert str(results[2].result) == "task 13 is broken"
     assert ledger.grand_total == 20.0
     runs = _runs(tmp_path / "runs")
-    # nothing ran twice; in the calling thread nothing ran after the failure
-    assert len(set(runs)) == len(runs) and {1, 13} <= set(runs)
-    if not processes:
-        assert runs == [1, 13]
+    assert len(set(runs)) == len(runs) and {1, 13} <= set(runs)  # nothing ran twice
 
 
 @fork_only
 def test_a_pool_forks_no_more_workers_than_classes(forks, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2}, raising=False)
     tasks = list(range(12))
-    results, _ = run_pool(tasks, 4, lambda t: FakeResult(t), processes=True,
-                          key=lambda t: t % 2)
+    results, _ = run_pool(tasks, 4, lambda t: FakeResult(t), key=lambda t: t % 2)
     assert len(forks) == 1  # two classes: this process and one forked worker
     assert [r.result.work_used for r in results] == [t % 2 for t in tasks]
     # one class: no fork at all, and the one run serves every task
-    results, _ = run_pool(tasks, 4, lambda t: FakeResult(t), processes=True, key=lambda t: 0)
+    results, _ = run_pool(tasks, 4, lambda t: FakeResult(t), key=lambda t: 0)
     assert len(forks) == 1
     assert [r.result.work_used for r in results] == [0] * 12
     assert all_reaped(forks)
